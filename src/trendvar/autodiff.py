@@ -1,517 +1,31 @@
-"""Reverse-mode automatic differentiation on a per-pass tape.
+"""Central-difference audit of hand-derived gradients.
 
-Every differentiable operation appends one entry to the active tape in the
-order it executes, which is already a topological order: an entry's inputs
-are either leaves or outputs of earlier entries.  ``Tape.backward`` walks the
-entries in reverse and accumulates adjoints into ``Tensor.grad``.
-
-Values are float64 numpy arrays.  Tensors created with ``const=True`` are
-treated as constants: no gradient is ever accumulated into them, which keeps
-the backward pass cheap for data-side inputs.
+The model's gradients are written out in closed form (``model.backward``);
+this module is the independent oracle they are checked against.
 """
-
-import threading
 
 import numpy as np
 
-from .errors import NumericError, ShapeMismatchError
+from .errors import NumericError
 
-_STATE = threading.local()
 
-
-def _tape_stack():
-    stack = getattr(_STATE, "stack", None)
-    if stack is None:
-        stack = []
-        _STATE.stack = stack
-    return stack
-
-
-def active_tape():
-    """Return the innermost open tape, or raise if none is open."""
-    stack = _tape_stack()
-    if not stack:
-        raise RuntimeError(
-            "no active tape; wrap the forward pass in `with Tape():`"
-        )
-    return stack[-1]
-
-
-class Tensor:
-    """A named float64 array with a gradient slot.
-
-    ``const=True`` marks data-side inputs whose gradient nobody will read;
-    backward skips them entirely.
-    """
-
-    __slots__ = ("data", "grad", "name", "const")
-
-    def __init__(self, data, name=None, const=False):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.name = name
-        self.const = const
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def item(self):
-        return float(self.data)
-
-    def __repr__(self):
-        label = self.name or "tensor"
-        return f"Tensor({label}, shape={self.data.shape})"
-
-
-def _accum(tensor, grad):
-    if tensor.const:
-        return
-    if tensor.grad is None:
-        tensor.grad = np.zeros_like(tensor.data)
-    tensor.grad += grad
-
-
-class _Entry:
-    __slots__ = ("op_id", "inputs", "output", "backward_fn")
-
-    def __init__(self, op_id, inputs, output, backward_fn):
-        self.op_id = op_id
-        self.inputs = inputs
-        self.output = output
-        self.backward_fn = backward_fn
-
-
-class Tape:
-    """Records one forward pass and replays it backwards.
-
-    Tapes nest (a stack per thread), so a finite-difference probe can run
-    fresh forward passes while an outer tape is still open.
-    """
-
-    def __init__(self):
-        self.entries = []
-
-    def __enter__(self):
-        _tape_stack().append(self)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
-        assert stack and stack[-1] is self
-        stack.pop()
-        return False
-
-    def record(self, op_id, inputs, output, backward_fn):
-        self.entries.append(_Entry(op_id, tuple(inputs), output, backward_fn))
-
-    def backward(self, loss, leaves=None):
-        """Accumulate d(loss)/d(tensor) into ``.grad`` for every non-const
-        tensor reachable from ``loss``.
-
-        Returns a dict mapping each requested leaf to its gradient array;
-        leaves the loss does not depend on get zero gradients.  ``leaves``
-        defaults to every non-const leaf input on the tape.
-        """
-        if loss.data.shape != ():
-            raise ValueError(
-                f"backward needs a scalar loss, got shape {loss.data.shape}"
-            )
-        if not self.entries:
-            raise ValueError("backward on an empty tape")
-        loss.grad = np.ones(())
-        for entry in reversed(self.entries):
-            out_grad = entry.output.grad
-            if out_grad is None:
-                continue
-            entry.backward_fn(out_grad)
-        if leaves is None:
-            produced = {id(e.output) for e in self.entries}
-            leaves = []
-            seen = set()
-            for entry in self.entries:
-                for t in entry.inputs:
-                    if id(t) in produced or id(t) in seen or t.const:
-                        continue
-                    seen.add(id(t))
-                    leaves.append(t)
-        grads = {}
-        for t in leaves:
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
-            grads[t] = t.grad
-        return grads
-
-
-def _require_same_shape(op_id, a, b):
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatchError(
-            f"{op_id}: operand shapes {a.data.shape} and {b.data.shape} differ"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Primitives.  Each one computes the forward value eagerly and records a
-# closure that maps the output adjoint to input adjoints.
-
-
-def add(a, b):
-    _require_same_shape("add", a, b)
-    out = Tensor(a.data + b.data)
-
-    def backward_fn(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    active_tape().record("add", (a, b), out, backward_fn)
-    return out
-
-
-def sub(a, b):
-    _require_same_shape("sub", a, b)
-    out = Tensor(a.data - b.data)
-
-    def backward_fn(g):
-        _accum(a, g)
-        _accum(b, -g)
-
-    active_tape().record("sub", (a, b), out, backward_fn)
-    return out
-
-
-def mul(a, b):
-    """Elementwise (Hadamard) product."""
-    _require_same_shape("mul", a, b)
-    out = Tensor(a.data * b.data)
-
-    def backward_fn(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    active_tape().record("mul", (a, b), out, backward_fn)
-    return out
-
-
-def scale(a, factor):
-    """Multiply by a python float (not a differentiable input)."""
-    factor = float(factor)
-    out = Tensor(a.data * factor)
-
-    def backward_fn(g):
-        _accum(a, g * factor)
-
-    active_tape().record("scale", (a,), out, backward_fn)
-    return out
-
-
-def add_scalar(a, s):
-    """Broadcast-add a scalar tensor onto ``a``; both sides differentiable."""
-    if s.data.shape != ():
-        raise ShapeMismatchError(
-            f"add_scalar: second operand must be scalar, got {s.data.shape}"
-        )
-    out = Tensor(a.data + s.data)
-
-    def backward_fn(g):
-        _accum(a, g)
-        _accum(s, np.asarray(g.sum()))
-
-    active_tape().record("add_scalar", (a, s), out, backward_fn)
-    return out
-
-
-def matvec(w, x):
-    """Matrix-vector product W @ x with W of shape (a, b) and x of shape (b,)."""
-    if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
-        raise ShapeMismatchError(
-            f"matvec: incompatible shapes {w.data.shape} and {x.data.shape}"
-        )
-    out = Tensor(w.data @ x.data)
-
-    def backward_fn(g):
-        _accum(w, np.outer(g, x.data))
-        _accum(x, w.data.T @ g)
-
-    active_tape().record("matvec", (w, x), out, backward_fn)
-    return out
-
-
-def vecmat(v, a):
-    """Row-vector times matrix: v @ A with v of shape (r,), A of shape (r, m)."""
-    if v.data.ndim != 1 or a.data.ndim != 2 or v.data.shape[0] != a.data.shape[0]:
-        raise ShapeMismatchError(
-            f"vecmat: incompatible shapes {v.data.shape} and {a.data.shape}"
-        )
-    out = Tensor(v.data @ a.data)
-
-    def backward_fn(g):
-        _accum(v, a.data @ g)
-        _accum(a, np.outer(v.data, g))
-
-    active_tape().record("vecmat", (v, a), out, backward_fn)
-    return out
-
-
-def concat(parts, axis=-1):
-    """Concatenate tensors along one axis; all other axes must agree."""
-    parts = tuple(parts)
-    if not parts:
-        raise ShapeMismatchError("concat: no tensors given")
-    ndim = parts[0].data.ndim
-    ax = axis if axis >= 0 else ndim + axis
-    for p in parts[1:]:
-        if p.data.ndim != ndim:
-            raise ShapeMismatchError(
-                f"concat: rank mismatch {parts[0].data.shape} vs {p.data.shape}"
-            )
-        for d in range(ndim):
-            if d != ax and p.data.shape[d] != parts[0].data.shape[d]:
-                raise ShapeMismatchError(
-                    f"concat: off-axis shapes differ, "
-                    f"{parts[0].data.shape} vs {p.data.shape}"
-                )
-    out = Tensor(np.concatenate([p.data for p in parts], axis=ax))
-    sizes = [p.data.shape[ax] for p in parts]
-
-    def backward_fn(g):
-        offset = 0
-        index = [slice(None)] * ndim
-        for p, size in zip(parts, sizes):
-            index[ax] = slice(offset, offset + size)
-            _accum(p, g[tuple(index)])
-            offset += size
-
-    active_tape().record("concat", parts, out, backward_fn)
-    return out
-
-
-def slice1d(a, start, stop):
-    """Contiguous slice of a 1-D tensor."""
-    if a.data.ndim != 1:
-        raise ShapeMismatchError(
-            f"slice1d: expected a 1-D tensor, got shape {a.data.shape}"
-        )
-    n = a.data.shape[0]
-    if not (0 <= start < stop <= n):
-        raise ShapeMismatchError(
-            f"slice1d: range [{start}, {stop}) invalid for length {n}"
-        )
-    out = Tensor(a.data[start:stop].copy())
-
-    def backward_fn(g):
-        if not a.const:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[start:stop] += g
-
-    active_tape().record("slice1d", (a,), out, backward_fn)
-    return out
-
-
-def tsum(a):
-    """Sum of all elements, returned as a scalar (shape ()) tensor."""
-    out = Tensor(a.data.sum())
-
-    def backward_fn(g):
-        _accum(a, np.broadcast_to(g, a.data.shape))
-
-    active_tape().record("sum", (a,), out, backward_fn)
-    return out
-
-
-def tanh(a):
-    out = Tensor(np.tanh(a.data))
-
-    def backward_fn(g):
-        _accum(a, g * (1.0 - out.data * out.data))
-
-    active_tape().record("tanh", (a,), out, backward_fn)
-    return out
-
-
-def softmax(a):
-    """Softmax over a 1-D tensor, stabilised by max subtraction."""
-    if a.data.ndim != 1:
-        raise ShapeMismatchError(
-            f"softmax: expected a 1-D tensor, got shape {a.data.shape}"
-        )
-    shifted = a.data - a.data.max()
-    e = np.exp(shifted)
-    out = Tensor(e / e.sum())
-
-    def backward_fn(g):
-        y = out.data
-        _accum(a, y * (g - np.dot(g, y)))
-
-    active_tape().record("softmax", (a,), out, backward_fn)
-    return out
-
-
-def log_clamped(a, floor=1e-12):
-    """Elementwise log of max(a, floor).
-
-    Values at or below the floor get zero gradient, so a vanishing
-    probability cannot blow up the backward pass.
-    """
-    out = Tensor(np.log(np.maximum(a.data, floor)))
-
-    def backward_fn(g):
-        _accum(a, np.where(a.data > floor, g / np.maximum(a.data, floor), 0.0))
-
-    active_tape().record("log_clamped", (a,), out, backward_fn)
-    return out
-
-
-def dilated_conv(stacked, kernel_top, kernel_bottom, bias, dilation):
-    """Dilated 1-D convolution over a two-row stack, mixing both rows.
-
-    ``stacked`` has shape (2, m); each kernel has shape (2, width) and
-    produces one output row by combining taps from both input rows spaced
-    ``dilation`` columns apart (dilation 0 collapses all taps onto one
-    column).  ``bias`` has shape (2,), one entry per output row.  Output
-    shape is (2, m - dilation*(width-1)).
-    """
-    if stacked.data.ndim != 2 or stacked.data.shape[0] != 2:
-        raise ShapeMismatchError(
-            f"dilated_conv: stacked input must be (2, m), got {stacked.data.shape}"
-        )
-    if kernel_top.data.shape != kernel_bottom.data.shape or kernel_top.data.ndim != 2 \
-            or kernel_top.data.shape[0] != 2:
-        raise ShapeMismatchError(
-            f"dilated_conv: kernels must share shape (2, width), got "
-            f"{kernel_top.data.shape} and {kernel_bottom.data.shape}"
-        )
-    if bias.data.shape != (2,):
-        raise ShapeMismatchError(
-            f"dilated_conv: bias must have shape (2,), got {bias.data.shape}"
-        )
-    if dilation < 0:
-        raise ShapeMismatchError(f"dilated_conv: negative dilation {dilation}")
-    m = stacked.data.shape[1]
-    width = kernel_top.data.shape[1]
-    out_len = m - dilation * (width - 1)
-    if out_len < 1:
-        raise ShapeMismatchError(
-            f"dilated_conv: input length {m} too short for width {width} at "
-            f"dilation {dilation}; need at least {dilation * (width - 1) + 1}"
-        )
-    d0 = stacked.data[0]
-    d1 = stacked.data[1]
-    kt = kernel_top.data
-    kb = kernel_bottom.data
-    top = np.full(out_len, bias.data[0])
-    bottom = np.full(out_len, bias.data[1])
-    for tap in range(width):
-        s = tap * dilation
-        seg0 = d0[s:s + out_len]
-        seg1 = d1[s:s + out_len]
-        top += kt[0, tap] * seg0 + kt[1, tap] * seg1
-        bottom += kb[0, tap] * seg0 + kb[1, tap] * seg1
-    out = Tensor(np.stack([top, bottom]))
-
-    def backward_fn(g):
-        g0 = g[0]
-        g1 = g[1]
-        _accum(bias, np.array([g0.sum(), g1.sum()]))
-        if not kernel_top.const or not kernel_bottom.const:
-            dkt = np.empty((2, width))
-            dkb = np.empty((2, width))
-            for tap in range(width):
-                s = tap * dilation
-                seg0 = d0[s:s + out_len]
-                seg1 = d1[s:s + out_len]
-                dkt[0, tap] = np.dot(g0, seg0)
-                dkt[1, tap] = np.dot(g0, seg1)
-                dkb[0, tap] = np.dot(g1, seg0)
-                dkb[1, tap] = np.dot(g1, seg1)
-            _accum(kernel_top, dkt)
-            _accum(kernel_bottom, dkb)
-        if not stacked.const:
-            dstack = np.zeros((2, m))
-            for tap in range(width):
-                s = tap * dilation
-                dstack[0, s:s + out_len] += kt[0, tap] * g0 + kb[0, tap] * g1
-                dstack[1, s:s + out_len] += kt[1, tap] * g0 + kb[1, tap] * g1
-            _accum(stacked, dstack)
-
-    active_tape().record(
-        "dilated_conv", (stacked, kernel_top, kernel_bottom, bias), out,
-        backward_fn,
-    )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Registry: a string-keyed view of the primitive set so generic tooling
-# (tests, diagnostics) can drive every op through one entry point.
-
-_PRIMITIVES = {
-    "add": lambda inputs, ctx: add(*inputs),
-    "sub": lambda inputs, ctx: sub(*inputs),
-    "mul": lambda inputs, ctx: mul(*inputs),
-    "scale": lambda inputs, ctx: scale(inputs[0], ctx["factor"]),
-    "add_scalar": lambda inputs, ctx: add_scalar(*inputs),
-    "matvec": lambda inputs, ctx: matvec(*inputs),
-    "vecmat": lambda inputs, ctx: vecmat(*inputs),
-    "concat": lambda inputs, ctx: concat(inputs, axis=ctx.get("axis", -1)),
-    "slice1d": lambda inputs, ctx: slice1d(inputs[0], ctx["start"], ctx["stop"]),
-    "sum": lambda inputs, ctx: tsum(inputs[0]),
-    "tanh": lambda inputs, ctx: tanh(inputs[0]),
-    "softmax": lambda inputs, ctx: softmax(inputs[0]),
-    "log_clamped": lambda inputs, ctx: log_clamped(
-        inputs[0], ctx.get("floor", 1e-12)),
-    "dilated_conv": lambda inputs, ctx: dilated_conv(
-        *inputs, ctx["dilation"]),
-}
-
-
-def record_primitive(op_id, inputs, context=None):
-    """Run the primitive named ``op_id`` on ``inputs`` under the active tape.
-
-    ``context`` carries the non-tensor arguments (scale factor, slice bounds,
-    dilation rate, ...).
-    """
-    try:
-        fn = _PRIMITIVES[op_id]
-    except KeyError:
-        raise ShapeMismatchError(f"unknown primitive {op_id!r}") from None
-    return fn(list(inputs), context or {})
-
-
-def primitive_ids():
-    return sorted(_PRIMITIVES)
-
-
-# ---------------------------------------------------------------------------
-# Central-difference gradient audit.
-
-
-def finite_diff_check(loss_fn, tensors, samples=100, step=1e-5, rng=None):
+def finite_diff_check(loss_fn, arrays, grads, samples=100, step=1e-5,
+                      rng=None):
     """Compare analytic gradients against central finite differences.
 
-    ``loss_fn`` must rebuild the forward pass from scratch on each call (it
-    runs under a fresh tape) and must be deterministic.  Returns the worst
-    relative error over ``samples`` randomly chosen coordinates across
-    ``tensors``; the denominator is max(|analytic|, |numeric|, 1e-8) so
+    ``loss_fn()`` must return the loss as a float computed from the current
+    contents of ``arrays``, which are perturbed in place one coordinate at
+    a time (and restored); it must be deterministic.  ``grads`` holds the
+    analytic gradient of each array at the unperturbed point.  Returns the
+    worst relative error over ``samples`` randomly chosen coordinates across
+    ``arrays``; the denominator is max(|analytic|, |numeric|, 1e-8) so
     near-zero gradients do not divide by zero.
     """
     if step <= 0:
         raise ValueError(f"finite_diff_check: step must be positive, got {step}")
-    tensors = list(tensors)
-    # Gradients accumulate across backward passes by design; the audit needs
-    # this pass alone.
-    for t in tensors:
-        t.grad = None
-
-    def run():
-        with Tape() as tape:
-            loss = loss_fn()
-            tape.backward(loss, leaves=tensors)
-            return float(loss.data)
-
-    run()
-    analytic = [t.grad.copy() for t in tensors]
-    sizes = [t.data.size for t in tensors]
+    arrays = list(arrays)
+    grads = [np.asarray(g, dtype=np.float64) for g in grads]
+    sizes = [a.size for a in arrays]
     total = sum(sizes)
     if total == 0:
         return 0.0
@@ -521,9 +35,7 @@ def finite_diff_check(loss_fn, tensors, samples=100, step=1e-5, rng=None):
     chosen = rng.choice(total, size=count, replace=False)
 
     def value_only():
-        with Tape():
-            out = loss_fn()
-        v = float(out.data)
+        v = float(loss_fn())
         if not np.isfinite(v):
             raise NumericError(
                 "finite_diff_check: non-finite loss under perturbation"
@@ -533,19 +45,19 @@ def finite_diff_check(loss_fn, tensors, samples=100, step=1e-5, rng=None):
     worst = 0.0
     for flat in chosen:
         idx = int(flat)
-        ti = 0
-        while idx >= sizes[ti]:
-            idx -= sizes[ti]
-            ti += 1
-        t = tensors[ti]
-        original = t.data.flat[idx]
-        t.data.flat[idx] = original + step
+        ai = 0
+        while idx >= sizes[ai]:
+            idx -= sizes[ai]
+            ai += 1
+        a = arrays[ai]
+        original = a.flat[idx]
+        a.flat[idx] = original + step
         plus = value_only()
-        t.data.flat[idx] = original - step
+        a.flat[idx] = original - step
         minus = value_only()
-        t.data.flat[idx] = original
+        a.flat[idx] = original
         numeric = (plus - minus) / (2.0 * step)
-        exact = analytic[ti].flat[idx]
+        exact = grads[ai].flat[idx]
         rel = abs(exact - numeric) / max(abs(exact), abs(numeric), 1e-8)
         worst = max(worst, rel)
     return worst

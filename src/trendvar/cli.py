@@ -19,7 +19,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import (
     SynthSpec,
     compute_stats,
@@ -132,7 +131,6 @@ _TRAIN_OPTS = [
     _opt("--batch", _parse_int, 64, "batch size"),
     _opt("--epochs", _parse_int, 50, "training epochs"),
     _opt("--folds", _parse_int, 10, "cross-validation folds"),
-    _switch("--parallel-folds", "run folds in a thread pool"),
 ]
 
 _SEED_OPT = _opt("--seed", _parse_int, 0, "master random seed")
@@ -426,8 +424,7 @@ def cmd_synth(opts):
 
 
 def _run_cv(opts, cohort, config, out, write_checkpoints=True):
-    cv = cross_validate(cohort, opts["folds"], config, _train_config(opts),
-                        parallel=opts["parallel_folds"])
+    cv = cross_validate(cohort, opts["folds"], config, _train_config(opts))
     rows = []
     for fold in cv.folds:
         rows.extend(_metric_rows_for(fold.fold, fold.auroc, fold.auprc))
@@ -486,8 +483,7 @@ def cmd_sweep(opts):
         inner["symlet"] = order
         config = _model_config(inner, cohort, tmax)
         cv = cross_validate(cohort, opts["folds"], config,
-                            _train_config(opts),
-                            parallel=opts["parallel_folds"])
+                            _train_config(opts))
         results.append((order, cv.mean_auroc, cv.mean_auprc))
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write("order,mean_macro_auroc,mean_macro_auprc\n")
@@ -642,15 +638,13 @@ def cmd_inspect_attention(opts):
                     column = np.concatenate(
                         [column, np.full(config.t_max - t, column[-1])])
                 pair = decompose(column, config.order)
-                with ad.Tape():
-                    result = diff_attention(ad.Tensor(pair.variation,
-                                                      const=True))
+                result = diff_attention(pair.variation)
                 deltas = np.diff(pair.variation)
-                for i in range(result.weights.data.shape[0]):
+                for i in range(result.weights.shape[0]):
                     fh.write(
                         f"{pid},{name},{i},{_fmt(deltas[i])},"
-                        f"{_fmt(result.weights.data[i])},"
-                        f"{_fmt(result.weighted_diff.data[i])}\n"
+                        f"{_fmt(result.weights[i])},"
+                        f"{_fmt(result.weighted_diff[i])}\n"
                     )
     sys.stdout.write(f"wrote attention weights for {len(tables)} patients\n")
 

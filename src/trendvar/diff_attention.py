@@ -4,8 +4,11 @@ The variation coefficients R* of one feature are differenced once, and the
 squared differences (scaled by 1/sqrt(m), m the length of R* itself) are
 softmax-normalised into attention weights.  The weighted differences
 highlight where a patient's short-term variation jumps.  There is nothing
-trainable here: gradients flow through to R* but no parameters live in this
-stage.
+trainable here and R* is data, so the stage runs once per patient when a
+cohort is prepared and never needs a gradient.
+
+Every function works along the last axis, so one call covers a whole stack
+of lines, shape (..., m).
 """
 
 from dataclasses import dataclass
@@ -13,27 +16,30 @@ from math import sqrt
 
 import numpy as np
 
-from . import autodiff as ad
 from .errors import ConfigError, NumericError
 
 
 @dataclass
 class AttentionOutputs:
-    weights: ad.Tensor
-    weighted_diff: ad.Tensor
+    weights: np.ndarray
+    weighted_diff: np.ndarray
+
+
+def softmax(scores):
+    """Softmax over the last axis, stabilised by max subtraction."""
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def first_order_diff(values):
-    """Adjacent differences of a 1-D tensor: out[i] = x[i+1] - x[i]."""
-    m = values.data.shape[0] if values.data.ndim == 1 else 0
-    if values.data.ndim != 1 or m < 2:
+    """Adjacent differences along the last axis: out[i] = x[i+1] - x[i]."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim < 1 or values.shape[-1] < 2:
         raise ConfigError(
-            f"first_order_diff: need a 1-D tensor of length >= 2, got shape "
-            f"{values.data.shape}"
+            f"first_order_diff: need lines of length >= 2, got shape "
+            f"{values.shape}"
         )
-    head = ad.slice1d(values, 1, m)
-    tail = ad.slice1d(values, 0, m - 1)
-    return ad.sub(head, tail)
+    return values[..., 1:] - values[..., :-1]
 
 
 def attention_weights(diff, dim):
@@ -44,37 +50,29 @@ def attention_weights(diff, dim):
     """
     if dim < 2:
         raise ConfigError(f"attention_weights: dim must be >= 2, got {dim}")
-    if not np.all(np.isfinite(diff.data)):
+    if not np.all(np.isfinite(diff)):
         raise NumericError(
             "attention_weights: non-finite difference values"
         )
-    squared = ad.mul(diff, diff)
-    scaled = ad.scale(squared, 1.0 / sqrt(dim))
-    return ad.softmax(scaled)
+    return softmax(diff * diff * (1.0 / sqrt(dim)))
 
 
 def diff_attention(values):
-    """Full stage for one feature: difference, attend, reweight."""
-    m = values.data.shape[0]
+    """Full stage for (..., m) lines: difference, attend, reweight."""
     diff = first_order_diff(values)
-    weights = attention_weights(diff, m)
-    weighted = ad.mul(weights, diff)
-    return AttentionOutputs(weights, weighted)
+    weights = attention_weights(diff, diff.shape[-1] + 1)
+    return AttentionOutputs(weights, weights * diff)
 
 
 def pool_features(weighted_diffs):
     """Elementwise mean of the per-feature weighted-difference vectors."""
-    weighted_diffs = list(weighted_diffs)
-    if not weighted_diffs:
+    if len(weighted_diffs) == 0:
         raise ConfigError("pool_features: no feature vectors given")
-    first_shape = weighted_diffs[0].data.shape
+    first_shape = np.shape(weighted_diffs[0])
     for v in weighted_diffs[1:]:
-        if v.data.shape != first_shape:
+        if np.shape(v) != first_shape:
             raise ConfigError(
                 f"pool_features: length mismatch, {first_shape} vs "
-                f"{v.data.shape}"
+                f"{np.shape(v)}"
             )
-    total = weighted_diffs[0]
-    for v in weighted_diffs[1:]:
-        total = ad.add(total, v)
-    return ad.scale(total, 1.0 / len(weighted_diffs))
+    return np.sum(weighted_diffs, axis=0) * (1.0 / len(weighted_diffs))

@@ -17,7 +17,7 @@ class ConfigError(TrendvarError):
 
 
 class ShapeMismatchError(ConfigError):
-    """Tensor shapes do not satisfy a primitive's contract.
+    """Array shapes do not satisfy a stage's contract.
 
     Subclass of ConfigError because a shape mismatch is always a wiring
     mistake, never a data-quality problem.

@@ -1,13 +1,17 @@
 """Model assembly: static embedding, dynamic fusion and the prediction head.
 
-One patient flows through as:
+A batch of N patients flows through as:
 
-  visits (t_max, c) --decompose--> c trend/variation pairs
-    -> per-feature correlation maps (or raw stacks when that stage is off)
+  visits (N, t_max, c) --decompose--> trend/variation lines (N, c, 2, m)
+    -> per-feature correlation maps (or the raw lines when that stage is off)
     -> column-wise concatenation and a learned row mix -> h_dy
-  statics (s,) -> affine + tanh -> h_st
+  statics (N, s) -> affine + tanh -> h_st
   variation lines -> difference attention -> pooled h_var   (optional)
   logits = W1 h_st + W2 h_dy [+ W3 h_var] + b -> softmax
+
+The decomposition and the attention stage have no trainable inputs, so
+``prepare`` runs them once per cohort.  ``forward`` and ``backward`` are one
+closed-form pass each over the whole batch.
 
 Every stage can be switched off by ablation flags except the head itself;
 disabled stages contribute nothing (their weights do not even exist).
@@ -18,18 +22,21 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import autodiff as ad
-from .diff_attention import diff_attention, pool_features
+from .diff_attention import diff_attention, pool_features, softmax
 from .dilated import (
     BranchParams,
     DEFAULT_DILATIONS,
     DEFAULT_KERNEL_WIDTH,
     combined_width,
+    correlation_backward,
     correlation_forward,
     stack_pair,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .wavelets import MAX_ORDER, MIN_ORDER, coefficient_count, decompose_matrix
+
+# Probabilities are clamped here before the log of the loss.
+PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,11 +153,12 @@ class ModelConfig:
 
 
 class ModelParams:
-    """All trainable tensors of one model, in a fixed declaration order.
+    """All trainable arrays of one model, in a fixed declaration order.
 
     The order is the serialization contract for checkpoints and the draw
     order for initialization, so it must never depend on anything but the
-    config.
+    config.  Arrays are updated in place, so the attributes and the ordered
+    list always refer to the same storage.
     """
 
     def __init__(self, config):
@@ -159,14 +167,14 @@ class ModelParams:
         ordered = []
 
         def weight(name, shape, fan_in):
-            t = ad.Tensor(np.zeros(shape), name=name)
-            ordered.append((name, t, fan_in))
-            return t
+            value = np.zeros(shape)
+            ordered.append((name, value, fan_in))
+            return value
 
         def bias(name, shape):
-            t = ad.Tensor(np.zeros(shape), name=name)
-            ordered.append((name, t, None))
-            return t
+            value = np.zeros(shape)
+            ordered.append((name, value, None))
+            return value
 
         self.static_weight = weight(
             "static_weight", (d, config.n_static), config.n_static)
@@ -178,7 +186,7 @@ class ModelParams:
             for si in range(n_sets):
                 branches = []
                 for bi, rate in enumerate(config.dilations):
-                    prefix = f"branch[{si}][{bi}]"
+                    prefix = _branch_prefix(si, bi)
                     branches.append(BranchParams(
                         kernel_top=weight(prefix + ".kernel_top", (2, w), 2 * w),
                         kernel_bottom=weight(
@@ -205,89 +213,142 @@ class ModelParams:
     def initialized(cls, config, rng):
         """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
         params = cls(config)
-        for _, tensor, fan_in in params._ordered:
+        for _, value, fan_in in params._ordered:
             if fan_in is None:
                 continue
             bound = 1.0 / np.sqrt(fan_in)
-            tensor.data = rng.uniform(-bound, bound, size=tensor.data.shape)
+            value[...] = rng.uniform(-bound, bound, size=value.shape)
         return params
 
-    def named_tensors(self):
-        return [(name, tensor) for name, tensor, _ in self._ordered]
+    def named_arrays(self):
+        return [(name, value) for name, value, _ in self._ordered]
 
-    def tensors(self):
-        return [tensor for _, tensor, _ in self._ordered]
-
-    def zero_grads(self):
-        for _, tensor, _ in self._ordered:
-            tensor.grad = None
+    def arrays(self):
+        return [value for _, value, _ in self._ordered]
 
     def branches_for(self, feature):
         if self.config.shared_branches:
             return self.branch_sets[0]
         return self.branch_sets[feature]
 
+    def stacked_branches(self):
+        """The three branches with every set stacked on a leading axis.
+
+        Arrays are (sets, 2, width) and (sets, 2); one set broadcasts over
+        all features when branches are shared.
+        """
+        sets = self.branch_sets
+        return [
+            BranchParams(
+                kernel_top=np.stack([s[bi].kernel_top for s in sets]),
+                kernel_bottom=np.stack([s[bi].kernel_bottom for s in sets]),
+                bias=np.stack([s[bi].bias for s in sets]),
+                dilation=rate,
+            )
+            for bi, rate in enumerate(self.config.dilations)
+        ]
+
     def copy(self):
         clone = ModelParams(self.config)
         for (_, src, _), (_, dst, _) in zip(self._ordered, clone._ordered):
-            dst.data = src.data.copy()
+            dst[...] = src
         return clone
 
 
-@dataclass
-class PreparedSample:
-    """One patient after decomposition, ready for repeated forward passes.
+def _branch_prefix(set_index, branch_index):
+    return f"branch[{set_index}][{branch_index}]"
 
-    Decomposition has no trainable inputs, so caching it per patient saves
-    recomputing the filter bank on every epoch.
+
+@dataclass(frozen=True)
+class PreparedBatch:
+    """Patients after decomposition, as dense arrays for repeated passes.
+
+    Nothing here is trainable, so it is computed once per cohort: the
+    trend/variation lines ``(N, c, 2, m)``, the statics ``(N, s)``, the
+    labels ``(N,)`` and, when difference attention is on, the pooled
+    attention vector ``(N, m - 1)`` (None otherwise).
     """
 
-    pairs: list
+    config: ModelConfig
+    lines: np.ndarray
     static: np.ndarray
-    label: int
+    labels: np.ndarray
+    h_variation: "np.ndarray | None"
+
+    def __len__(self):
+        return self.labels.shape[0]
+
+    def take(self, index):
+        """The patients selected by ``index`` (a slice or index array)."""
+        return PreparedBatch(
+            self.config, self.lines[index], self.static[index],
+            self.labels[index],
+            None if self.h_variation is None else self.h_variation[index],
+        )
 
 
-def prepare_sample(visits, static, label, config):
+def prepare(visits, static, labels, config):
+    """Decompose a padded, normalized cohort into a ``PreparedBatch``.
+
+    ``visits`` is (N, t_max, c), ``static`` (N, s) and ``labels`` (N,).
+    """
     visits = np.asarray(visits, dtype=np.float64)
     static = np.asarray(static, dtype=np.float64)
-    if visits.shape != (config.t_max, config.n_dynamic):
+    labels = np.asarray(labels, dtype=np.int64)
+    if visits.ndim != 3 or visits.shape[1:] != (config.t_max,
+                                                config.n_dynamic):
         raise ConfigError(
-            f"prepare_sample: visits shape {visits.shape} does not match "
-            f"model ({config.t_max}, {config.n_dynamic})"
+            f"prepare: visits shape {visits.shape} does not match model "
+            f"(N, {config.t_max}, {config.n_dynamic})"
         )
-    if static.shape != (config.n_static,):
+    n = visits.shape[0]
+    if static.shape != (n, config.n_static):
         raise ConfigError(
-            f"prepare_sample: static shape {static.shape} does not match "
-            f"model ({config.n_static},)"
+            f"prepare: static shape {static.shape} does not match model "
+            f"({n}, {config.n_static})"
+        )
+    if labels.shape != (n,):
+        raise ConfigError(
+            f"prepare: {n} patients but labels of shape {labels.shape}"
+        )
+    if n and (labels.min() < 0 or labels.max() >= config.n_classes):
+        raise ConfigError(
+            f"prepare: labels outside 0..{config.n_classes - 1}"
         )
     if not np.all(np.isfinite(static)):
-        raise NumericError("prepare_sample: non-finite static feature")
-    pairs = decompose_matrix(visits, config.order)
-    return PreparedSample(pairs, static, label)
+        raise NumericError("prepare: non-finite static feature")
+    lines = np.empty((n, config.n_dynamic, 2, config.coeff_len))
+    for i in range(n):
+        for j, pair in enumerate(decompose_matrix(visits[i], config.order)):
+            lines[i, j] = stack_pair(pair)
+    h_variation = None
+    if config.flags.use_diff_attention:
+        weighted = diff_attention(lines[:, :, 1]).weighted_diff
+        h_variation = pool_features(np.swapaxes(weighted, 0, 1))
+    return PreparedBatch(config, lines, static, labels, h_variation)
 
 
-def embed_static(static_tensor, params):
-    """Affine map of the static vector followed by tanh."""
-    pre = ad.add(ad.matvec(params.static_weight, static_tensor),
-                 params.static_bias)
-    return ad.tanh(pre)
+def embed_static(static, params):
+    """Affine map of the static vectors followed by tanh."""
+    return np.tanh(static @ params.static_weight.T + params.static_bias)
 
 
 def fuse_dynamic(feature_maps, params):
-    """Concatenate per-feature maps column-wise and mix rows into a vector."""
-    feature_maps = list(feature_maps)
-    if not feature_maps:
+    """Concatenate per-feature maps column-wise and mix rows into a vector.
+
+    ``feature_maps`` holds one (..., rows, Q) map per feature.  Returns the
+    fused (..., rows, c*Q) map and its mixed, activated (..., c*Q) vector.
+    """
+    if len(feature_maps) == 0:
         raise ConfigError("fuse_dynamic: no feature maps")
-    shape = feature_maps[0].data.shape
+    shape = np.shape(feature_maps[0])
     for fm in feature_maps[1:]:
-        if fm.data.shape != shape:
+        if np.shape(fm) != shape:
             raise ConfigError(
-                f"fuse_dynamic: ragged feature maps, {shape} vs {fm.data.shape}"
+                f"fuse_dynamic: ragged feature maps, {shape} vs {np.shape(fm)}"
             )
-    fused = ad.concat(feature_maps, axis=1) if len(feature_maps) > 1 \
-        else feature_maps[0]
-    mixed = ad.vecmat(params.mix_weight, fused)
-    return ad.tanh(ad.add_scalar(mixed, params.mix_bias))
+    fused = np.concatenate(feature_maps, axis=-1)
+    return fused, np.tanh(params.mix_weight @ fused + params.mix_bias)
 
 
 def predict(h_static, h_dynamic, h_variation, params):
@@ -296,85 +357,143 @@ def predict(h_static, h_dynamic, h_variation, params):
     ``h_variation`` is None when difference attention is off; the term is
     simply absent rather than zeroed.
     """
-    logits = ad.add(ad.matvec(params.out_static, h_static),
-                    ad.matvec(params.out_dynamic, h_dynamic))
+    logits = h_static @ params.out_static.T + h_dynamic @ params.out_dynamic.T
     if h_variation is not None:
         if params.out_diff is None:
             raise ConfigError(
                 "predict: attention embedding given but this model was built "
                 "without the attention head"
             )
-        logits = ad.add(logits, ad.matvec(params.out_diff, h_variation))
-    logits = ad.add(logits, params.out_bias)
-    return ad.softmax(logits)
+        logits = logits + h_variation @ params.out_diff.T
+    return softmax(logits + params.out_bias)
 
 
-def forward(sample, params, config):
-    """Class probabilities for one prepared patient. Must run under a Tape."""
-    flags = config.flags
-    feature_maps = []
-    for j, pair in enumerate(sample.pairs):
-        if flags.use_correlation:
-            stacked = ad.Tensor(stack_pair(pair), const=True)
-            maps = correlation_forward(stacked, params.branches_for(j))
-            feature_maps.append(maps.combined)
-        elif flags.use_trend and flags.use_variation:
-            feature_maps.append(ad.Tensor(stack_pair(pair), const=True))
-        elif flags.use_trend:
-            feature_maps.append(ad.Tensor(pair.trend[None, :], const=True))
-        else:
-            feature_maps.append(ad.Tensor(pair.variation[None, :], const=True))
-    h_dynamic = fuse_dynamic(feature_maps, params)
-    h_static = embed_static(ad.Tensor(sample.static, const=True), params)
-    h_variation = None
-    if flags.use_diff_attention:
-        weighted = [
-            diff_attention(ad.Tensor(pair.variation, const=True)).weighted_diff
-            for pair in sample.pairs
-        ]
-        h_variation = pool_features(weighted)
-    return predict(h_static, h_dynamic, h_variation, params)
+@dataclass
+class Activations:
+    """What one forward pass keeps for the backward pass.
 
-
-def one_hot(label, n_classes):
-    if not 0 <= label < n_classes:
-        raise ConfigError(
-            f"one_hot: label {label} outside 0..{n_classes - 1}"
-        )
-    row = np.zeros(n_classes)
-    row[label] = 1.0
-    return row
-
-
-def cross_entropy(prob_tensors, onehot_rows):
-    """Mean negative log-likelihood over a batch of probability vectors.
-
-    Probabilities are clamped at 1e-12 before the log, so a confidently
-    wrong prediction yields a large finite loss instead of an infinity.
+    ``maps`` is (N, c, rows, Q), ``fused`` (N, rows, c*Q), the embeddings
+    (N, d) and (N, c*Q), ``probs`` (N, d).
     """
-    prob_tensors = list(prob_tensors)
-    onehot_rows = np.asarray(onehot_rows, dtype=np.float64)
-    if onehot_rows.ndim != 2 or len(prob_tensors) != onehot_rows.shape[0]:
+
+    maps: np.ndarray
+    fused: np.ndarray
+    h_static: np.ndarray
+    h_dynamic: np.ndarray
+    probs: np.ndarray
+
+
+def forward(batch, params):
+    """Class probabilities (and activations) for a prepared batch."""
+    config = params.config
+    if batch.config != config:
         raise ConfigError(
-            f"cross_entropy: {len(prob_tensors)} predictions vs label block "
+            "forward: batch was prepared for a different model config"
+        )
+    flags = config.flags
+    if flags.use_correlation:
+        maps = correlation_forward(batch.lines, params.stacked_branches())
+    elif flags.use_trend and flags.use_variation:
+        maps = batch.lines
+    elif flags.use_trend:
+        maps = batch.lines[:, :, :1]
+    else:
+        maps = batch.lines[:, :, 1:]
+    fused, h_dynamic = fuse_dynamic(np.swapaxes(maps, 0, 1), params)
+    h_static = embed_static(batch.static, params)
+    probs = predict(h_static, h_dynamic, batch.h_variation, params)
+    return Activations(maps, fused, h_static, h_dynamic, probs)
+
+
+def backward(batch, params, acts):
+    """Closed-form gradients of the batch-mean cross-entropy.
+
+    Hand-derived reverse mode through the fixed graph, given the
+    activations ``forward`` returned for ``batch``.  Returns a dict mapping
+    every parameter name to its gradient.  A patient whose label
+    probability sits at or below the log clamp contributes nothing, like
+    the clamp itself.
+    """
+    n = len(batch)
+    if n == 0:
+        raise DataError("backward: empty batch")
+    rows = np.arange(n)
+    live = acts.probs[rows, batch.labels] > PROB_FLOOR
+    # d(-log p_label)/d logits = p - onehot, for softmax probabilities p.
+    d_logits = acts.probs.copy()
+    d_logits[rows, batch.labels] -= 1.0
+    d_logits *= (live / n)[:, None]
+    grads = {
+        "out_bias": d_logits.sum(axis=0),
+        "out_static": d_logits.T @ acts.h_static,
+        "out_dynamic": d_logits.T @ acts.h_dynamic,
+    }
+    if params.out_diff is not None:
+        grads["out_diff"] = d_logits.T @ batch.h_variation
+    d_static = (d_logits @ params.out_static) * (1.0 - acts.h_static ** 2)
+    grads["static_weight"] = d_static.T @ batch.static
+    grads["static_bias"] = d_static.sum(axis=0)
+    d_dynamic = (d_logits @ params.out_dynamic) * (1.0 - acts.h_dynamic ** 2)
+    grads["mix_weight"] = np.einsum("nq,nrq->r", d_dynamic, acts.fused)
+    grads["mix_bias"] = d_dynamic.sum()
+    if params.config.flags.use_correlation:
+        _, c, map_rows, q = acts.maps.shape
+        d_fused = params.mix_weight[:, None] * d_dynamic[:, None, :]
+        d_maps = d_fused.reshape(n, map_rows, c, q).swapaxes(1, 2)
+        per_branch = correlation_backward(
+            batch.lines, params.stacked_branches(), acts.maps, d_maps)
+        shared = params.config.shared_branches
+        for bi, branch_grads in enumerate(per_branch):
+            d_top, d_bottom, d_bias = (
+                g.sum(axis=0, keepdims=True) if shared else g
+                for g in branch_grads)
+            for si in range(len(params.branch_sets)):
+                prefix = _branch_prefix(si, bi)
+                grads[prefix + ".kernel_top"] = d_top[si]
+                grads[prefix + ".kernel_bottom"] = d_bottom[si]
+                grads[prefix + ".bias"] = d_bias[si]
+    return grads
+
+
+def one_hot(labels, n_classes):
+    """One-hot rows for a label or an array of labels."""
+    labels = np.asarray(labels)
+    bad = labels[(labels < 0) | (labels >= n_classes)]
+    if bad.size:
+        raise ConfigError(
+            f"one_hot: label {bad.flat[0]} outside 0..{n_classes - 1}"
+        )
+    return (labels[..., None] == np.arange(n_classes)).astype(np.float64)
+
+
+def cross_entropy(probs, onehot_rows):
+    """Mean negative log-likelihood over a batch of probability rows.
+
+    Probabilities are clamped at ``PROB_FLOOR`` before the log, so a
+    confidently wrong prediction yields a large finite loss instead of an
+    infinity.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    onehot_rows = np.asarray(onehot_rows, dtype=np.float64)
+    if onehot_rows.ndim != 2 or probs.shape[0] != onehot_rows.shape[0]:
+        raise ConfigError(
+            f"cross_entropy: {probs.shape[0]} predictions vs label block "
             f"of shape {onehot_rows.shape}"
         )
-    picked = []
-    for i, (probs, row) in enumerate(zip(prob_tensors, onehot_rows)):
-        if not (((row == 0.0) | (row == 1.0)).all() and row.sum() == 1.0):
-            raise ConfigError(
-                f"cross_entropy: row {i} is not one-hot: {row.tolist()}"
-            )
-        if probs.data.shape != row.shape:
-            raise ConfigError(
-                f"cross_entropy: row {i} has {row.shape[0]} classes but the "
-                f"prediction has shape {probs.data.shape}"
-            )
-        k = int(np.argmax(row))
-        picked.append(ad.slice1d(probs, k, k + 1))
-    stacked = ad.concat(picked, axis=0) if len(picked) > 1 else picked[0]
-    logs = ad.log_clamped(stacked)
-    return ad.scale(ad.tsum(logs), -1.0 / len(picked))
+    valid = (((onehot_rows == 0.0) | (onehot_rows == 1.0)).all(axis=1)
+             & (onehot_rows.sum(axis=1) == 1.0))
+    if not valid.all():
+        i = int(np.argmin(valid))
+        raise ConfigError(
+            f"cross_entropy: row {i} is not one-hot: {onehot_rows[i].tolist()}"
+        )
+    if probs.shape != onehot_rows.shape:
+        raise ConfigError(
+            f"cross_entropy: {onehot_rows.shape[1]} classes but the "
+            f"predictions have shape {probs.shape}"
+        )
+    picked = probs[np.arange(probs.shape[0]), onehot_rows.argmax(axis=1)]
+    return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +598,35 @@ def save_checkpoint(path, params, config, stats=None):
         for arr in (stats.dynamic_mean, stats.dynamic_std,
                     stats.static_mean, stats.static_std):
             _pack_array(out, arr)
-    tensors = params.named_tensors()
-    out.append(struct.pack("<I", len(tensors)))
-    for _, tensor in tensors:
-        _pack_array(out, tensor.data)
+    arrays = params.named_arrays()
+    out.append(struct.pack("<I", len(arrays)))
+    for _, value in arrays:
+        _pack_array(out, value)
     with open(path, "wb") as fh:
         fh.write(b"".join(out))
+
+
+def _check_stats(stats, config, path):
+    """Stored normalization stats must fit the stored model config."""
+    for name, size in (("dynamic_mean", config.n_dynamic),
+                       ("dynamic_std", config.n_dynamic),
+                       ("static_mean", config.n_static),
+                       ("static_std", config.n_static)):
+        value = getattr(stats, name)
+        if value.shape != (size,):
+            raise ConfigError(
+                f"corrupt checkpoint {path}: stats {name} has shape "
+                f"{value.shape}, expected ({size},)"
+            )
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(
+                f"corrupt checkpoint {path}: non-finite values in stats "
+                f"{name}"
+            )
+        if name.endswith("_std") and np.any(value < 0):
+            raise ConfigError(
+                f"corrupt checkpoint {path}: negative values in stats {name}"
+            )
 
 
 @dataclass
@@ -532,26 +674,27 @@ def load_checkpoint(path):
             dynamic_mean=reader.array(), dynamic_std=reader.array(),
             static_mean=reader.array(), static_std=reader.array(),
         )
+        _check_stats(stats, config, path)
     count = reader.u32()
     params = ModelParams(config)
-    expected = params.named_tensors()
+    expected = params.named_arrays()
     if count != len(expected):
         raise ConfigError(
             f"corrupt checkpoint {path}: holds {count} tensors, model "
             f"declares {len(expected)}"
         )
-    for name, tensor in expected:
+    for name, value in expected:
         data = reader.array()
-        if data.shape != tensor.data.shape:
+        if data.shape != value.shape:
             raise ConfigError(
                 f"corrupt checkpoint {path}: tensor {name} has shape "
-                f"{data.shape}, expected {tensor.data.shape}"
+                f"{data.shape}, expected {value.shape}"
             )
         if not np.all(np.isfinite(data)):
             raise NumericError(
                 f"corrupt checkpoint {path}: non-finite values in {name}"
             )
-        tensor.data = data
+        value[...] = data
     reader.done()
     return CheckpointBundle(params, config, stats)
 

@@ -1,28 +1,31 @@
 """Training loop, Adam optimizer and k-fold cross-validation.
 
-Batches are built from a per-epoch shuffled index; each patient runs on its
-own tape and contributes loss/B to the accumulated gradients, so one
-optimizer step per batch sees the mean-loss gradient regardless of how the
-batch divides.  Every random choice (fold assignment, init, shuffling)
-derives from the seed, making runs bit-reproducible.
+Batches are built from a per-epoch shuffled index; each batch runs one
+closed-form forward and backward pass, so one optimizer step per batch sees
+the mean-loss gradient regardless of how the batch divides.  Every random
+choice (fold assignment, init, shuffling) derives from the seed, making runs
+bit-reproducible.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import compute_stats, normalize, pad_to_length
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .metrics import macro_one_vs_rest
 from .model import (
     ModelParams,
+    backward,
     cross_entropy,
     forward,
     one_hot,
-    prepare_sample,
+    prepare,
 )
+
+# Patients per forward pass in ``predict_probs``: bounds the activation
+# memory of scoring a large cohort.
+PREDICT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -33,48 +36,49 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise DataError(
-                f"train config: negative learning rate {self.learning_rate}"
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(
+                f"train config: learning rate must be finite and >= 0, got "
+                f"{self.learning_rate}"
             )
         if self.batch_size < 1:
-            raise DataError(
+            raise ConfigError(
                 f"train config: batch size must be >= 1, got {self.batch_size}"
             )
         if self.epochs < 0:
-            raise DataError(
+            raise ConfigError(
                 f"train config: epochs must be >= 0, got {self.epochs}"
             )
 
 
 class AdamState:
-    """First/second moment accumulators, one pair per parameter tensor."""
+    """First/second moment accumulators, one pair per parameter array."""
 
-    def __init__(self, tensors, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, arrays, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.first = [np.zeros_like(t.data) for t in tensors]
-        self.second = [np.zeros_like(t.data) for t in tensors]
+        self.first = [np.zeros_like(a) for a in arrays]
+        self.second = [np.zeros_like(a) for a in arrays]
 
 
-def adam_step(named_tensors, state, learning_rate):
-    """One bias-corrected Adam update, in place.
+def adam_step(named_arrays, grads, state, learning_rate):
+    """One bias-corrected Adam update of ``named_arrays``, in place.
 
-    Tensors with no gradient this step (unreachable from the loss) are
-    treated as zero-gradient, which decays their moments but leaves the
-    values asymptotically put.
+    ``grads`` maps parameter names to gradients.  A name without one is
+    treated as zero-gradient, which decays its moments but leaves the values
+    asymptotically put.
     """
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** t
     bias2 = 1.0 - b2 ** t
-    for i, (name, tensor) in enumerate(named_tensors):
-        grad = tensor.grad
+    for i, (name, value) in enumerate(named_arrays):
+        grad = grads.get(name)
         if grad is None:
-            grad = np.zeros_like(tensor.data)
+            grad = np.zeros_like(value)
         elif not np.all(np.isfinite(grad)):
             raise NumericError(f"non-finite gradient in {name}")
         m = state.first[i]
@@ -85,7 +89,7 @@ def adam_step(named_tensors, state, learning_rate):
         v += (1.0 - b2) * grad * grad
         m_hat = m / bias1
         v_hat = v / bias2
-        tensor.data -= learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        value -= learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 @dataclass
@@ -94,38 +98,31 @@ class EpochRecord:
     mean_loss: float
 
 
-def train(samples, params, config, train_config):
-    """Fit ``params`` on prepared samples; returns the epoch loss log.
+def train(batch, params, train_config):
+    """Fit ``params`` on a prepared batch; returns the epoch loss log.
 
     ``params`` is updated in place.  Loss reported per epoch is the mean
     cross-entropy over all patients at the point each was visited.
     """
-    samples = list(samples)
-    if not samples:
+    n = len(batch)
+    if n == 0:
         raise DataError("train: empty training set")
     rng = np.random.default_rng(
         np.random.SeedSequence(train_config.seed, spawn_key=(1,)))
-    named = params.named_tensors()
-    state = AdamState([t for _, t in named])
+    named = params.named_arrays()
+    state = AdamState([value for _, value in named])
+    onehot = one_hot(batch.labels, params.config.n_classes)
     log = []
-    n = len(samples)
     for epoch in range(train_config.epochs):
         order = rng.permutation(n)
         loss_total = 0.0
         for start in range(0, n, train_config.batch_size):
-            batch = order[start:start + train_config.batch_size]
-            inv_b = 1.0 / len(batch)
-            params.zero_grads()
-            for idx in batch:
-                sample = samples[idx]
-                with ad.Tape() as tape:
-                    probs = forward(sample, params, params.config)
-                    onehot = one_hot(sample.label, params.config.n_classes)
-                    loss = cross_entropy([probs], onehot[None, :])
-                    scaled = ad.scale(loss, inv_b)
-                    tape.backward(scaled, leaves=[t for _, t in named])
-                loss_total += float(loss.data)
-            adam_step(named, state, train_config.learning_rate)
+            index = order[start:start + train_config.batch_size]
+            part = batch.take(index)
+            acts = forward(part, params)
+            loss_total += cross_entropy(acts.probs, onehot[index]) * len(index)
+            adam_step(named, backward(part, params, acts), state,
+                      train_config.learning_rate)
         mean_loss = loss_total / n
         if not np.isfinite(mean_loss):
             raise NumericError(
@@ -135,22 +132,19 @@ def train(samples, params, config, train_config):
     return log, state
 
 
-def predict_probs(samples, params):
-    """Forward every sample; returns an (N, d) probability matrix."""
-    probs = np.empty((len(samples), params.config.n_classes))
-    for i, sample in enumerate(samples):
-        with ad.Tape():
-            out = forward(sample, params, params.config)
-        probs[i] = out.data
-    return probs
+def predict_probs(batch, params):
+    """Forward a prepared batch; returns an (N, d) probability matrix."""
+    return np.concatenate([
+        forward(batch.take(slice(start, start + PREDICT_BLOCK)), params).probs
+        for start in range(0, len(batch), PREDICT_BLOCK)
+    ])
 
 
 def prepare_cohort(cohort, config):
-    """Prepared samples for every patient of an already-padded cohort."""
-    return [
-        prepare_sample(p.visits, p.static, p.label, config)
-        for p in cohort.patients
-    ]
+    """Prepared batch of every patient of an already-padded cohort."""
+    return prepare(np.stack([p.visits for p in cohort.patients]),
+                   np.stack([p.static for p in cohort.patients]),
+                   cohort.labels(), config)
 
 
 @dataclass
@@ -182,12 +176,12 @@ class CVResult:
 
 def fold_assignment(n_patients, k, seed):
     """Seeded permutation split into k near-equal disjoint folds."""
+    if k < 2:
+        raise ConfigError(f"cross-validation: need k >= 2 folds, got {k}")
     if n_patients < k:
         raise DataError(
             f"cross-validation: {n_patients} patients cannot fill {k} folds"
         )
-    if k < 2:
-        raise DataError(f"cross-validation: need k >= 2 folds, got {k}")
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(0,)))
     permuted = rng.permutation(n_patients)
@@ -206,17 +200,12 @@ def run_fold(cohort, config, train_config, fold, test_indices, param_init=None):
     test_patients = [p for i, p in enumerate(cohort.patients)
                      if i in test_set]
     stats = compute_stats(train_patients)
-    from dataclasses import replace as _replace
     normalized = normalize(
-        _replace(cohort, patients=tuple(train_patients + test_patients)),
+        replace(cohort, patients=tuple(train_patients + test_patients)),
         stats,
     )
-    padded = pad_to_length(normalized, config.t_max)
+    prepared = prepare_cohort(pad_to_length(normalized, config.t_max), config)
     n_train = len(train_patients)
-    train_cohort = _replace(padded, patients=padded.patients[:n_train])
-    test_cohort = _replace(padded, patients=padded.patients[n_train:])
-    train_samples = prepare_cohort(train_cohort, config)
-    test_samples = prepare_cohort(test_cohort, config)
     fold_seed_rng = np.random.default_rng(
         np.random.SeedSequence(train_config.seed, spawn_key=(2, fold)))
     if param_init is None:
@@ -229,8 +218,9 @@ def run_fold(cohort, config, train_config, fold, test_indices, param_init=None):
         epochs=train_config.epochs,
         seed=int(fold_seed_rng.integers(0, 2 ** 31 - 1)),
     )
-    epoch_log, _ = train(train_samples, params, config, fold_train_config)
-    probs = predict_probs(test_samples, params)
+    epoch_log, _ = train(prepared.take(slice(0, n_train)), params,
+                         fold_train_config)
+    probs = predict_probs(prepared.take(slice(n_train, None)), params)
     labels = np.array([p.label for p in test_patients], dtype=np.int64)
     auroc = macro_one_vs_rest(probs, labels, "auroc")
     auprc = macro_one_vs_rest(probs, labels, "auprc")
@@ -238,18 +228,11 @@ def run_fold(cohort, config, train_config, fold, test_indices, param_init=None):
                       epoch_log, probs, labels, auroc, auprc)
 
 
-def cross_validate(cohort, k, config, train_config, parallel=False,
-                   param_init=None):
+def cross_validate(cohort, k, config, train_config, param_init=None):
     """k-fold cross-validation over a raw (unpadded, unnormalized) cohort."""
     folds = fold_assignment(len(cohort.patients), k, train_config.seed)
-
-    def job(fold):
-        return run_fold(cohort, config, train_config, fold, folds[fold],
-                        param_init)
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=min(k, 8)) as pool:
-            results = list(pool.map(job, range(k)))
-    else:
-        results = [job(fold) for fold in range(k)]
+    results = [
+        run_fold(cohort, config, train_config, fold, folds[fold], param_init)
+        for fold in range(k)
+    ]
     return CVResult(results, folds)

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from trendvar import autodiff as ad
+from trendvar.autodiff import finite_diff_check
 from trendvar.data import (
     SynthSpec,
     compute_stats,
@@ -29,10 +29,11 @@ from trendvar.model import (
     ABLATION_PRESETS,
     ModelConfig,
     ModelParams,
+    backward,
     cross_entropy,
     forward,
     one_hot,
-    prepare_sample,
+    prepare,
 )
 from trendvar.training import TrainConfig, predict_probs, train
 from trendvar.wavelets import (
@@ -136,20 +137,19 @@ def test_criterion_03_convolution_oracle():
         kernel_top = rng.normal(size=(2, width))
         kernel_bottom = rng.normal(size=(2, width))
         bias = rng.normal(size=2)
-        with ad.Tape():
-            out = conv_branch(
-                ad.Tensor(stacked, const=True),
-                BranchParams(
-                    kernel_top=ad.Tensor(kernel_top),
-                    kernel_bottom=ad.Tensor(kernel_bottom),
-                    bias=ad.Tensor(bias),
-                    dilation=dilation,
-                ),
-                activate=False,
-            )
+        out = conv_branch(
+            stacked,
+            BranchParams(
+                kernel_top=kernel_top,
+                kernel_bottom=kernel_bottom,
+                bias=bias,
+                dilation=dilation,
+            ),
+            activate=False,
+        )
         expected = conv_oracle(stacked, kernel_top, kernel_bottom, bias,
                                dilation)
-        worst = max(worst, np.abs(out.data - expected).max())
+        worst = max(worst, np.abs(out - expected).max())
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
     report(3, "dilated convolution vs quadruple-loop oracle", ok,
@@ -221,20 +221,20 @@ def test_criterion_05_gradient_audit_all_configs():
                              order=4, flags=ABLATION_PRESETS[name])
         rng = np.random.default_rng(500)
         params = ModelParams.initialized(config, rng)
-        samples = [
-            prepare_sample(rng.normal(size=(10, 2)), rng.normal(size=2),
-                           label, config)
-            for label in (0, 2)
-        ]
-        onehots = np.vstack([one_hot(s.label, 3) for s in samples])
+        drawn = [(rng.normal(size=(10, 2)), rng.normal(size=2))
+                 for _ in range(2)]
+        batch = prepare(np.stack([v for v, _ in drawn]),
+                        np.stack([s for _, s in drawn]), [0, 2], config)
+        onehots = one_hot(batch.labels, 3)
 
         def loss_fn():
-            probs = [forward(s, params, config) for s in samples]
-            return cross_entropy(probs, onehots)
+            return cross_entropy(forward(batch, params).probs, onehots)
 
-        results[name] = ad.finite_diff_check(
-            loss_fn, params.tensors(), samples=100, step=1e-5,
-            rng=np.random.default_rng(7))
+        grads = backward(batch, params, forward(batch, params))
+        results[name] = finite_diff_check(
+            loss_fn, params.arrays(),
+            [grads[n] for n, _ in params.named_arrays()], samples=100,
+            step=1e-5, rng=np.random.default_rng(7))
     elapsed = time.perf_counter() - start
     worst = max(results.values())
     ok = worst <= 1e-4 and elapsed < 30.0
@@ -258,22 +258,19 @@ def test_criterion_06_attention_invariants():
         length = int(rng.integers(2, 17))
         scale = 10.0 ** rng.uniform(-2, 2)
         values = rng.normal(size=length) * scale
-        with ad.Tape():
-            out = diff_attention(ad.Tensor(values))
-        weights = out.weights.data
+        out = diff_attention(values)
+        weights = out.weights
         worst_sum = max(worst_sum, abs(weights.sum() - 1.0))
         all_nonneg = all_nonneg and weights.min() >= 0.0
-        with ad.Tape():
-            flipped = diff_attention(ad.Tensor(-values))
+        flipped = diff_attention(-values)
         negation_exact = negation_exact and np.array_equal(
-            weights, flipped.weights.data)
+            weights, flipped.weights)
         shift = float(rng.uniform(-3, 3))
-        with ad.Tape():
-            shifted = diff_attention(ad.Tensor(values + shift))
+        shifted = diff_attention(values + shift)
         worst_shift = max(
             worst_shift,
-            np.abs(shifted.weighted_diff.data
-                   - out.weighted_diff.data).max() / max(scale, 1.0))
+            np.abs(shifted.weighted_diff
+                   - out.weighted_diff).max() / max(scale, 1.0))
     elapsed = time.perf_counter() - start
     ok = (worst_sum <= 1e-12 and all_nonneg and negation_exact
           and worst_shift <= 1e-9 and elapsed < 1.0)
@@ -306,13 +303,12 @@ def learning_trial(seed):
     padded = pad_to_length(normalize(cohort, stats), config.t_max)
 
     def prep(indices):
-        return [prepare_sample(padded.patients[i].visits,
-                               padded.patients[i].static,
-                               padded.patients[i].label, config)
-                for i in indices]
+        return prepare(np.stack([padded.patients[i].visits for i in indices]),
+                       np.stack([padded.patients[i].static for i in indices]),
+                       [padded.patients[i].label for i in indices], config)
 
     params = ModelParams.initialized(config, np.random.default_rng(seed + 1))
-    train(prep(train_idx), params, config,
+    train(prep(train_idx), params,
           TrainConfig(learning_rate=1e-4, batch_size=64, epochs=50,
                       seed=seed))
     probs = predict_probs(prep(test_idx), params)
@@ -355,13 +351,12 @@ def ablation_trial(seed, preset):
     padded = pad_to_length(normalize(cohort, stats), config.t_max)
 
     def prep(indices):
-        return [prepare_sample(padded.patients[i].visits,
-                               padded.patients[i].static,
-                               padded.patients[i].label, config)
-                for i in indices]
+        return prepare(np.stack([padded.patients[i].visits for i in indices]),
+                       np.stack([padded.patients[i].static for i in indices]),
+                       [padded.patients[i].label for i in indices], config)
 
     params = ModelParams.initialized(config, np.random.default_rng(seed + 1))
-    train(prep(train_idx), params, config,
+    train(prep(train_idx), params,
           TrainConfig(learning_rate=1e-3, batch_size=32, epochs=40,
                       seed=seed))
     probs = predict_probs(prep(test_idx), params)

@@ -2,11 +2,13 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from trendvar.data import load_cohort
+from trendvar.model import load_checkpoint, save_checkpoint
 
 
 def run_cli(*args):
@@ -175,6 +177,11 @@ def test_exit_codes(tmp_path, workspace):
     assert run_cli().returncode == 1  # no command
     proc = run_cli("nosuchcommand")
     assert proc.returncode == 1
+    for flags in (["--lr", "-1"], ["--lr", "nan"], ["--folds", "1"]):
+        proc = run_cli("train", *data_flags(workspace), *TRAIN_ARGS, *flags,
+                       "--out", tmp_path / "bad")
+        assert proc.returncode == 1, (flags, proc.stderr)
+        assert "configuration error" in proc.stderr
 
     # 2: data problems
     proc = run_cli("train", "--visits", tmp_path / "missing.csv",
@@ -251,6 +258,23 @@ def test_eval_rejects_foreign_checkpoint_files(tmp_path, workspace):
                    "--out", tmp_path / "o")
     assert proc.returncode == 1
     assert "unrecognized checkpoint" in proc.stderr
+
+
+def test_checkpoint_with_misshaped_stats_is_a_config_error(tmp_path,
+                                                          workspace):
+    bundle = load_checkpoint(workspace["train"] / "fold0.ckpt")
+    stats = replace(bundle.stats, dynamic_mean=np.zeros(5),
+                    dynamic_std=np.ones(5))
+    damaged = tmp_path / "damaged.ckpt"
+    save_checkpoint(damaged, bundle.params, bundle.config, stats)
+    for command, flags in (("eval", data_flags(workspace)),
+                           ("inspect-attention",
+                            ["--visits", workspace["data"] / "visits.csv"])):
+        proc = run_cli(command, *flags, "--checkpoint", damaged,
+                       "--out", tmp_path / command)
+        assert proc.returncode == 1, proc.stderr
+        assert "corrupt checkpoint" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 # -- decompose / correlate ---------------------------------------------------------

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from trendvar import autodiff as ad
+from trendvar.autodiff import finite_diff_check
 from trendvar.diff_attention import (
     attention_weights,
     diff_attention,
@@ -13,6 +13,16 @@ from trendvar.diff_attention import (
     pool_features,
 )
 from trendvar.errors import ConfigError, NumericError
+from trendvar.model import (
+    ABLATION_PRESETS,
+    ModelConfig,
+    ModelParams,
+    backward,
+    cross_entropy,
+    forward,
+    one_hot,
+    prepare,
+)
 
 
 def oracle_attention(values):
@@ -32,25 +42,24 @@ def oracle_attention(values):
 
 
 def run_attention(values):
-    with ad.Tape():
-        out = diff_attention(ad.Tensor(np.asarray(values, dtype=float)))
-    return out.weights.data, out.weighted_diff.data
+    out = diff_attention(np.asarray(values, dtype=float))
+    return out.weights, out.weighted_diff
 
 
 def test_first_order_diff_examples():
-    with ad.Tape():
-        d = first_order_diff(ad.Tensor([1.0, 3.0, 2.0]))
-        assert d.data == pytest.approx([2.0, -1.0])
-        d2 = first_order_diff(ad.Tensor([4.0, 4.0, 4.0, 4.0]))
-        assert np.abs(d2.data).max() == 0.0
-        d3 = first_order_diff(ad.Tensor([0.0, 5.0]))
-        assert d3.data == pytest.approx([5.0])
+    d = first_order_diff([1.0, 3.0, 2.0])
+    assert d == pytest.approx([2.0, -1.0])
+    d2 = first_order_diff([4.0, 4.0, 4.0, 4.0])
+    assert np.abs(d2).max() == 0.0
+    d3 = first_order_diff([0.0, 5.0])
+    assert d3 == pytest.approx([5.0])
+    rows = first_order_diff([[1.0, 3.0, 2.0], [0.0, 0.5, 2.0]])
+    np.testing.assert_array_equal(rows, [[2.0, -1.0], [0.5, 1.5]])
 
 
 def test_first_order_diff_needs_two_points():
-    with ad.Tape():
-        with pytest.raises(ConfigError, match=">= 2"):
-            first_order_diff(ad.Tensor([1.0]))
+    with pytest.raises(ConfigError, match=">= 2"):
+        first_order_diff([1.0])
 
 
 def test_worked_example_against_oracle():
@@ -140,41 +149,46 @@ def test_sign_of_weighted_output_matches_differences():
 
 
 def test_attention_weights_reject_nonfinite():
-    with ad.Tape():
-        bad = ad.Tensor([1.0, np.nan])
-        with pytest.raises(NumericError, match="non-finite"):
-            attention_weights(bad, 3)
+    with pytest.raises(NumericError, match="non-finite"):
+        attention_weights(np.array([1.0, np.nan]), 3)
 
 
 def test_gradient_through_attention_matches_finite_differences():
+    # The stage has no parameters and its input is data, so the only
+    # gradient that passes through its output is the one into the head
+    # weights that read the pooled vector.
+    config = ModelConfig(t_max=8, n_dynamic=2, n_static=2, n_classes=3,
+                         order=3, flags=ABLATION_PRESETS["A3"])
     rng = np.random.default_rng(12)
-    values = ad.Tensor(rng.normal(size=7))
-    mask = rng.normal(size=6)
+    params = ModelParams.initialized(config, rng)
+    labels = np.array([0, 1, 2, 1])
+    batch = prepare(rng.normal(size=(4, 8, 2)), rng.normal(size=(4, 2)),
+                    labels, config)
 
     def loss_fn():
-        out = diff_attention(values)
-        return ad.tsum(ad.mul(out.weighted_diff, ad.Tensor(mask, const=True)))
+        return cross_entropy(forward(batch, params).probs, one_hot(labels, 3))
 
-    err = ad.finite_diff_check(loss_fn, [values], samples=7,
-                               rng=np.random.default_rng(0))
+    grads = backward(batch, params, forward(batch, params))
+    err = finite_diff_check(loss_fn, [params.out_diff], [grads["out_diff"]],
+                            samples=params.out_diff.size,
+                            rng=np.random.default_rng(0))
     assert err <= 1e-4
 
 
 def test_pool_features_examples_and_errors():
-    with ad.Tape():
-        a = ad.Tensor([1.0, 2.0])
-        b = ad.Tensor([-1.0, -2.0])
-        pooled = pool_features([a, b])
-        assert np.abs(pooled.data).max() == 0.0
+    a = np.array([1.0, 2.0])
+    b = np.array([-1.0, -2.0])
+    pooled = pool_features([a, b])
+    assert np.abs(pooled).max() == 0.0
 
-        only = pool_features([a])
-        np.testing.assert_array_equal(only.data, a.data)
+    only = pool_features([a])
+    np.testing.assert_array_equal(only, a)
 
-        same = pool_features([a, a, a])
-        np.testing.assert_allclose(same.data, a.data, atol=1e-15)
+    same = pool_features([a, a, a])
+    np.testing.assert_allclose(same, a, atol=1e-15)
 
-        with pytest.raises(ConfigError, match="length mismatch"):
-            pool_features([a, ad.Tensor([1.0, 2.0, 3.0])])
+    with pytest.raises(ConfigError, match="length mismatch"):
+        pool_features([a, np.array([1.0, 2.0, 3.0])])
 
-        with pytest.raises(ConfigError, match="no feature"):
-            pool_features([])
+    with pytest.raises(ConfigError, match="no feature"):
+        pool_features([])

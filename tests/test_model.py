@@ -1,7 +1,8 @@
 """Model assembly tests.
 
-The full forward pass is checked against a plain-numpy re-computation that
-shares no code with the autodiff path, plus hand-worked head values.
+The full forward pass is checked against a plain-numpy, one-patient-at-a-time
+re-computation that shares no code with the batched engine, plus hand-worked
+head values.  The closed-form backward is audited by finite differences.
 """
 
 import math
@@ -9,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from trendvar import autodiff as ad
+from trendvar.autodiff import finite_diff_check
 from trendvar.data import FeatureStats
 from trendvar.errors import ConfigError, NumericError
 from trendvar.model import (
@@ -18,6 +19,7 @@ from trendvar.model import (
     ModelConfig,
     ModelParams,
     ablation_from_name,
+    backward,
     config_with,
     cross_entropy,
     embed_static,
@@ -26,7 +28,7 @@ from trendvar.model import (
     load_checkpoint,
     one_hot,
     predict,
-    prepare_sample,
+    prepare,
     save_checkpoint,
 )
 from trendvar.wavelets import decompose
@@ -38,10 +40,12 @@ def small_config(**over):
     return ModelConfig(**base)
 
 
-def make_sample(config, rng):
-    visits = rng.normal(size=(config.t_max, config.n_dynamic))
-    static = rng.normal(size=config.n_static)
-    return prepare_sample(visits, static, 0, config), visits, static
+def make_batch(config, rng, n=1, labels=None):
+    visits = rng.normal(size=(n, config.t_max, config.n_dynamic))
+    static = rng.normal(size=(n, config.n_static))
+    if labels is None:
+        labels = np.zeros(n, dtype=np.int64)
+    return prepare(visits, static, labels, config), visits, static
 
 
 # -- head pieces ------------------------------------------------------------
@@ -51,70 +55,56 @@ def test_embed_static_matches_numpy():
     rng = np.random.default_rng(0)
     params = ModelParams.initialized(config, rng)
     static = rng.normal(size=3)
-    with ad.Tape():
-        h = embed_static(ad.Tensor(static, const=True), params)
-    expected = np.tanh(params.static_weight.data @ static
-                       + params.static_bias.data)
-    np.testing.assert_allclose(h.data, expected, atol=1e-15)
+    h = embed_static(static, params)
+    expected = np.tanh(params.static_weight @ static + params.static_bias)
+    np.testing.assert_allclose(h, expected, atol=1e-15)
 
 
 def test_fuse_dynamic_row_selection():
     # mix weight [1, 0] picks the top row of the concatenated map exactly
     config = small_config()
     params = ModelParams(config)
-    params.mix_weight.data = np.array([1.0, 0.0])
+    params.mix_weight[...] = [1.0, 0.0]
     top = np.arange(6.0)
     bottom = np.full(6, 100.0)
-    with ad.Tape():
-        fm = ad.Tensor(np.vstack([top, bottom]), const=True)
-        h = fuse_dynamic([fm], params)
-    np.testing.assert_allclose(h.data, np.tanh(top), atol=1e-15)
+    _, h = fuse_dynamic([np.vstack([top, bottom])], params)
+    np.testing.assert_allclose(h, np.tanh(top), atol=1e-15)
 
 
 def test_fuse_dynamic_concatenates_in_feature_order():
     config = small_config()
     params = ModelParams(config)
-    params.mix_weight.data = np.array([1.0, 0.0])
+    params.mix_weight[...] = [1.0, 0.0]
     a = np.vstack([np.array([1.0, 2.0]), np.zeros(2)])
     b = np.vstack([np.array([3.0, 4.0]), np.zeros(2)])
-    with ad.Tape():
-        h = fuse_dynamic([ad.Tensor(a, const=True),
-                          ad.Tensor(b, const=True)], params)
-    np.testing.assert_allclose(h.data, np.tanh([1.0, 2.0, 3.0, 4.0]),
-                               atol=1e-15)
+    fused, h = fuse_dynamic([a, b], params)
+    np.testing.assert_array_equal(fused, np.hstack([a, b]))
+    np.testing.assert_allclose(h, np.tanh([1.0, 2.0, 3.0, 4.0]), atol=1e-15)
 
 
 def test_fuse_dynamic_rejects_ragged_and_empty():
     config = small_config()
     params = ModelParams(config)
-    with ad.Tape():
-        with pytest.raises(ConfigError, match="ragged"):
-            fuse_dynamic([ad.Tensor(np.zeros((2, 3)), const=True),
-                          ad.Tensor(np.zeros((2, 4)), const=True)], params)
-        with pytest.raises(ConfigError, match="no feature maps"):
-            fuse_dynamic([], params)
+    with pytest.raises(ConfigError, match="ragged"):
+        fuse_dynamic([np.zeros((2, 3)), np.zeros((2, 4))], params)
+    with pytest.raises(ConfigError, match="no feature maps"):
+        fuse_dynamic([], params)
 
 
 def test_predict_zero_weights_yield_uniform():
     config = small_config(n_classes=4)
     params = ModelParams(config)  # all zeros
-    with ad.Tape():
-        probs = predict(ad.Tensor(np.ones(4), const=True),
-                        ad.Tensor(np.ones(config.fused_len), const=True),
-                        None, params)
-    np.testing.assert_allclose(probs.data, np.full(4, 0.25), atol=1e-15)
+    probs = predict(np.ones(4), np.ones(config.fused_len), None, params)
+    np.testing.assert_allclose(probs, np.full(4, 0.25), atol=1e-15)
 
 
 def test_predict_bias_only_logits():
     # logits [ln 2, 0, 0] -> probabilities [1/2, 1/4, 1/4]
     config = small_config(n_classes=3)
     params = ModelParams(config)
-    params.out_bias.data = np.array([math.log(2.0), 0.0, 0.0])
-    with ad.Tape():
-        probs = predict(ad.Tensor(np.zeros(3), const=True),
-                        ad.Tensor(np.zeros(config.fused_len), const=True),
-                        None, params)
-    np.testing.assert_allclose(probs.data, [0.5, 0.25, 0.25], atol=1e-12)
+    params.out_bias[...] = [math.log(2.0), 0.0, 0.0]
+    probs = predict(np.zeros(3), np.zeros(config.fused_len), None, params)
+    np.testing.assert_allclose(probs, [0.5, 0.25, 0.25], atol=1e-12)
 
 
 def test_predict_rejects_attention_term_without_head():
@@ -122,58 +112,47 @@ def test_predict_rejects_attention_term_without_head():
         flags=AblationFlags(True, True, True, False))
     params = ModelParams(config)
     assert params.out_diff is None
-    with ad.Tape():
-        with pytest.raises(ConfigError, match="without the attention head"):
-            predict(ad.Tensor(np.zeros(2), const=True),
-                    ad.Tensor(np.zeros(config.fused_len), const=True),
-                    ad.Tensor(np.zeros(config.coeff_len - 1), const=True),
-                    params)
+    with pytest.raises(ConfigError, match="without the attention head"):
+        predict(np.zeros(2), np.zeros(config.fused_len),
+                np.zeros(config.coeff_len - 1), params)
 
 
 # -- loss -------------------------------------------------------------------
 
-def probs_tensor(values):
-    return ad.Tensor(np.asarray(values, dtype=float), const=True)
-
-
 def test_cross_entropy_worked_values():
-    with ad.Tape():
-        certain = cross_entropy([probs_tensor([0.0, 1.0])],
-                                [[0.0, 1.0]])
-        assert certain.data == pytest.approx(0.0, abs=1e-12)
+    certain = cross_entropy([[0.0, 1.0]], [[0.0, 1.0]])
+    assert certain == pytest.approx(0.0, abs=1e-12)
 
-        half = cross_entropy([probs_tensor([0.5, 0.5])], [[1.0, 0.0]])
-        assert half.data == pytest.approx(math.log(2.0), abs=1e-12)
+    half = cross_entropy([[0.5, 0.5]], [[1.0, 0.0]])
+    assert half == pytest.approx(math.log(2.0), abs=1e-12)
 
-        pair = cross_entropy(
-            [probs_tensor([0.5, 0.5]), probs_tensor([0.25, 0.75])],
-            [[1.0, 0.0], [1.0, 0.0]])
-        expected = (math.log(2.0) + math.log(4.0)) / 2.0
-        assert pair.data == pytest.approx(expected, abs=1e-12)
+    pair = cross_entropy([[0.5, 0.5], [0.25, 0.75]],
+                         [[1.0, 0.0], [1.0, 0.0]])
+    expected = (math.log(2.0) + math.log(4.0)) / 2.0
+    assert pair == pytest.approx(expected, abs=1e-12)
 
 
 def test_cross_entropy_clamps_zero_probability():
-    with ad.Tape():
-        loss = cross_entropy([probs_tensor([1.0, 0.0])], [[0.0, 1.0]])
-    assert loss.data == pytest.approx(-math.log(1e-12), rel=1e-9)
-    assert np.isfinite(loss.data)
+    loss = cross_entropy([[1.0, 0.0]], [[0.0, 1.0]])
+    assert loss == pytest.approx(-math.log(1e-12), rel=1e-9)
+    assert np.isfinite(loss)
 
 
 def test_cross_entropy_validates_rows():
-    with ad.Tape():
-        with pytest.raises(ConfigError, match="not one-hot"):
-            cross_entropy([probs_tensor([0.5, 0.5])], [[0.5, 0.5]])
-        with pytest.raises(ConfigError, match="not one-hot"):
-            cross_entropy([probs_tensor([0.5, 0.5])], [[1.0, 1.0]])
-        with pytest.raises(ConfigError, match="label block"):
-            cross_entropy([probs_tensor([0.5, 0.5])],
-                          [[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ConfigError, match="classes"):
-            cross_entropy([probs_tensor([0.5, 0.5])], [[1.0, 0.0, 0.0]])
+    with pytest.raises(ConfigError, match="not one-hot"):
+        cross_entropy([[0.5, 0.5]], [[0.5, 0.5]])
+    with pytest.raises(ConfigError, match="not one-hot"):
+        cross_entropy([[0.5, 0.5]], [[1.0, 1.0]])
+    with pytest.raises(ConfigError, match="label block"):
+        cross_entropy([[0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ConfigError, match="classes"):
+        cross_entropy([[0.5, 0.5]], [[1.0, 0.0, 0.0]])
 
 
 def test_one_hot():
     np.testing.assert_array_equal(one_hot(2, 4), [0.0, 0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(one_hot([1, 0], 2), [[0.0, 1.0],
+                                                       [1.0, 0.0]])
     with pytest.raises(ConfigError, match="outside"):
         one_hot(4, 4)
     with pytest.raises(ConfigError, match="outside"):
@@ -243,16 +222,16 @@ def test_initialization_is_seeded_and_bounded():
     config = small_config()
     a = ModelParams.initialized(config, np.random.default_rng(3))
     b = ModelParams.initialized(config, np.random.default_rng(3))
-    for (name_a, ta), (_, tb) in zip(a.named_tensors(), b.named_tensors()):
-        np.testing.assert_array_equal(ta.data, tb.data)
+    for (name_a, ta), (_, tb) in zip(a.named_arrays(), b.named_arrays()):
+        np.testing.assert_array_equal(ta, tb)
         if name_a.endswith("bias"):
-            assert np.abs(ta.data).max() == 0.0
+            assert np.abs(ta).max() == 0.0
     c = ModelParams.initialized(config, np.random.default_rng(4))
-    assert any(not np.array_equal(ta.data, tc.data)
-               for (_, ta), (_, tc) in zip(a.named_tensors(),
-                                           c.named_tensors()))
+    assert any(not np.array_equal(ta, tc)
+               for (_, ta), (_, tc) in zip(a.named_arrays(),
+                                           c.named_arrays()))
     bound = 1.0 / math.sqrt(config.n_static)
-    assert np.abs(a.static_weight.data).max() <= bound
+    assert np.abs(a.static_weight).max() <= bound
 
 
 def test_attention_head_is_structurally_absent_when_disabled():
@@ -261,7 +240,7 @@ def test_attention_head_is_structurally_absent_when_disabled():
         flags=AblationFlags(True, True, True, False)))
     assert on.out_diff is not None
     assert off.out_diff is None
-    names_off = [n for n, _ in off.named_tensors()]
+    names_off = [n for n, _ in off.named_arrays()]
     assert "out_diff" not in names_off
 
 
@@ -281,42 +260,76 @@ def test_params_copy_is_deep():
     config = small_config()
     params = ModelParams.initialized(config, np.random.default_rng(1))
     clone = params.copy()
-    clone.static_weight.data[0, 0] += 10.0
-    assert params.static_weight.data[0, 0] != clone.static_weight.data[0, 0]
+    clone.static_weight[0, 0] += 10.0
+    assert params.static_weight[0, 0] != clone.static_weight[0, 0]
 
 
 def test_prepare_sample_shape_checks():
     config = small_config()
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError, match="visits shape"):
-        prepare_sample(rng.normal(size=(7, 2)), np.zeros(3), 0, config)
+        prepare(rng.normal(size=(1, 7, 2)), np.zeros((1, 3)), [0], config)
     with pytest.raises(ConfigError, match="static shape"):
-        prepare_sample(rng.normal(size=(8, 2)), np.zeros(4), 0, config)
+        prepare(rng.normal(size=(1, 8, 2)), np.zeros((1, 4)), [0], config)
+    with pytest.raises(ConfigError, match="labels"):
+        prepare(rng.normal(size=(1, 8, 2)), np.zeros((1, 3)), [2], config)
     with pytest.raises(NumericError, match="non-finite static"):
-        prepare_sample(rng.normal(size=(8, 2)),
-                       np.array([0.0, np.nan, 1.0]), 0, config)
+        prepare(rng.normal(size=(1, 8, 2)),
+                np.array([[0.0, np.nan, 1.0]]), [0], config)
 
 
 # -- full forward pass ------------------------------------------------------
 
-def numpy_forward_plain(visits, static, params, config):
-    """Independent recomputation for configs without the correlation stage."""
-    flags = config.flags
+def numpy_correlation_maps(visits, params, config):
+    """Per-patient loop re-computation of the correlation stage.
+
+    Returns the concatenated branch maps of each feature, straight from the
+    definition out[o, q] = tanh(b[o] + sum_i sum_tap k_o[i, tap] *
+    line_i[q + dilation * tap]).
+    """
     maps = []
     for j in range(config.n_dynamic):
         pair = decompose(visits[:, j], config.order)
-        if flags.use_trend and flags.use_variation:
-            maps.append(np.vstack([pair.trend, pair.variation]))
-        elif flags.use_trend:
-            maps.append(pair.trend[None, :])
-        else:
-            maps.append(pair.variation[None, :])
+        lines = (pair.trend, pair.variation)
+        blocks = []
+        for branch in params.branches_for(j):
+            width = branch.kernel_top.shape[1]
+            out_len = lines[0].shape[0] - branch.dilation * (width - 1)
+            block = np.zeros((2, out_len))
+            for o, kernel in enumerate((branch.kernel_top,
+                                        branch.kernel_bottom)):
+                for q in range(out_len):
+                    acc = branch.bias[o]
+                    for i in range(2):
+                        for tap in range(width):
+                            acc += kernel[i, tap] \
+                                * lines[i][q + branch.dilation * tap]
+                    block[o, q] = math.tanh(acc)
+            blocks.append(block)
+        maps.append(np.hstack(blocks))
+    return maps
+
+
+def numpy_forward_plain(visits, static, params, config):
+    """Independent recomputation of one patient's probabilities."""
+    flags = config.flags
+    if flags.use_correlation:
+        maps = numpy_correlation_maps(visits, params, config)
+    else:
+        maps = []
+        for j in range(config.n_dynamic):
+            pair = decompose(visits[:, j], config.order)
+            if flags.use_trend and flags.use_variation:
+                maps.append(np.vstack([pair.trend, pair.variation]))
+            elif flags.use_trend:
+                maps.append(pair.trend[None, :])
+            else:
+                maps.append(pair.variation[None, :])
     fused = np.hstack(maps)
-    h_dy = np.tanh(params.mix_weight.data @ fused + params.mix_bias.data)
-    h_st = np.tanh(params.static_weight.data @ static
-                   + params.static_bias.data)
-    logits = (params.out_static.data @ h_st
-              + params.out_dynamic.data @ h_dy + params.out_bias.data)
+    h_dy = np.tanh(params.mix_weight @ fused + params.mix_bias)
+    h_st = np.tanh(params.static_weight @ static + params.static_bias)
+    logits = (params.out_static @ h_st
+              + params.out_dynamic @ h_dy + params.out_bias)
     if flags.use_diff_attention:
         pooled = np.zeros(config.coeff_len - 1)
         for j in range(config.n_dynamic):
@@ -326,21 +339,24 @@ def numpy_forward_plain(visits, static, params, config):
             e = np.exp(scores - scores.max())
             pooled += (e / e.sum()) * delta
         pooled /= config.n_dynamic
-        logits = logits + params.out_diff.data @ pooled
+        logits = logits + params.out_diff @ pooled
     e = np.exp(logits - logits.max())
     return e / e.sum()
 
 
-@pytest.mark.parametrize("preset", ["A1", "A2", "A3", "A4", "A5"])
+@pytest.mark.parametrize("preset", sorted(ABLATION_PRESETS))
 def test_forward_matches_numpy_oracle(preset):
-    config = small_config(flags=ABLATION_PRESETS[preset])
-    rng = np.random.default_rng(11)
-    params = ModelParams.initialized(config, rng)
-    sample, visits, static = make_sample(config, rng)
-    with ad.Tape():
-        probs = forward(sample, params, config)
-    expected = numpy_forward_plain(visits, static, params, config)
-    np.testing.assert_allclose(probs.data, expected, atol=1e-12)
+    flags = ABLATION_PRESETS[preset]
+    for shared in ((False, True) if flags.use_correlation else (False,)):
+        config = small_config(flags=flags, shared_branches=shared)
+        rng = np.random.default_rng(11)
+        params = ModelParams.initialized(config, rng)
+        batch, visits, static = make_batch(config, rng, n=4)
+        probs = forward(batch, params).probs
+        for i in range(4):
+            expected = numpy_forward_plain(visits[i], static[i], params,
+                                           config)
+            np.testing.assert_allclose(probs[i], expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("preset", sorted(ABLATION_PRESETS))
@@ -348,14 +364,20 @@ def test_forward_is_a_probability_simplex(preset):
     config = small_config(flags=ABLATION_PRESETS[preset], n_classes=3)
     rng = np.random.default_rng(21)
     params = ModelParams.initialized(config, rng)
-    for _ in range(5):
-        sample, _, _ = make_sample(config, rng)
-        with ad.Tape():
-            probs = forward(sample, params, config)
-        assert probs.data.shape == (3,)
-        assert np.all(np.isfinite(probs.data))
-        assert probs.data.min() >= 0.0
-        assert abs(probs.data.sum() - 1.0) <= 1e-12
+    batch, _, _ = make_batch(config, rng, n=5)
+    probs = forward(batch, params).probs
+    assert probs.shape == (5, 3)
+    assert np.all(np.isfinite(probs))
+    assert probs.min() >= 0.0
+    assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def test_forward_rejects_a_batch_prepared_for_another_config():
+    config = small_config()
+    other = small_config(flags=ABLATION_PRESETS["A6"])
+    batch, _, _ = make_batch(other, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="different model config"):
+        forward(batch, ModelParams(config))
 
 
 def test_trend_only_sees_level_but_variation_only_does_not():
@@ -365,15 +387,13 @@ def test_trend_only_sees_level_but_variation_only_does_not():
     a variation-only model collapses them to one prediction; the trend line
     keeps the level, so a trend-only model separates them.
     """
-    rng = np.random.default_rng(2)
-    static = np.zeros(3)
+    static = np.zeros((1, 3))
 
     def probs_for(config, level):
         params = ModelParams.initialized(config, np.random.default_rng(9))
-        visits = np.full((config.t_max, config.n_dynamic), level)
-        sample = prepare_sample(visits, static, 0, config)
-        with ad.Tape():
-            return forward(sample, params, config).data
+        visits = np.full((1, config.t_max, config.n_dynamic), level)
+        batch = prepare(visits, static, [0], config)
+        return forward(batch, params).probs[0]
 
     trend_cfg = small_config(flags=ABLATION_PRESETS["A1"])
     var_cfg = small_config(flags=ABLATION_PRESETS["A2"])
@@ -391,16 +411,39 @@ def test_forward_gradient_reaches_every_parameter():
     config = small_config()
     rng = np.random.default_rng(33)
     params = ModelParams.initialized(config, rng)
-    sample, _, _ = make_sample(config, rng)
-    with ad.Tape() as tape:
-        probs = forward(sample, params, config)
-        loss = cross_entropy([probs], [one_hot(sample.label,
-                                               config.n_classes)])
-        grads = tape.backward(loss, leaves=params.tensors())
-    for name, tensor in params.named_tensors():
-        g = grads[tensor]
-        assert g.shape == tensor.data.shape
+    batch, _, _ = make_batch(config, rng)
+    grads = backward(batch, params, forward(batch, params))
+    assert set(grads) == {name for name, _ in params.named_arrays()}
+    for name, value in params.named_arrays():
+        g = grads[name]
+        assert np.shape(g) == value.shape
         assert np.all(np.isfinite(g)), name
+
+
+@pytest.mark.parametrize("preset", ["A6", "A7"])
+def test_shared_branch_gradients_match_finite_differences(preset):
+    """One kernel set serves every feature, so its gradient is the sum of
+    the per-feature contributions."""
+    config = ModelConfig(t_max=10, n_dynamic=3, n_static=2, n_classes=3,
+                         order=4, flags=ABLATION_PRESETS[preset],
+                         shared_branches=True)
+    rng = np.random.default_rng(501)
+    params = ModelParams.initialized(config, rng)
+    batch, _, _ = make_batch(config, rng, n=3, labels=np.array([0, 2, 1]))
+    onehots = one_hot(batch.labels, 3)
+
+    def loss_fn():
+        return cross_entropy(forward(batch, params).probs, onehots)
+
+    grads = backward(batch, params, forward(batch, params))
+    names = [name for name, _ in params.named_arrays()
+             if name.startswith("branch[")]
+    assert names and all(name.startswith("branch[0]") for name in names)
+    arrays = dict(params.named_arrays())
+    err = finite_diff_check(
+        loss_fn, [arrays[n] for n in names], [grads[n] for n in names],
+        samples=100, step=1e-5, rng=np.random.default_rng(7))
+    assert err <= 1e-4
 
 
 # -- checkpoints ------------------------------------------------------------
@@ -417,10 +460,9 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     params, bundle, _ = roundtrip(tmp_path, config)
     assert bundle.config == config
     assert bundle.stats is None
-    for (name, src), (_, dst) in zip(params.named_tensors(),
-                                     bundle.params.named_tensors()):
-        np.testing.assert_array_equal(src.data, dst.data,
-                                      err_msg=name)
+    for (name, src), (_, dst) in zip(params.named_arrays(),
+                                     bundle.params.named_arrays()):
+        np.testing.assert_array_equal(src, dst, err_msg=name)
 
 
 def test_checkpoint_preserves_flags_and_stats(tmp_path):
@@ -464,6 +506,21 @@ def test_checkpoint_rejects_foreign_and_damaged_files(tmp_path):
     missing = tmp_path / "nope.ckpt"
     with pytest.raises(ConfigError, match="cannot read"):
         load_checkpoint(missing)
+
+    # well-formed files whose stats do not fit the model they carry
+    good = dict(dynamic_mean=np.zeros(2), dynamic_std=np.ones(2),
+                static_mean=np.zeros(3), static_std=np.ones(3))
+    for field, bad, message in (
+            ("dynamic_mean", np.zeros(5), "shape"),
+            ("static_std", np.ones((3, 1)), "shape"),
+            ("dynamic_std", np.array([1.0, np.nan]), "non-finite"),
+            ("static_std", np.array([1.0, -1.0, 1.0]), "negative")):
+        stats = FeatureStats(**{**good, field: bad})
+        damaged = tmp_path / f"stats_{field}.ckpt"
+        save_checkpoint(damaged, ModelParams(config), config, stats=stats)
+        with pytest.raises(ConfigError,
+                           match=f"corrupt checkpoint .*{message}"):
+            load_checkpoint(damaged)
 
 
 def test_config_with_returns_updated_copy():

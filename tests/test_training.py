@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from trendvar import autodiff as ad
-from trendvar.data import Cohort, Patient, SynthSpec, compute_stats, synth_generate
-from trendvar.errors import DataError, NumericError
+from trendvar.data import (
+    Cohort,
+    Patient,
+    SynthSpec,
+    compute_stats,
+    normalize,
+    pad_to_length,
+    synth_generate,
+)
+from trendvar.errors import ConfigError, DataError, NumericError
 from trendvar.model import ModelConfig, ModelParams
 from trendvar.training import (
     AdamState,
@@ -43,11 +50,12 @@ def zero_init(config, rng):
 # -- Adam -------------------------------------------------------------------
 
 def test_train_config_validation():
-    with pytest.raises(DataError, match="negative learning rate"):
-        TrainConfig(learning_rate=-1e-3)
-    with pytest.raises(DataError, match="batch size"):
+    for bad in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="learning rate"):
+            TrainConfig(learning_rate=bad)
+    with pytest.raises(ConfigError, match="batch size"):
         TrainConfig(batch_size=0)
-    with pytest.raises(DataError, match="epochs"):
+    with pytest.raises(ConfigError, match="epochs"):
         TrainConfig(epochs=-1)
 
 
@@ -57,42 +65,39 @@ def test_adam_first_step_closed_form():
     rng = np.random.default_rng(0)
     theta = rng.normal(size=(3, 4))
     grad = rng.normal(size=(3, 4))
-    tensor = ad.Tensor(theta.copy(), name="w")
-    tensor.grad = grad.copy()
-    state = AdamState([tensor])
-    adam_step([("w", tensor)], state, learning_rate=0.05)
+    value = theta.copy()
+    state = AdamState([value])
+    adam_step([("w", value)], {"w": grad.copy()}, state, learning_rate=0.05)
     expected = theta - 0.05 * grad / (np.abs(grad) + 1e-8)
-    np.testing.assert_allclose(tensor.data, expected, atol=1e-15)
+    np.testing.assert_allclose(value, expected, atol=1e-15)
     assert state.step_count == 1
 
 
 def test_adam_zero_or_missing_gradient_leaves_values_alone():
-    tensor = ad.Tensor(np.array([1.0, -2.0]), name="w")
-    state = AdamState([tensor])
-    tensor.grad = np.zeros(2)
-    adam_step([("w", tensor)], state, learning_rate=0.1)
-    np.testing.assert_array_equal(tensor.data, [1.0, -2.0])
-    tensor.grad = None
-    adam_step([("w", tensor)], state, learning_rate=0.1)
-    np.testing.assert_array_equal(tensor.data, [1.0, -2.0])
+    value = np.array([1.0, -2.0])
+    state = AdamState([value])
+    adam_step([("w", value)], {"w": np.zeros(2)}, state, learning_rate=0.1)
+    np.testing.assert_array_equal(value, [1.0, -2.0])
+    adam_step([("w", value)], {}, state, learning_rate=0.1)
+    np.testing.assert_array_equal(value, [1.0, -2.0])
     assert state.step_count == 2
 
 
 def test_adam_rejects_nonfinite_gradient_by_name():
-    tensor = ad.Tensor(np.zeros(2), name="mix_weight")
-    tensor.grad = np.array([1.0, np.inf])
-    state = AdamState([tensor])
+    value = np.zeros(2)
+    state = AdamState([value])
     with pytest.raises(NumericError, match="mix_weight"):
-        adam_step([("mix_weight", tensor)], state, 0.1)
+        adam_step([("mix_weight", value)],
+                  {"mix_weight": np.array([1.0, np.inf])}, state, 0.1)
 
 
 def test_adam_minimizes_a_quadratic():
-    tensor = ad.Tensor(np.array([0.0]), name="x")
-    state = AdamState([tensor])
+    value = np.array([0.0])
+    state = AdamState([value])
     for _ in range(400):
-        tensor.grad = 2.0 * (tensor.data - 3.0)
-        adam_step([("x", tensor)], state, learning_rate=0.05)
-    assert abs(tensor.data[0] - 3.0) < 0.05
+        adam_step([("x", value)], {"x": 2.0 * (value - 3.0)}, state,
+                  learning_rate=0.05)
+    assert abs(value[0] - 3.0) < 0.05
 
 
 # -- training loop ----------------------------------------------------------
@@ -100,74 +105,71 @@ def test_adam_minimizes_a_quadratic():
 def test_train_rejects_empty_set():
     config = toy_config()
     params = ModelParams(config)
+    samples = prepare_cohort(pad_to_length(toy_cohort(), 8), config)
     with pytest.raises(DataError, match="empty training set"):
-        train([], params, config, TrainConfig())
+        train(samples.take(slice(0, 0)), params, TrainConfig())
 
 
 def test_zero_learning_rate_keeps_initial_parameters():
     config = toy_config()
     cohort = toy_cohort()
-    from trendvar.data import pad_to_length
     samples = prepare_cohort(pad_to_length(cohort, 8), config)
     params = ModelParams.initialized(config, np.random.default_rng(3))
-    before = [t.data.copy() for t in params.tensors()]
-    log, state = train(samples, params, config,
+    before = [t.copy() for t in params.arrays()]
+    log, state = train(samples, params,
                        TrainConfig(learning_rate=0.0, epochs=3, batch_size=4))
-    for prev, tensor in zip(before, params.tensors()):
-        np.testing.assert_array_equal(prev, tensor.data)
+    for prev, value in zip(before, params.arrays()):
+        np.testing.assert_array_equal(prev, value)
     assert len(log) == 3
 
 
 def test_training_is_bitwise_deterministic():
     config = toy_config()
     cohort = toy_cohort()
-    from trendvar.data import pad_to_length
     samples = prepare_cohort(pad_to_length(cohort, 8), config)
 
     def fit():
         params = ModelParams.initialized(config, np.random.default_rng(5))
-        log, _ = train(samples, params, config,
+        log, _ = train(samples, params,
                        TrainConfig(learning_rate=1e-3, epochs=3,
                                    batch_size=5, seed=11))
         return params, log
 
     p1, log1 = fit()
     p2, log2 = fit()
-    for a, b in zip(p1.tensors(), p2.tensors()):
-        np.testing.assert_array_equal(a.data, b.data)
+    for a, b in zip(p1.arrays(), p2.arrays()):
+        np.testing.assert_array_equal(a, b)
     assert [r.mean_loss for r in log1] == [r.mean_loss for r in log2]
 
 
 def test_shuffle_seed_matters_for_small_batches():
     config = toy_config()
     cohort = toy_cohort()
-    from trendvar.data import pad_to_length
     samples = prepare_cohort(pad_to_length(cohort, 8), config)
 
     def fit(seed):
         params = ModelParams.initialized(config, np.random.default_rng(5))
-        train(samples, params, config,
+        train(samples, params,
               TrainConfig(learning_rate=1e-2, epochs=2, batch_size=3,
                           seed=seed))
         return params
 
     p_a = fit(1)
     p_b = fit(2)
-    assert any(not np.array_equal(a.data, b.data)
-               for a, b in zip(p_a.tensors(), p_b.tensors()))
+    assert any(not np.array_equal(a, b)
+               for a, b in zip(p_a.arrays(), p_b.arrays()))
 
 
 def test_step_count_tracks_batches():
     config = toy_config()
     cohort = toy_cohort(n=10)
-    from trendvar.data import pad_to_length
     samples = prepare_cohort(pad_to_length(cohort, 8), config)
     params = ModelParams.initialized(config, np.random.default_rng(0))
-    _, state = train(samples, params, config,
+    _, state = train(samples, params,
                      TrainConfig(epochs=4, batch_size=64))
     assert state.step_count == 4  # one full batch per epoch
     params = ModelParams.initialized(config, np.random.default_rng(0))
-    _, state = train(samples, params, config,
+    _, state = train(samples, params,
                      TrainConfig(epochs=4, batch_size=4))
     assert state.step_count == 4 * 3  # ceil(10 / 4) batches per epoch
 
@@ -175,13 +177,11 @@ def test_step_count_tracks_batches():
 def test_loss_log_shape_and_learning_progress():
     config = toy_config()
     cohort = toy_cohort(n=12, noise=0.02)
-    from trendvar.data import pad_to_length
     padded = pad_to_length(cohort, 8)
     stats = compute_stats(padded.patients)
-    from trendvar.data import normalize
     samples = prepare_cohort(normalize(padded, stats), config)
     params = ModelParams.initialized(config, np.random.default_rng(1))
-    log, _ = train(samples, params, config,
+    log, _ = train(samples, params,
                    TrainConfig(learning_rate=1e-2, epochs=30, batch_size=12))
     assert [r.epoch for r in log] == list(range(30))
     assert all(np.isfinite(r.mean_loss) for r in log)
@@ -191,7 +191,6 @@ def test_loss_log_shape_and_learning_progress():
 def test_predict_probs_shape_and_simplex():
     config = toy_config()
     cohort = toy_cohort(n=6)
-    from trendvar.data import pad_to_length
     samples = prepare_cohort(pad_to_length(cohort, 8), config)
     params = ModelParams.initialized(config, np.random.default_rng(2))
     probs = predict_probs(samples, params)
@@ -225,7 +224,7 @@ def test_fold_assignment_is_seeded():
 def test_fold_assignment_errors():
     with pytest.raises(DataError, match="cannot fill"):
         fold_assignment(3, 10, seed=0)
-    with pytest.raises(DataError, match="k >= 2"):
+    with pytest.raises(ConfigError, match="k >= 2"):
         fold_assignment(10, 1, seed=0)
 
 
@@ -290,18 +289,6 @@ def test_fold_initializations_differ():
     config = toy_config()
     result = cross_validate(cohort, 2, config, TrainConfig(epochs=0, seed=0))
     a, b = result.folds
-    assert not np.array_equal(a.params.static_weight.data,
-                              b.params.static_weight.data)
+    assert not np.array_equal(a.params.static_weight,
+                              b.params.static_weight)
 
-
-def test_parallel_cross_validation_matches_serial_bitwise():
-    cohort = toy_cohort(n=18)
-    config = toy_config()
-    tc = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, seed=2)
-    serial = cross_validate(cohort, 3, config, tc, parallel=False)
-    threaded = cross_validate(cohort, 3, config, tc, parallel=True)
-    for fs, ft in zip(serial.folds, threaded.folds):
-        np.testing.assert_array_equal(fs.probs, ft.probs)
-        assert fs.auroc.value == ft.auroc.value
-        for ts_, tt in zip(fs.params.tensors(), ft.params.tensors()):
-            np.testing.assert_array_equal(ts_.data, tt.data)
