@@ -20,6 +20,8 @@ from dataclasses import replace
 import numpy as np
 
 from .data import (
+    Cohort,
+    Patient,
     SynthSpec,
     compute_stats,
     load_cohort,
@@ -39,12 +41,18 @@ from .model import (
     save_checkpoint,
 )
 from .training import (
+    PREDICT_BLOCK,
     TrainConfig,
     cross_validate,
     predict_probs,
     prepare_cohort,
 )
-from .wavelets import MAX_ORDER, MIN_ORDER, decompose
+from .wavelets import (
+    MAX_ORDER,
+    MIN_ORDER,
+    decompose_batch,
+    decompose_ragged,
+)
 
 
 def _fmt(value):
@@ -498,6 +506,18 @@ def cmd_sweep(opts):
     )
 
 
+def _scoring_stats(bundle, cohort, effective):
+    """The stats the checkpoint's weights were trained under.
+
+    A checkpoint without them falls back to the cohort's own stats, and
+    ``effective`` gains a ``stats`` line for the manifest that says so.
+    """
+    if bundle.stats is not None:
+        return bundle.stats
+    effective["stats"] = "evaluation cohort (checkpoint has none)"
+    return compute_stats(cohort.patients)
+
+
 def cmd_eval(opts):
     out = _require_out(opts)
     if not opts.get("checkpoint"):
@@ -518,11 +538,9 @@ def cmd_eval(opts):
             f"{config.n_classes} classes, data labels reach "
             f"{cohort.n_classes - 1}"
         )
-    _write_manifest(out, "eval", opts)
-    # Prefer the stats the weights were trained under; fall back to the
-    # evaluation cohort's own stats for checkpoints that lack them.
-    stats = bundle.stats if bundle.stats is not None \
-        else compute_stats(cohort.patients)
+    effective = dict(opts)
+    stats = _scoring_stats(bundle, cohort, effective)
+    _write_manifest(out, "eval", effective)
     prepared_cohort = pad_to_length(normalize(cohort, stats), config.t_max)
     samples = prepare_cohort(prepared_cohort, config)
     probs = predict_probs(samples, bundle.params)
@@ -561,20 +579,31 @@ def cmd_decompose(opts):
     tables, names = _load_visit_tables(opts)
     chosen = _select_features(names, opts.get("feature"))
     _write_manifest(out, "decompose", opts)
-    order = opts["symlet"]
+    columns = [names.index(name) for name in chosen]
+    pids = list(tables)
+    lines = [None] * len(pids)
+    series = [tables[pid][:, columns].T for pid in pids]
+    for indices, group in decompose_ragged(series, opts["symlet"]):
+        for i, patient_lines in zip(indices, group):
+            lines[i] = patient_lines
+    row_labels = {}  # coefficient count -> ",feature,kind,index," per row
     path = os.path.join(out, "decomposition.csv")
     count = 0
     with open(path, "w") as fh:
         fh.write("patient_id,feature,kind,index,value\n")
-        for pid, matrix in tables.items():
-            for name in chosen:
-                column = matrix[:, names.index(name)]
-                pair = decompose(column, order)
-                for kind, line in (("trend", pair.trend),
-                                   ("variation", pair.variation)):
-                    for i, value in enumerate(line):
-                        fh.write(f"{pid},{name},{kind},{i},{_fmt(value)}\n")
-                        count += 1
+        for pid, patient_lines in zip(pids, lines):
+            m = patient_lines.shape[-1]
+            if m not in row_labels:
+                row_labels[m] = [f",{name},{kind},{i},"
+                                 for name in chosen
+                                 for kind in ("trend", "variation")
+                                 for i in range(m)]
+            labels = row_labels[m]
+            fh.write("".join([
+                f"{pid}{label}{value!r}\n"
+                for label, value in zip(labels,
+                                        patient_lines.ravel().tolist())]))
+            count += len(labels)
     sys.stdout.write(f"wrote {count} coefficient rows\n")
 
 
@@ -619,33 +648,40 @@ def cmd_inspect_attention(opts):
             f"{config.n_dynamic} dynamic features, data has {len(names)}"
         )
     chosen = _select_features(names, opts.get("feature"))
-    _write_manifest(out, "inspect-attention", opts)
+    # The same z-scoring, padding and split as eval, on visits alone.
+    no_static = np.zeros(0)
+    cohort = Cohort(
+        tuple(Patient(pid, matrix, no_static, 0)
+              for pid, matrix in tables.items()),
+        tuple(names), (), 1)
+    effective = dict(opts)
+    stats = replace(_scoring_stats(bundle, cohort, effective),
+                    static_mean=no_static, static_std=no_static)
+    _write_manifest(out, "inspect-attention", effective)
+    columns = [names.index(name) for name in chosen]
+    labels = [f",{name},{i}," for name in chosen
+              for i in range(config.coeff_len - 1)]
     path = os.path.join(out, "attention.csv")
     with open(path, "w") as fh:
         fh.write("patient_id,feature,position,delta,weight,weighted\n")
-        for pid, matrix in tables.items():
-            for name in chosen:
-                j = names.index(name)
-                column = matrix[:, j].copy()
-                if bundle.stats is not None:
-                    std = bundle.stats.dynamic_std[j]
-                    column -= bundle.stats.dynamic_mean[j]
-                    column = column / std if std > 0 else column * 0.0
-                t = column.shape[0]
-                if t >= config.t_max:
-                    column = column[t - config.t_max:]
-                else:
-                    column = np.concatenate(
-                        [column, np.full(config.t_max - t, column[-1])])
-                pair = decompose(column, config.order)
-                result = diff_attention(pair.variation)
-                deltas = np.diff(pair.variation)
-                for i in range(result.weights.shape[0]):
-                    fh.write(
-                        f"{pid},{name},{i},{_fmt(deltas[i])},"
-                        f"{_fmt(result.weights[i])},"
-                        f"{_fmt(result.weighted_diff[i])}\n"
-                    )
+        # In blocks of patients, which bounds the memory of the arrays.
+        for start in range(0, len(cohort), PREDICT_BLOCK):
+            block = replace(
+                cohort, patients=cohort.patients[start:start + PREDICT_BLOCK])
+            padded = pad_to_length(normalize(block, stats), config.t_max)
+            series = np.array([p.visits[:, columns].T
+                               for p in padded.patients])
+            variation = decompose_batch(series, config.order)[:, :, 1]
+            result = diff_attention(variation)
+            deltas = np.diff(variation, axis=-1)
+            for patient, delta, weight, weighted in zip(
+                    padded.patients, deltas, result.weights,
+                    result.weighted_diff):
+                fh.write("".join([
+                    f"{patient.patient_id}{label}{d!r},{w!r},{x!r}\n"
+                    for label, d, w, x in zip(
+                        labels, delta.ravel().tolist(),
+                        weight.ravel().tolist(), weighted.ravel().tolist())]))
     sys.stdout.write(f"wrote attention weights for {len(tables)} patients\n")
 
 

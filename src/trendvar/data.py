@@ -15,6 +15,7 @@ typically exported by hand from somewhere messier.
 import csv
 import os
 from dataclasses import dataclass, replace
+from itertools import chain, compress
 
 import numpy as np
 
@@ -96,9 +97,9 @@ def _parse_float(path, line_no, column, text):
 def load_visit_table(path):
     """Parse visits.csv alone: {patient_id: (t, c) array}, feature names.
 
-    Rows are sorted by visit_index per patient; missing cells are
-    forward-filled then zero-filled.  Useful for diagnostics that do not
-    need statics or labels.
+    Patients keep their first-seen order; rows are sorted by visit_index per
+    patient; missing cells are forward-filled then zero-filled.  Useful for
+    diagnostics that do not need statics or labels.
     """
     rows = _read_rows(path)
     header = rows[0]
@@ -108,14 +109,74 @@ def load_visit_table(path):
             f"carry at least one feature column, got {header}"
         )
     names = tuple(header[2:])
+    tables = _visit_tables_by_column(rows)
+    if tables is None:
+        tables = _visit_tables_by_row(path, rows, names)
+    return tables, names
+
+
+def _visit_tables_by_column(rows):
+    """The visit tables from whole-column passes over the parsed rows.
+
+    Returns None if any row is off (ragged, empty id, bad visit_index,
+    unparsable or non-finite cell); the per-row walk then names the first
+    such problem with its line and column.
+    """
+    width = len(rows[0])
+    body = [row for row in rows[1:] if row]
+    if any(len(row) != width for row in body):
+        return None
+    n, c = len(body), width - 2
+    cells = list(chain.from_iterable(body))
+    pids = cells[0::width]
+    visit_cells = cells[1::width]
+    # Feature cells column by column: (c, n) once reshaped.
+    features = list(chain.from_iterable(
+        cells[k::width] for k in range(2, width)))
+    del cells
+    if "" in pids:
+        return None
+    try:
+        visit_index = np.fromiter(map(int, visit_cells), np.int64, n)
+        present = np.fromiter(map(bool, features), bool, n * c)
+        values = np.zeros(n * c)
+        values[present] = np.fromiter(
+            map(float, compress(features, present.tolist())), np.float64)
+    except (ValueError, OverflowError):
+        return None
+    del visit_cells, features
+    if not np.isfinite(values).all():
+        return None
+    first_seen = {}
+    codes = np.fromiter(
+        (first_seen.setdefault(pid, len(first_seen)) for pid in pids),
+        np.intp, n)
+    # Stable: rows of one patient with equal visit_index keep file order.
+    order = np.lexsort((visit_index, codes))
+    values = values.reshape(c, n).T[order]
+    present = present.reshape(c, n).T[order]
+    counts = np.bincount(codes, minlength=len(first_seen))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # Each cell takes the latest present cell at or above it in its column,
+    # if that one belongs to the same patient; a leading gap takes 0.
+    last = np.where(present, np.arange(n)[:, None], -1)
+    np.maximum.accumulate(last, axis=0, out=last)
+    filled = np.take_along_axis(values, last, axis=0)
+    filled[last < np.repeat(starts, counts)[:, None]] = 0.0
+    return {pid: filled[s:e] for pid, s, e in zip(first_seen, starts, ends)}
+
+
+def _visit_tables_by_row(path, rows, names):
+    """The visit tables row by row, raising the first problem by line."""
+    width = len(rows[0])
     per_patient = {}
-    order = []
     for line_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if len(row) != len(header):
+        if len(row) != width:
             raise DataError(
-                f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
+                f"{path}:{line_no}: expected {width} cells, got {len(row)}"
             )
         pid = row[0]
         if not pid:
@@ -133,13 +194,10 @@ def load_visit_table(path):
                 values.append(None)
             else:
                 values.append(_parse_float(path, line_no, name, cell))
-        if pid not in per_patient:
-            per_patient[pid] = []
-            order.append(pid)
-        per_patient[pid].append((visit_index, values))
+        per_patient.setdefault(pid, []).append((visit_index, values))
     tables = {}
-    for pid in order:
-        entries = sorted(per_patient[pid], key=lambda e: e[0])
+    for pid, entries in per_patient.items():
+        entries.sort(key=lambda e: e[0])
         matrix = np.zeros((len(entries), len(names)))
         for j in range(len(names)):
             last = 0.0
@@ -148,7 +206,7 @@ def load_visit_table(path):
                     last = values[j]
                 matrix[i, j] = last
         tables[pid] = matrix
-    return tables, names
+    return tables
 
 
 def _load_static_table(path):

@@ -22,20 +22,6 @@ DEFAULT_DILATIONS = (0, 1, 3)
 DEFAULT_KERNEL_WIDTH = 2
 
 
-def stack_pair(pair):
-    """Stack a trend/variation pair into a (2, m) array, trend on top."""
-    trend = np.asarray(pair.trend, dtype=np.float64)
-    variation = np.asarray(pair.variation, dtype=np.float64)
-    if trend.ndim != 1 or trend.shape != variation.shape:
-        raise ConfigError(
-            f"stack_pair: components must be equal-length vectors, got "
-            f"{trend.shape} and {variation.shape}"
-        )
-    if trend.size == 0:
-        raise ConfigError("stack_pair: empty coefficient lines")
-    return np.stack([trend, variation])
-
-
 @dataclass
 class BranchParams:
     """Trainable state of one dilation branch.

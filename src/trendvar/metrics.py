@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .wavelets import decompose
+from .wavelets import decompose_ragged
 
 
 def _validate_binary(scores, labels):
@@ -168,46 +168,65 @@ class FeatureCorrelation:
     n_undefined: int
 
 
+def _pearson_rows(a, b):
+    """Pearson r of each row pair of two (..., m) stacks, and which are
+    defined: a pair with a constant side is not, and its r reads 0."""
+    defined = ~((a == a[..., :1]).all(axis=-1) | (b == b[..., :1]).all(axis=-1))
+    ca = a - a.mean(axis=-1, keepdims=True)
+    cb = b - b.mean(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (ca * cb).sum(axis=-1) / np.sqrt(
+            (ca * ca).sum(axis=-1) * (cb * cb).sum(axis=-1))
+    return np.where(defined, r, 0.0), defined
+
+
+def _running_sum(x):
+    """Sum over axis 0 strictly left to right (``np.sum`` pairs terms up)."""
+    return np.cumsum(x, axis=0)[-1] if len(x) else np.zeros(x.shape[1:])
+
+
 def trend_variation_report(visit_tables, feature_names, order):
     """Rank features by how strongly trend and variation co-move.
 
     For every patient and feature, correlate the trend line with the
     variation line; report the mean |r| per feature, descending.  Patients
     whose lines are constant (or too short) count as undefined rather than
-    poisoning the mean.
+    poisoning the mean.  Patients are decomposed in groups of equal visit
+    count; the sums over patients run in table order.
     """
-    sums = {name: 0.0 for name in feature_names}
-    abs_sums = {name: 0.0 for name in feature_names}
-    defined = {name: 0 for name in feature_names}
-    undefined = {name: 0 for name in feature_names}
-    for matrix in visit_tables.values():
+    matrices = list(visit_tables.values())
+    for matrix in matrices:
         if matrix.shape[1] != len(feature_names):
             raise DataError(
                 f"trend_variation_report: matrix has {matrix.shape[1]} "
                 f"columns for {len(feature_names)} features"
             )
-        for j, name in enumerate(feature_names):
-            pair = decompose(matrix[:, j], order)
-            if pair.trend.size < 2:
-                undefined[name] += 1
-                continue
-            try:
-                r = pearson(pair.trend, pair.variation)
-            except DataError:
-                undefined[name] += 1
-                continue
-            sums[name] += r
-            abs_sums[name] += abs(r)
-            defined[name] += 1
+    r = np.zeros((len(matrices), len(feature_names)))
+    defined = np.zeros(r.shape, dtype=bool)
+    for indices, lines in decompose_ragged([m.T for m in matrices], order):
+        if lines.shape[-1] >= 2:
+            r[indices], defined[indices] = _pearson_rows(
+                lines[..., 0, :], lines[..., 1, :])
+    # A constant series has constant lines in exact arithmetic, but the
+    # matrix product leaves them roundoff apart: test the series itself.
+    for i, matrix in enumerate(matrices):
+        flat = (matrix == matrix[:1]).all(axis=0)
+        r[i, flat] = 0.0
+        defined[i, flat] = False
+    # Undefined entries hold 0.0, so these running sums in patient order
+    # equal the left-to-right sums over the defined ones.
+    sums = _running_sum(r)
+    abs_sums = _running_sum(np.abs(r))
+    n_defined = defined.sum(axis=0)
     rows = []
-    for name in feature_names:
-        n = defined[name]
+    for j, name in enumerate(feature_names):
+        n = int(n_defined[j])
         rows.append(FeatureCorrelation(
             feature=name,
-            mean_abs_correlation=abs_sums[name] / n if n else 0.0,
-            mean_correlation=sums[name] / n if n else 0.0,
+            mean_abs_correlation=float(abs_sums[j]) / n if n else 0.0,
+            mean_correlation=float(sums[j]) / n if n else 0.0,
             n_defined=n,
-            n_undefined=undefined[name],
+            n_undefined=len(matrices) - n,
         ))
     rows.sort(key=lambda row: (-row.mean_abs_correlation, row.feature))
     return rows

@@ -18,7 +18,7 @@ disabled stages contribute nothing (their weights do not even exist).
 """
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,10 +30,9 @@ from .dilated import (
     combined_width,
     correlation_backward,
     correlation_forward,
-    stack_pair,
 )
 from .errors import ConfigError, DataError, NumericError
-from .wavelets import MAX_ORDER, MIN_ORDER, coefficient_count, decompose_matrix
+from .wavelets import MAX_ORDER, MIN_ORDER, coefficient_count, decompose_batch
 
 # Probabilities are clamped here before the log of the loss.
 PROB_FLOOR = 1e-12
@@ -317,10 +316,7 @@ def prepare(visits, static, labels, config):
         )
     if not np.all(np.isfinite(static)):
         raise NumericError("prepare: non-finite static feature")
-    lines = np.empty((n, config.n_dynamic, 2, config.coeff_len))
-    for i in range(n):
-        for j, pair in enumerate(decompose_matrix(visits[i], config.order)):
-            lines[i, j] = stack_pair(pair)
+    lines = decompose_batch(np.swapaxes(visits, 1, 2), config.order)
     h_variation = None
     if config.flags.use_diff_attention:
         weighted = diff_attention(lines[:, :, 1]).weighted_diff
@@ -697,8 +693,3 @@ def load_checkpoint(path):
         value[...] = data
     reader.done()
     return CheckpointBundle(params, config, stats)
-
-
-def config_with(config, **changes):
-    """Frozen-dataclass update helper used by sweeps."""
-    return replace(config, **changes)

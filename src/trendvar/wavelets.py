@@ -5,10 +5,13 @@ a variation line (highpass) with an orthonormal least-asymmetric filter pair.
 Boundaries use half-sample symmetric extension, so a length-t series yields
 floor((t + F - 1) / 2) coefficients per line, F = 2K being the filter length.
 The split is exactly invertible: ``reconstruct`` returns the original samples
-to floating-point roundoff.
+to floating-point roundoff.  It is also linear, so for each (order, length)
+it is one cached matrix, and whole stacks of series are split with a single
+matrix product (``decompose_batch``).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -160,24 +163,63 @@ def reconstruct(pair, order, length):
     return rec[f - 1: f - 1 + length]
 
 
-def decompose_matrix(visits, order):
-    """Decompose every column of a (t, c) visit matrix.
+@lru_cache(maxsize=64)
+def analysis_matrix(order, length):
+    """The split of every length-t series as one read-only (2m, t) matrix.
 
-    Returns one ``TrendVariationPair`` per feature column.  Non-finite cells
-    are rejected up front with their coordinates, because a single NaN would
-    silently smear across 2K coefficients.
+    Rows 0..m-1 produce the trend line and rows m..2m-1 the variation line.
+    The split is linear, so the matrix is built by decomposing the columns
+    of the identity: it is exactly the operator ``decompose`` applies.
     """
-    visits = np.asarray(visits, dtype=np.float64)
-    if visits.ndim != 2 or visits.shape[0] < 1 or visits.shape[1] < 1:
+    coefficient_count(length, order)  # rejects length < 1
+    pairs = [decompose(unit, order) for unit in np.eye(length)]
+    matrix = np.array([np.concatenate([p.trend, p.variation]) for p in pairs]).T
+    matrix.flags.writeable = False
+    return matrix
+
+
+def decompose_batch(series, order):
+    """Split a stack of equal-length series, shape (..., t), at once.
+
+    Returns lines of shape (..., 2, m): ``[..., 0, :]`` is the trend line and
+    ``[..., 1, :]`` the variation line of each series, as ``decompose``
+    gives them up to roundoff, from one product with ``analysis_matrix``.
+    Non-finite samples are rejected up front with their coordinates,
+    because a single NaN would silently smear across 2K coefficients; the
+    axis before the visit axis is reported as the feature column, as in a
+    stack of transposed (c, t) visit matrices.
+    """
+    series = np.asarray(series, dtype=np.float64)
+    if series.ndim < 1 or series.shape[-1] < 1:
         raise ConfigError(
-            f"decompose_matrix: expected a (t, c) matrix with t, c >= 1, "
-            f"got shape {visits.shape}"
+            f"decompose_batch: expected a (..., t) stack with t >= 1, got "
+            f"shape {series.shape}"
         )
-    bad = np.argwhere(~np.isfinite(visits))
-    if bad.size:
-        row, col = bad[0]
-        raise NumericError(
-            f"decompose_matrix: non-finite value at visit {row}, feature "
-            f"column {col}"
-        )
-    return [decompose(visits[:, j], order) for j in range(visits.shape[1])]
+    if not np.isfinite(series).all():
+        *lead, visit = (int(i) for i in np.argwhere(~np.isfinite(series))[0])
+        where = f"visit {visit}"
+        if lead:
+            where += f", feature column {lead[-1]}"
+        if len(lead) > 1:
+            where += f" of stack entry {tuple(lead[:-1])}"
+        raise NumericError(f"decompose_batch: non-finite value at {where}")
+    t = series.shape[-1]
+    matrix = analysis_matrix(order, t)
+    lines = series.reshape(-1, t) @ matrix.T
+    return lines.reshape(series.shape[:-1] + (2, matrix.shape[0] // 2))
+
+
+def decompose_ragged(series, order):
+    """Split series of varying length, one ``decompose_batch`` per length.
+
+    ``series`` is a sequence of (..., t_i) arrays with one leading shape.
+    Yields ``(indices, lines)`` per distinct length, in order of first
+    appearance: ``lines[k]`` is the (..., 2, m) split of
+    ``series[indices[k]]``.
+    """
+    groups = {}
+    for i, s in enumerate(series):
+        groups.setdefault(s.shape[-1], []).append(i)
+    for indices in groups.values():
+        yield indices, decompose_batch(
+            np.stack([series[i] for i in indices]), order)

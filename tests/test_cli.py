@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trendvar.data import load_cohort
+from trendvar.data import compute_stats, load_cohort
 from trendvar.model import load_checkpoint, save_checkpoint
 
 
@@ -275,6 +275,48 @@ def test_checkpoint_with_misshaped_stats_is_a_config_error(tmp_path,
         assert proc.returncode == 1, proc.stderr
         assert "corrupt checkpoint" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_checkpoint_without_stats_uses_the_cohort_stats(tmp_path, workspace):
+    bundle = load_checkpoint(workspace["train"] / "fold0.ckpt")
+    bare = tmp_path / "bare.ckpt"
+    save_checkpoint(bare, bundle.params, bundle.config, None)
+    own = tmp_path / "own.ckpt"
+    d = workspace["data"]
+    cohort = load_cohort(d / "visits.csv", d / "static.csv",
+                         d / "labels.csv")
+    save_checkpoint(own, bundle.params, bundle.config,
+                    compute_stats(cohort.patients))
+    note = "stats = evaluation cohort (checkpoint has none)\n"
+    for command, flags, output in (
+            ("eval", data_flags(workspace), "scored.csv"),
+            ("inspect-attention", ["--visits", d / "visits.csv"],
+             "attention.csv")):
+        fallback = tmp_path / f"{command}_bare"
+        proc = run_ok(command, *flags, "--checkpoint", bare,
+                      "--out", fallback)
+        assert note in read(fallback / "manifest.txt")
+        assert note in proc.stdout
+        explicit = tmp_path / f"{command}_own"
+        run_ok(command, *flags, "--checkpoint", own, "--out", explicit)
+        assert "stats =" not in read(explicit / "manifest.txt")
+        # The fallback z-scores exactly as the cohort's own stats do.
+        assert (fallback / output).read_bytes() == \
+            (explicit / output).read_bytes(), command
+
+
+def test_diagnostics_rerun_is_byte_identical(tmp_path, workspace):
+    visits = workspace["data"] / "visits.csv"
+    ckpt = workspace["train"] / "fold0.ckpt"
+    for command, flags, output in (
+            ("decompose", ["--symlet", "3"], "decomposition.csv"),
+            ("correlate", ["--symlet", "3"], "correlation.csv"),
+            ("inspect-attention", ["--checkpoint", ckpt], "attention.csv")):
+        first, second = (tmp_path / f"{command}{k}" for k in (1, 2))
+        for out in (first, second):
+            run_ok(command, "--visits", visits, *flags, "--out", out)
+        assert (first / output).read_bytes() == \
+            (second / output).read_bytes(), command
 
 
 # -- decompose / correlate ---------------------------------------------------------

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trendvar import data
 from trendvar.data import (
     Cohort,
     Patient,
@@ -94,6 +97,89 @@ def test_visit_table_error_coordinates(tmp_path):
 
     with pytest.raises(DataError, match="cannot read"):
         load_visit_table(str(tmp_path / "missing.csv"))
+
+
+def test_interleaved_patients_keep_first_seen_order(tmp_path):
+    path = write(tmp_path / "v.csv",
+                 "patient_id,visit_index,hr\n"
+                 "b,0,1.0\n"
+                 "a,0,10.0\n"
+                 "b,1,2.0\n"
+                 "c,0,100.0\n"
+                 "a,1,20.0\n"
+                 "b,2,3.0\n")
+    tables, _ = load_visit_table(path)
+    assert list(tables) == ["b", "a", "c"]
+    np.testing.assert_array_equal(tables["b"].ravel(), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(tables["a"].ravel(), [10.0, 20.0])
+    np.testing.assert_array_equal(tables["c"].ravel(), [100.0])
+
+
+def test_out_of_order_visits_sort_stably_per_patient(tmp_path):
+    path = write(tmp_path / "v.csv",
+                 "patient_id,visit_index,hr\n"
+                 "a,5,3.0\n"
+                 "b,1,20.0\n"
+                 "a,-2,1.0\n"
+                 "b,0,10.0\n"
+                 "a,5,4.0\n"
+                 "a,0,2.0\n")
+    tables, _ = load_visit_table(path)
+    # Equal visit_index values keep their file order (3.0 before 4.0).
+    np.testing.assert_array_equal(tables["a"].ravel(), [1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(tables["b"].ravel(), [10.0, 20.0])
+
+
+def test_leading_gap_then_later_gap_per_patient(tmp_path):
+    path = write(tmp_path / "v.csv",
+                 "patient_id,visit_index,hr,bp\n"
+                 "a,0,7.0,1.0\n"
+                 "b,1,,\n"
+                 "b,0,,2.0\n"
+                 "b,2,5.0,\n"
+                 "b,3,,3.0\n"
+                 "a,1,,\n")
+    tables, _ = load_visit_table(path)
+    # b's leading hr gap is 0, never a's 7.0; later gaps carry b's own.
+    np.testing.assert_array_equal(
+        tables["b"], [[0.0, 2.0], [0.0, 2.0], [5.0, 2.0], [5.0, 3.0]])
+    np.testing.assert_array_equal(tables["a"], [[7.0, 1.0], [7.0, 1.0]])
+
+
+def test_nonfinite_cell_deep_in_the_file_names_line_and_column(tmp_path):
+    lines = ["patient_id,visit_index,hr,bp"]
+    lines += [f"p{i % 7},{i},{i}.5,{-i}.25" for i in range(400)]
+    lines[312] = "p3,311,1.0,nan"
+    path = write(tmp_path / "v.csv", "\n".join(lines) + "\n")
+    with pytest.raises(DataError,
+                       match=r"v\.csv:313: column bp: non-finite value 'nan'"):
+        load_visit_table(path)
+    lines[312] = "p3,311,-inf,"
+    path = write(tmp_path / "v.csv", "\n".join(lines) + "\n")
+    with pytest.raises(DataError,
+                       match=r"v\.csv:313: column hr: non-finite value"):
+        load_visit_table(path)
+
+
+_CELLS = st.one_of(
+    st.just(""),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 6, 10 ** 6).map(str))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from("abcd"),
+                               st.integers(-3, 3),
+                               st.lists(_CELLS, min_size=2, max_size=2)),
+                     max_size=25))
+def test_column_pass_equals_the_row_walk(rows):
+    lines = [["patient_id", "visit_index", "x", "y"]]
+    lines += [[pid, str(visit), *cells] for pid, visit, cells in rows]
+    by_column = data._visit_tables_by_column(lines)
+    by_row = data._visit_tables_by_row("v.csv", lines, ("x", "y"))
+    assert list(by_column) == list(by_row)
+    for pid, matrix in by_row.items():
+        np.testing.assert_array_equal(by_column[pid], matrix)
 
 
 # -- full cohort loading ----------------------------------------------------

@@ -8,10 +8,8 @@ from trendvar.dilated import (
     combined_width,
     conv_branch,
     correlation_forward,
-    stack_pair,
 )
 from trendvar.errors import ConfigError, ShapeMismatchError
-from trendvar.wavelets import TrendVariationPair
 
 
 def oracle_conv(stacked, kernel_top, kernel_bottom, bias, dilation):
@@ -98,19 +96,6 @@ def test_cross_row_kernels_see_both_lines():
                      np.zeros(2), 1)
     out = conv_branch(bottom_only, branch, activate=False)
     assert np.abs(out).max() > 0.1
-
-
-def test_stack_pair_shapes_and_errors():
-    pair = TrendVariationPair(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    stacked = stack_pair(pair)
-    assert stacked.shape == (2, 2)
-    np.testing.assert_array_equal(stacked[0], [1.0, 2.0])
-
-    single = stack_pair(TrendVariationPair(np.array([5.0]), np.array([6.0])))
-    assert single.shape == (2, 1)
-
-    with pytest.raises(ConfigError, match="equal-length"):
-        stack_pair(TrendVariationPair(np.array([1.0]), np.array([1.0, 2.0])))
 
 
 def test_correlation_forward_concatenates_branch_maps():

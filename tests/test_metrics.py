@@ -17,6 +17,7 @@ from trendvar.metrics import (
     pearson,
     trend_variation_report,
 )
+from trendvar.wavelets import decompose
 
 
 def auroc_by_pairs(scores, labels):
@@ -234,6 +235,30 @@ def test_report_counts_undefined_patients():
     assert by_name["a"].n_undefined == 1  # the constant column
     assert by_name["a"].n_defined == 1
     assert by_name["b"].n_defined == 2
+
+
+def test_report_matches_a_per_patient_pearson_loop():
+    rng = np.random.default_rng(21)
+    tables = {}
+    for k in range(40):
+        matrix = rng.normal(size=(int(rng.integers(1, 12)), 3))
+        if k % 5 == 0:
+            matrix[:, 1] = 0.5  # a constant column: undefined
+        tables[f"p{k}"] = matrix
+    rows = trend_variation_report(tables, ("a", "b", "c"), order=3)
+    for j, row in enumerate(sorted(rows, key=lambda r: r.feature)):
+        rs = []
+        for matrix in tables.values():
+            pair = decompose(matrix[:, j], 3)
+            try:
+                rs.append(pearson(pair.trend, pair.variation))
+            except DataError:
+                pass
+        assert row.n_defined == len(rs)
+        assert row.n_undefined == len(tables) - len(rs)
+        assert row.mean_correlation == pytest.approx(np.mean(rs), abs=1e-12)
+        assert row.mean_abs_correlation == pytest.approx(
+            np.mean(np.abs(rs)), abs=1e-12)
 
 
 def test_report_rejects_column_mismatch():

@@ -20,7 +20,6 @@ from trendvar.model import (
     ModelParams,
     ablation_from_name,
     backward,
-    config_with,
     cross_entropy,
     embed_static,
     forward,
@@ -522,10 +521,3 @@ def test_checkpoint_rejects_foreign_and_damaged_files(tmp_path):
                            match=f"corrupt checkpoint .*{message}"):
             load_checkpoint(damaged)
 
-
-def test_config_with_returns_updated_copy():
-    config = small_config(order=4)
-    bumped = config_with(config, order=9)
-    assert bumped.order == 9
-    assert config.order == 4
-    assert bumped.t_max == config.t_max

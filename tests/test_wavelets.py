@@ -7,14 +7,19 @@ bug in the fast path cannot hide behind a matching bug in the test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendvar.errors import ConfigError, NumericError
 from trendvar.wavelets import (
     MAX_ORDER,
     MIN_ORDER,
+    TrendVariationPair,
+    analysis_matrix,
     coefficient_count,
     decompose,
-    decompose_matrix,
+    decompose_batch,
+    decompose_ragged,
     reconstruct,
     symlet_filters,
     symmetric_extend,
@@ -155,19 +160,68 @@ def test_reconstruct_rejects_length_mismatch():
         reconstruct(pair, 3, 20)
 
 
-def test_decompose_matrix_columns_and_errors():
+def test_decompose_batch_columns_and_errors():
+    # A (t, c) visit matrix goes in transposed, one series per feature.
     matrix = np.column_stack([np.arange(6.0), np.arange(6.0)])
-    pairs = decompose_matrix(matrix, 2)
-    assert len(pairs) == 2
-    np.testing.assert_array_equal(pairs[0].trend, pairs[1].trend)
+    lines = decompose_batch(matrix.T, 2)
+    assert lines.shape == (2, 2, coefficient_count(6, 2))
+    np.testing.assert_array_equal(lines[0], lines[1])
 
     bad = matrix.copy()
     bad[3, 1] = np.nan
     with pytest.raises(NumericError, match="visit 3.*column 1"):
-        decompose_matrix(bad, 2)
+        decompose_batch(bad.T, 2)
+    with pytest.raises(NumericError, match=r"visit 3.*column 1.*\(4,\)"):
+        decompose_batch(np.stack([matrix.T] * 4 + [bad.T]), 2)
 
-    with pytest.raises(ConfigError, match=r"\(t, c\)"):
-        decompose_matrix(np.arange(5.0), 2)
+    with pytest.raises(ConfigError, match=r"\(\.\.\., t\)"):
+        decompose_batch(np.float64(5.0), 2)
+    with pytest.raises(ConfigError, match=r"\(\.\.\., t\)"):
+        decompose_batch(np.zeros((3, 0)), 2)
+    with pytest.raises(ConfigError, match="2..20"):
+        decompose_batch(np.zeros((3, 4)), 21)
+
+
+def test_analysis_matrix_is_cached_and_read_only():
+    matrix = analysis_matrix(5, 9)
+    assert matrix is analysis_matrix(5, 9)
+    assert matrix.shape == (2 * coefficient_count(9, 5), 9)
+    assert not matrix.flags.writeable
+    with pytest.raises(ConfigError, match="positive"):
+        analysis_matrix(5, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.integers(MIN_ORDER, MAX_ORDER),
+       length=st.integers(1, 64),
+       lead=st.lists(st.integers(0, 3), max_size=2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_matches_per_series_decompose(order, length, lead, seed):
+    series = np.random.default_rng(seed).normal(
+        scale=10.0, size=(*lead, length))
+    lines = decompose_batch(series, order)
+    m = coefficient_count(length, order)
+    assert lines.shape == (*lead, 2, m)
+    for index in np.ndindex(*lead):
+        pair = decompose(series[index], order)
+        np.testing.assert_allclose(lines[index][0], pair.trend,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lines[index][1], pair.variation,
+                                   rtol=0, atol=1e-12)
+        back = reconstruct(TrendVariationPair(*lines[index]), order, length)
+        np.testing.assert_allclose(back, series[index], rtol=0, atol=1e-10)
+
+
+def test_ragged_groups_by_length_in_first_seen_order():
+    rng = np.random.default_rng(8)
+    series = [rng.normal(size=(3, t)) for t in (5, 7, 5, 1, 7)]
+    groups = list(decompose_ragged(series, 4))
+    assert [indices for indices, _ in groups] == [[0, 2], [1, 4], [3]]
+    for indices, lines in groups:
+        for i, split in zip(indices, lines):
+            np.testing.assert_array_equal(
+                split, decompose_batch(series[i], 4))
+    assert list(decompose_ragged([], 4)) == []
 
 
 def test_single_visit_is_representable():
