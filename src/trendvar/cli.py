@@ -518,6 +518,16 @@ def _scoring_stats(bundle, cohort, effective):
     return compute_stats(cohort.patients)
 
 
+def _scoring_blocks(cohort, stats, t_max):
+    """``cohort`` z-scored with ``stats`` and padded to ``t_max``, in slices
+    of ``PREDICT_BLOCK`` patients: scoring holds one slice's arrays at once.
+    """
+    for start in range(0, len(cohort), PREDICT_BLOCK):
+        block = replace(
+            cohort, patients=cohort.patients[start:start + PREDICT_BLOCK])
+        yield pad_to_length(normalize(block, stats), t_max)
+
+
 def cmd_eval(opts):
     out = _require_out(opts)
     if not opts.get("checkpoint"):
@@ -541,9 +551,9 @@ def cmd_eval(opts):
     effective = dict(opts)
     stats = _scoring_stats(bundle, cohort, effective)
     _write_manifest(out, "eval", effective)
-    prepared_cohort = pad_to_length(normalize(cohort, stats), config.t_max)
-    samples = prepare_cohort(prepared_cohort, config)
-    probs = predict_probs(samples, bundle.params)
+    probs = np.concatenate([
+        predict_probs(prepare_cohort(block, config), bundle.params)
+        for block in _scoring_blocks(cohort, stats, config.t_max)])
     labels = cohort.labels()
     with open(os.path.join(out, "scored.csv"), "w") as fh:
         header = ",".join(f"prob_{k}" for k in range(config.n_classes))
@@ -664,11 +674,7 @@ def cmd_inspect_attention(opts):
     path = os.path.join(out, "attention.csv")
     with open(path, "w") as fh:
         fh.write("patient_id,feature,position,delta,weight,weighted\n")
-        # In blocks of patients, which bounds the memory of the arrays.
-        for start in range(0, len(cohort), PREDICT_BLOCK):
-            block = replace(
-                cohort, patients=cohort.patients[start:start + PREDICT_BLOCK])
-            padded = pad_to_length(normalize(block, stats), config.t_max)
+        for padded in _scoring_blocks(cohort, stats, config.t_max):
             series = np.array([p.visits[:, columns].T
                                for p in padded.patients])
             variation = decompose_batch(series, config.order)[:, :, 1]

@@ -15,7 +15,7 @@ typically exported by hand from somewhere messier.
 import csv
 import os
 from dataclasses import dataclass, replace
-from itertools import chain, compress
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -68,16 +68,46 @@ class FeatureStats:
     static_std: np.ndarray
 
 
-def _read_rows(path):
+# Rows of visits.csv turned into arrays at a time: the loader holds one
+# chunk of rows as Python strings and 8 bytes per cell otherwise.
+CHUNK_ROWS = 1024
+
+
+def _rows(path):
+    """Yield ``(line_no, cells)`` for every row of a cohort CSV, header first.
+
+    The file is read as the rows are consumed.  An unreadable file, bytes
+    that are not UTF-8 and rows the csv module rejects raise ``DataError``
+    with the file (and line); a file without rows is "empty".
+    """
+    line_no = 0
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        with open(path, newline="", encoding="utf-8") as fh:
+            for line_no, row in enumerate(csv.reader(fh), start=1):
+                yield line_no, row
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    except UnicodeDecodeError as exc:
+        # The text layer decodes ahead of the csv rows, so the line comes
+        # from a second, binary pass.
+        raise DataError(
+            f"{path}:{_undecodable_line(path)}: not UTF-8 text ({exc.reason})"
+        ) from None
+    except csv.Error as exc:
+        raise DataError(f"{path}:{line_no + 1}: {exc}") from None
+    if line_no == 0:
         raise DataError(f"{path}: file is empty")
-    return rows
+
+
+def _undecodable_line(path):
+    """The number of the first line of ``path`` that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return "?"
 
 
 def _parse_float(path, line_no, column, text):
@@ -101,60 +131,48 @@ def load_visit_table(path):
     patient; missing cells are forward-filled then zero-filled.  Useful for
     diagnostics that do not need statics or labels.
     """
-    rows = _read_rows(path)
-    header = rows[0]
+    rows = _rows(path)
+    _, header = next(rows)
     if len(header) < 3 or header[0] != "patient_id" or header[1] != "visit_index":
         raise DataError(
             f"{path}:1: header must start with patient_id,visit_index and "
             f"carry at least one feature column, got {header}"
         )
     names = tuple(header[2:])
-    tables = _visit_tables_by_column(rows)
+    tables = _visit_tables_by_chunk(rows, len(header))
     if tables is None:
+        rows = _rows(path)
+        next(rows)
         tables = _visit_tables_by_row(path, rows, names)
     return tables, names
 
 
-def _visit_tables_by_column(rows):
-    """The visit tables from whole-column passes over the parsed rows.
+def _visit_tables_by_chunk(rows, width):
+    """The visit tables from column passes over chunks of ``CHUNK_ROWS`` rows.
 
-    Returns None if any row is off (ragged, empty id, bad visit_index,
+    ``rows`` yields ``(line_no, cells)`` after the header.  Each chunk becomes
+    arrays at once; the sort and the forward fill run on their concatenation.
+    Returns None as soon as a row is off (ragged, empty id, bad visit_index,
     unparsable or non-finite cell); the per-row walk then names the first
     such problem with its line and column.
     """
-    width = len(rows[0])
-    body = [row for row in rows[1:] if row]
-    if any(len(row) != width for row in body):
-        return None
-    n, c = len(body), width - 2
-    cells = list(chain.from_iterable(body))
-    pids = cells[0::width]
-    visit_cells = cells[1::width]
-    # Feature cells column by column: (c, n) once reshaped.
-    features = list(chain.from_iterable(
-        cells[k::width] for k in range(2, width)))
-    del cells
-    if "" in pids:
-        return None
-    try:
-        visit_index = np.fromiter(map(int, visit_cells), np.int64, n)
-        present = np.fromiter(map(bool, features), bool, n * c)
-        values = np.zeros(n * c)
-        values[present] = np.fromiter(
-            map(float, compress(features, present.tolist())), np.float64)
-    except (ValueError, OverflowError):
-        return None
-    del visit_cells, features
-    if not np.isfinite(values).all():
-        return None
+    body = (row for _, row in rows if row)
     first_seen = {}
-    codes = np.fromiter(
-        (first_seen.setdefault(pid, len(first_seen)) for pid in pids),
-        np.intp, n)
+    parts = []
+    while chunk := list(islice(body, CHUNK_ROWS)):
+        part = _visit_chunk(chunk, width, first_seen)
+        if part is None:
+            return None
+        parts.append(part)
+    if not parts:
+        return {}
+    codes, visit_index, values, present = map(np.concatenate, zip(*parts))
+    del parts
+    n = codes.shape[0]
     # Stable: rows of one patient with equal visit_index keep file order.
     order = np.lexsort((visit_index, codes))
-    values = values.reshape(c, n).T[order]
-    present = present.reshape(c, n).T[order]
+    values = values[order]
+    present = present[order]
     counts = np.bincount(codes, minlength=len(first_seen))
     ends = np.cumsum(counts)
     starts = ends - counts
@@ -167,11 +185,47 @@ def _visit_tables_by_column(rows):
     return {pid: filled[s:e] for pid, s, e in zip(first_seen, starts, ends)}
 
 
+def _visit_chunk(chunk, width, first_seen):
+    """Patient codes, visit_index, values and present mask of some rows.
+
+    ``chunk`` holds non-blank rows; ``first_seen`` maps patient ids to codes
+    and grows with every new id.  Values and mask are (rows, c); missing
+    cells hold 0.  Returns None if any row is off.
+    """
+    if any(len(row) != width for row in chunk):
+        return None
+    k, c = len(chunk), width - 2
+    cells = list(chain.from_iterable(chunk))
+    pids = cells[0::width]
+    if "" in pids:
+        return None
+    # Feature cells column by column: (c, k) once reshaped.
+    features = list(chain.from_iterable(
+        cells[j::width] for j in range(2, width)))
+    try:
+        visit_index = np.fromiter(map(int, cells[1::width]), np.int64, k)
+        present = np.fromiter(map(bool, features), bool, k * c)
+        values = np.zeros(k * c)
+        values[present] = np.fromiter(
+            map(float, compress(features, present.tolist())), np.float64)
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    codes = np.fromiter(
+        (first_seen.setdefault(pid, len(first_seen)) for pid in pids),
+        np.intp, k)
+    return codes, visit_index, values.reshape(c, k).T, present.reshape(c, k).T
+
+
 def _visit_tables_by_row(path, rows, names):
-    """The visit tables row by row, raising the first problem by line."""
-    width = len(rows[0])
+    """The visit tables row by row, raising the first problem by line.
+
+    ``rows`` yields ``(line_no, cells)`` after the header.
+    """
+    width = len(names) + 2
     per_patient = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows:
         if not row:
             continue
         if len(row) != width:
@@ -210,8 +264,8 @@ def _visit_tables_by_row(path, rows, names):
 
 
 def _load_static_table(path):
-    rows = _read_rows(path)
-    header = rows[0]
+    rows = _rows(path)
+    _, header = next(rows)
     if len(header) < 2 or header[0] != "patient_id":
         raise DataError(
             f"{path}:1: header must start with patient_id and carry at "
@@ -219,7 +273,7 @@ def _load_static_table(path):
         )
     names = tuple(header[1:])
     table = {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows:
         if not row:
             continue
         if len(row) != len(header):
@@ -237,15 +291,15 @@ def _load_static_table(path):
 
 
 def _load_label_table(path):
-    rows = _read_rows(path)
-    header = rows[0]
+    rows = _rows(path)
+    _, header = next(rows)
     if header != ["patient_id", "label"]:
         raise DataError(
             f"{path}:1: header must be patient_id,label, got {header}"
         )
     table = {}
     order = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows:
         if not row:
             continue
         if len(row) != 2:
@@ -348,16 +402,24 @@ def pad_to_length(cohort, t_max):
     """
     if t_max < 1:
         raise DataError(f"pad_to_length: t_max must be >= 1, got {t_max}")
-    padded = []
-    for p in cohort.patients:
-        t = p.visits.shape[0]
-        if t >= t_max:
-            visits = p.visits[t - t_max:].copy()
-        else:
-            tail = np.repeat(p.visits[-1:], t_max - t, axis=0)
-            visits = np.vstack([p.visits, tail])
-        padded.append(replace(p, visits=visits))
-    return replace(cohort, patients=tuple(padded), t_max=t_max)
+    if not cohort.patients:
+        return replace(cohort, t_max=t_max)
+    rows, lengths = _stacked_visits(cohort.patients)
+    starts = np.cumsum(lengths) - lengths
+    # Visit j of a padded history is row skip + j of the patient, capped at
+    # its final row; skip drops the oldest visits of a long history.
+    skip = np.maximum(lengths - t_max, 0)
+    take = np.minimum(skip[:, None] + np.arange(t_max), lengths[:, None] - 1)
+    padded = rows[starts[:, None] + take]
+    patients = tuple(Patient(p.patient_id, visits, p.static, p.label)
+                     for p, visits in zip(cohort.patients, padded))
+    return replace(cohort, patients=patients, t_max=t_max)
+
+
+def _stacked_visits(patients):
+    """All visit rows of ``patients`` in one (sum t, c) array, and each t."""
+    lengths = np.array([p.visits.shape[0] for p in patients])
+    return np.concatenate([p.visits for p in patients]), lengths
 
 
 def compute_stats(patients):
@@ -389,14 +451,16 @@ def _zscore(matrix, mean, std):
 
 def normalize(cohort, stats):
     """Z-score every patient with the given stats (never its own)."""
-    patients = tuple(
-        replace(
-            p,
-            visits=_zscore(p.visits, stats.dynamic_mean, stats.dynamic_std),
-            static=_zscore(p.static, stats.static_mean, stats.static_std),
-        )
-        for p in cohort.patients
-    )
+    if not cohort.patients:
+        return cohort
+    rows, lengths = _stacked_visits(cohort.patients)
+    visits = np.split(
+        _zscore(rows, stats.dynamic_mean, stats.dynamic_std),
+        np.cumsum(lengths)[:-1])
+    static = _zscore(np.stack([p.static for p in cohort.patients]),
+                     stats.static_mean, stats.static_std)
+    patients = tuple(Patient(p.patient_id, v, s, p.label)
+                     for p, v, s in zip(cohort.patients, visits, static))
     return replace(cohort, patients=patients)
 
 

@@ -17,6 +17,7 @@ Every stage can be switched off by ablation flags except the head itself;
 disabled stages contribute nothing (their weights do not even exist).
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -252,6 +253,22 @@ class ModelParams:
         for (_, src, _), (_, dst, _) in zip(self._ordered, clone._ordered):
             dst[...] = src
         return clone
+
+
+def parameter_count(config):
+    """The number of values ``ModelParams(config)`` holds, without allocating.
+
+    A checkpoint loader sizes an untrusted config with it first.
+    """
+    d = config.n_classes
+    count = d * config.n_static + d
+    if config.flags.use_correlation:
+        n_sets = 1 if config.shared_branches else config.n_dynamic
+        count += n_sets * len(config.dilations) * (4 * config.kernel_width + 2)
+    count += config.map_rows + 1 + d * d + d * config.fused_len + d
+    if config.flags.use_diff_attention:
+        count += d * (config.coeff_len - 1)
+    return count
 
 
 def _branch_prefix(set_index, branch_index):
@@ -543,7 +560,7 @@ class _Reader:
                 f"corrupt checkpoint {self.path}: implausible rank {ndim}"
             )
         shape = tuple(self.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         if count > 50_000_000:
             raise ConfigError(
                 f"corrupt checkpoint {self.path}: implausible tensor size"
@@ -663,6 +680,15 @@ def load_checkpoint(path):
         dilations=(d0, d1, d2), flags=flags,
         shared_branches=bool(bits & 16),
     )
+    # Stats and tensors follow; a damaged config must not size an
+    # allocation larger than the file that carries it.
+    needed = 8 * parameter_count(config)
+    left = len(blob) - reader.offset
+    if needed > left:
+        raise ConfigError(
+            f"corrupt checkpoint {path}: truncated or damaged config: its "
+            f"parameters need {needed} bytes, {left} are left"
+        )
     stats = None
     if reader.u8():
         from .data import FeatureStats

@@ -211,6 +211,31 @@ def test_single_class_cohort_is_a_data_error(tmp_path):
     assert "single class" in proc.stderr
 
 
+@pytest.mark.parametrize("kind", ["visits", "static", "labels"])
+def test_undecodable_or_oversized_cells_exit_2(tmp_path, workspace, kind):
+    source = workspace["data"] / f"{kind}.csv"
+    lines = source.read_bytes().splitlines(keepends=True)
+    for fault, damaged_line, message in (
+            ("bad_byte", lines[2].replace(b",", b"\xe9,", 1),
+             f"{kind}.csv:3: not UTF-8 text"),
+            ("long_field", lines[2].replace(b",", b"," + b"7" * 140_000, 1),
+             f"{kind}.csv:3: field larger than field limit")):
+        data = tmp_path / fault
+        data.mkdir()
+        for name in ("visits", "static", "labels"):
+            content = (workspace["data"] / f"{name}.csv").read_bytes()
+            if name == kind:
+                content = b"".join(lines[:2] + [damaged_line] + lines[3:])
+            (data / f"{name}.csv").write_bytes(content)
+        proc = run_cli("train", "--visits", data / "visits.csv",
+                       "--static", data / "static.csv",
+                       "--labels", data / "labels.csv", *TRAIN_ARGS,
+                       "--out", tmp_path / f"out_{fault}")
+        assert proc.returncode == 2, (fault, proc.stderr)
+        assert message in proc.stderr, (fault, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
 # -- eval -----------------------------------------------------------------------
 
 def test_eval_scores_every_patient_deterministically(tmp_path, workspace):
@@ -275,6 +300,21 @@ def test_checkpoint_with_misshaped_stats_is_a_config_error(tmp_path,
         assert proc.returncode == 1, proc.stderr
         assert "corrupt checkpoint" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_checkpoint_with_a_flipped_tmax_bit_is_rejected_unallocated(
+        tmp_path, workspace):
+    blob = bytearray((workspace["train"] / "fold0.ckpt").read_bytes())
+    # Byte 15 is the high byte of t_max: this t_max would size a
+    # parameter array of hundreds of GiB.
+    blob[15] ^= 0x80
+    damaged = tmp_path / "flipped.ckpt"
+    damaged.write_bytes(bytes(blob))
+    proc = run_cli("eval", *data_flags(workspace), "--checkpoint", damaged,
+                   "--out", tmp_path / "o")
+    assert proc.returncode == 1, proc.stderr
+    assert "corrupt checkpoint" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_checkpoint_without_stats_uses_the_cohort_stats(tmp_path, workspace):

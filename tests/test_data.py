@@ -1,5 +1,8 @@
 """Cohort IO, preprocessing and synthetic generator tests."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,18 +171,130 @@ _CELLS = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.tuples(st.sampled_from("abcd"),
-                               st.integers(-3, 3),
-                               st.lists(_CELLS, min_size=2, max_size=2)),
-                     max_size=25))
+@given(rows=st.lists(st.one_of(
+    st.none(),  # a blank row
+    st.tuples(st.sampled_from("abcd"), st.integers(-3, 3),
+              st.lists(_CELLS, min_size=2, max_size=2))),
+    max_size=25))
 def test_column_pass_equals_the_row_walk(rows):
-    lines = [["patient_id", "visit_index", "x", "y"]]
-    lines += [[pid, str(visit), *cells] for pid, visit, cells in rows]
-    by_column = data._visit_tables_by_column(lines)
-    by_row = data._visit_tables_by_row("v.csv", lines, ("x", "y"))
-    assert list(by_column) == list(by_row)
-    for pid, matrix in by_row.items():
-        np.testing.assert_array_equal(by_column[pid], matrix)
+    lines = [[] if row is None else [row[0], str(row[1]), *row[2]]
+             for row in rows]
+    numbered = list(enumerate(lines, start=2))
+    by_row = data._visit_tables_by_row("v.csv", iter(numbered), ("x", "y"))
+    for chunk_rows in (1, 2, 3, data.CHUNK_ROWS):
+        with mock.patch.object(data, "CHUNK_ROWS", chunk_rows):
+            by_chunk = data._visit_tables_by_chunk(iter(numbered), 4)
+        assert list(by_chunk) == list(by_row), chunk_rows
+        for pid, matrix in by_row.items():
+            np.testing.assert_array_equal(by_chunk[pid], matrix)
+
+
+def test_patient_rows_span_chunk_boundaries(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "CHUNK_ROWS", 2)
+    path = write(tmp_path / "v.csv",
+                 "patient_id,visit_index,hr,bp\n"
+                 "a,2,,1.0\n"
+                 "b,0,5.0,\n"
+                 "a,0,,\n"
+                 "a,1,3.0,\n"
+                 "b,1,,6.0\n"
+                 "a,3,,\n"
+                 "c,0,9.0,9.5\n")
+    tables, _ = load_visit_table(path)
+    assert list(tables) == ["a", "b", "c"]
+    # a's rows sit in three chunks; the sort and the fill see them together.
+    np.testing.assert_array_equal(
+        tables["a"], [[0.0, 0.0], [3.0, 0.0], [3.0, 1.0], [3.0, 1.0]])
+    np.testing.assert_array_equal(tables["b"], [[5.0, 0.0], [5.0, 6.0]])
+    np.testing.assert_array_equal(tables["c"], [[9.0, 9.5]])
+
+
+def test_blank_rows_at_chunk_boundaries_are_skipped(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "CHUNK_ROWS", 2)
+    path = write(tmp_path / "v.csv",
+                 "patient_id,visit_index,hr\n"
+                 "a,0,1.0\n"
+                 "a,1,2.0\n"
+                 "\n"
+                 "\n"
+                 "a,2,3.0\n"
+                 "\n"
+                 "b,0,4.0\n"
+                 "\n")
+    tables, _ = load_visit_table(path)
+    np.testing.assert_array_equal(tables["a"].ravel(), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(tables["b"].ravel(), [4.0])
+
+
+def test_bad_cell_in_a_later_chunk_names_its_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "CHUNK_ROWS", 2)
+    lines = ["patient_id,visit_index,hr,bp"]
+    lines += [f"p{i % 3},{i},{i}.5,1.0" for i in range(9)]
+    lines[7] = "p0,6,6.5,high"
+    path = write(tmp_path / "v.csv", "\n".join(lines) + "\n")
+    with pytest.raises(DataError,
+                       match=r"v\.csv:8: column bp: not a number: 'high'"):
+        load_visit_table(path)
+
+
+def test_header_only_file_has_no_patients(tmp_path):
+    path = write(tmp_path / "v.csv", "patient_id,visit_index,hr\n\n")
+    assert load_visit_table(path) == ({}, ("hr",))
+    v, s, y = cohort_files(tmp_path)
+    header_only = write(tmp_path / "visits_header.csv",
+                        "patient_id,visit_index,hr\n")
+    with pytest.raises(DataError, match="'a' .*has no visits"):
+        load_cohort(header_only, s, y)
+
+
+def test_undecodable_bytes_name_their_line(tmp_path):
+    # Far enough down that the text layer decodes it before the csv module
+    # reaches its row.
+    lines = [b"patient_id,visit_index,hr"]
+    lines += [b"p%d,%d,1.0" % (i % 9, i) for i in range(3000)]
+    lines[2500] = b"p1,2499,caf\xe9"
+    path = tmp_path / "v.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(DataError, match=r"v\.csv:2501: not UTF-8 text"):
+        load_visit_table(str(path))
+    static = tmp_path / "s.csv"
+    static.write_bytes(b"patient_id,age\na,30.0\n\xe9,40.0\n")
+    v, _, y = cohort_files(tmp_path)
+    with pytest.raises(DataError, match=r"s\.csv:3: not UTF-8 text"):
+        load_cohort(v, str(static), y)
+
+
+def test_oversized_field_names_its_line(tmp_path):
+    path = write(tmp_path / "v.csv",
+                 "patient_id,visit_index,hr\na,0,1.0\n"
+                 f"a,1,{'9' * 200_000}\n")
+    with pytest.raises(DataError,
+                       match=r"v\.csv:3: field larger than field limit"):
+        load_visit_table(path)
+
+
+def test_loader_memory_is_bounded_by_the_tables(tmp_path):
+    rng = np.random.default_rng(0)
+    n_patients, n_visits, c = 1200, 25, 8
+    values = rng.normal(size=(n_patients * n_visits, c))
+    values[rng.random(values.shape) < 0.1] = np.nan
+    lines = ["patient_id,visit_index," + ",".join(f"f{j}" for j in range(c))]
+    for row, cells in enumerate(values.tolist()):
+        pid, visit = divmod(row, n_visits)
+        lines.append(f"p{pid},{visit}," + ",".join(
+            "" if v != v else repr(v) for v in cells))
+    path = write(tmp_path / "v.csv", "\n".join(lines) + "\n")
+    del lines, values
+    tracemalloc.start()
+    try:
+        tables, _ = load_visit_table(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(table.nbytes for table in tables.values())
+    assert nbytes == n_patients * n_visits * c * 8
+    # The whole file as Python rows would be over 17 times the tables.
+    assert peak <= 6 * nbytes + 4 * 2 ** 20, (peak, nbytes)
 
 
 # -- full cohort loading ----------------------------------------------------

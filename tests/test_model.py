@@ -6,9 +6,13 @@ head values.  The closed-form backward is audited by finite differences.
 """
 
 import math
+import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendvar.autodiff import finite_diff_check
 from trendvar.data import FeatureStats
@@ -26,6 +30,7 @@ from trendvar.model import (
     fuse_dynamic,
     load_checkpoint,
     one_hot,
+    parameter_count,
     predict,
     prepare,
     save_checkpoint,
@@ -521,3 +526,79 @@ def test_checkpoint_rejects_foreign_and_damaged_files(tmp_path):
                            match=f"corrupt checkpoint .*{message}"):
             load_checkpoint(damaged)
 
+
+@pytest.mark.parametrize("name", sorted(ABLATION_PRESETS))
+@pytest.mark.parametrize("shared", [False, True])
+def test_parameter_count_matches_the_allocated_arrays(name, shared):
+    config = small_config(flags=ABLATION_PRESETS[name], order=3, t_max=11,
+                          dilations=(0, 2, 1), kernel_width=3,
+                          shared_branches=shared)
+    assert parameter_count(config) == \
+        sum(a.size for a in ModelParams(config).arrays())
+
+
+def _fuzz_checkpoint():
+    """A checkpoint with stats and every stage, and its structural bytes.
+
+    The structural bytes are the header, the config block, the stats flag,
+    the tensor count and every array header (rank and dimensions); the rest
+    is float64 data.
+    """
+    config = small_config(flags=ABLATION_PRESETS["A7"], order=2, t_max=6)
+    stats = FeatureStats(np.zeros(2), np.ones(2), np.zeros(3), np.ones(3))
+    params = ModelParams.initialized(config, np.random.default_rng(2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/fuzz.ckpt"
+        save_checkpoint(path, params, config, stats)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    structural = list(range(50))  # magic, version, config, flags, has-stats
+    offset = 50
+
+    def array_header():
+        nonlocal offset
+        (ndim,) = struct.unpack_from("<I", blob, offset)
+        dims = struct.unpack_from(f"<{ndim}I", blob, offset + 4)
+        structural.extend(range(offset, offset + 4 + 4 * ndim))
+        offset += 4 + 4 * ndim + 8 * math.prod(dims)
+
+    for _ in range(4):
+        array_header()
+    structural.extend(range(offset, offset + 4))
+    offset += 4
+    for _ in params.arrays():
+        array_header()
+    assert offset == len(blob)
+    return blob, structural
+
+
+_FUZZ_BLOB, _FUZZ_STRUCTURAL = _fuzz_checkpoint()
+
+
+def _load_bytes(blob, tmp_dir):
+    path = tmp_dir / "damaged.ckpt"
+    path.write_bytes(blob)
+    return load_checkpoint(path)
+
+
+def test_every_truncation_is_a_config_error(tmp_path):
+    for length in range(len(_FUZZ_BLOB)):
+        with pytest.raises(ConfigError):
+            _load_bytes(_FUZZ_BLOB[:length], tmp_path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(position=st.sampled_from(_FUZZ_STRUCTURAL), bit=st.integers(0, 7))
+def test_bit_flips_in_the_structure_load_or_raise_named_errors(
+        fuzz_dir, position, bit):
+    damaged = bytearray(_FUZZ_BLOB)
+    damaged[position] ^= 1 << bit
+    try:
+        _load_bytes(bytes(damaged), fuzz_dir)
+    except (ConfigError, NumericError):
+        pass
