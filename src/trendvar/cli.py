@@ -231,14 +231,20 @@ def _build_parser():
 
 
 def _read_settings(path):
+    """``key = value`` lines of a UTF-8 settings file as a dict of strings."""
     try:
-        with open(path) as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read settings file {path}: {exc}") from exc
     values = {}
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
+    for line_no, raw in enumerate(lines, start=1):
+        try:
+            stripped = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}:{line_no}: not UTF-8 text ({exc.reason})"
+            ) from None
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
@@ -299,7 +305,11 @@ def _write_manifest(out_dir, command, effective):
             continue
         lines.append(f"{key} = {_manifest_value(effective[key])}")
     text = "\n".join(lines) + "\n"
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {out_dir}: {exc}") from None
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
         fh.write(text)
     sys.stdout.write(text)

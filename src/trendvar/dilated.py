@@ -26,19 +26,18 @@ DEFAULT_KERNEL_WIDTH = 2
 class BranchParams:
     """Trainable state of one dilation branch.
 
-    ``kernel_top`` fills output row 0 and ``kernel_bottom`` row 1; each is
-    (..., 2, width) so both output rows draw on both input rows.  ``bias`` is
-    (..., 2), one entry per output row.
+    ``kernels`` is (..., 2 out rows, 2 in rows, width): output row 0 (top)
+    and row 1 (bottom) each draw on both input rows.  ``bias`` is (..., 2),
+    one entry per output row.
     """
 
-    kernel_top: np.ndarray
-    kernel_bottom: np.ndarray
+    kernels: np.ndarray
     bias: np.ndarray
     dilation: int
 
     @property
     def width(self):
-        return self.kernel_top.shape[-1]
+        return self.kernels.shape[-1]
 
     def output_length(self, m):
         """Output columns for an m-column input; raises if there are none."""
@@ -51,10 +50,6 @@ class BranchParams:
             )
         return out_len
 
-    def kernels(self):
-        """Both kernels as one (..., 2 out rows, 2 in rows, width) array."""
-        return np.stack([self.kernel_top, self.kernel_bottom], axis=-3)
-
 
 def conv_branch(stacked, params, activate=True):
     """Run one dilated branch over (..., 2, m) stacks.
@@ -66,7 +61,7 @@ def conv_branch(stacked, params, activate=True):
     """
     stacked = np.asarray(stacked, dtype=np.float64)
     out_len = params.output_length(stacked.shape[-1])
-    kernels = params.kernels()
+    kernels = params.kernels
     out = np.asarray(params.bias)[..., :, None]
     for tap in range(params.width):
         s = tap * params.dilation
@@ -94,9 +89,8 @@ def correlation_backward(lines, branches, maps, grad_maps):
 
     ``lines`` is the (N, c, 2, m) input batch, ``maps`` the activated output
     of ``correlation_forward`` on it and ``grad_maps`` the adjoint of those
-    maps.  Returns one (d kernel_top, d kernel_bottom, d bias) triple per
-    branch, each summed over patients and shaped per feature: (c, 2, width)
-    and (c, 2).
+    maps.  Returns one (d kernels, d bias) pair per branch, each summed over
+    patients and shaped per feature: (c, 2, 2, width) and (c, 2).
     """
     grad_pre = grad_maps * (1.0 - maps * maps)
     m = lines.shape[-1]
@@ -111,8 +105,7 @@ def correlation_backward(lines, branches, maps, grad_maps):
             s = tap * branch.dilation
             d_kernels[..., tap] = np.einsum(
                 "njol,njil->joi", g, lines[..., s:s + out_len])
-        grads.append((d_kernels[..., 0, :, :], d_kernels[..., 1, :, :],
-                      g.sum(axis=(0, -1))))
+        grads.append((d_kernels, g.sum(axis=(0, -1))))
     return grads
 
 

@@ -152,107 +152,35 @@ class ModelConfig:
         return self.map_cols * self.n_dynamic
 
 
-class ModelParams:
-    """All trainable arrays of one model, in a fixed declaration order.
+def _layout(config):
+    """The parameter arrays of ``config`` as (name, shape, fan_in).
 
-    The order is the serialization contract for checkpoints and the draw
-    order for initialization, so it must never depend on anything but the
-    config.  Arrays are updated in place, so the attributes and the ordered
-    list always refer to the same storage.
+    The order is the declaration order: the checkpoint serialization order
+    and the initialization draw order, so it depends on nothing but the
+    config.  Biases have fan_in None.  The correlation kernels of every set
+    and branch come as one ``branches`` entry of shape
+    (sets, 3, 4 * width + 2); each (set, branch) block is kernel_top (2, w)
+    | kernel_bottom (2, w) | bias (2,).  So the list has at most eight
+    entries whatever the config, and sizing an untrusted one is cheap.
     """
-
-    def __init__(self, config):
-        self.config = config
-        d = config.n_classes
-        ordered = []
-
-        def weight(name, shape, fan_in):
-            value = np.zeros(shape)
-            ordered.append((name, value, fan_in))
-            return value
-
-        def bias(name, shape):
-            value = np.zeros(shape)
-            ordered.append((name, value, None))
-            return value
-
-        self.static_weight = weight(
-            "static_weight", (d, config.n_static), config.n_static)
-        self.static_bias = bias("static_bias", (d,))
-        self.branch_sets = []
-        if config.flags.use_correlation:
-            n_sets = 1 if config.shared_branches else config.n_dynamic
-            w = config.kernel_width
-            for si in range(n_sets):
-                branches = []
-                for bi, rate in enumerate(config.dilations):
-                    prefix = _branch_prefix(si, bi)
-                    branches.append(BranchParams(
-                        kernel_top=weight(prefix + ".kernel_top", (2, w), 2 * w),
-                        kernel_bottom=weight(
-                            prefix + ".kernel_bottom", (2, w), 2 * w),
-                        bias=bias(prefix + ".bias", (2,)),
-                        dilation=rate,
-                    ))
-                self.branch_sets.append(branches)
-        rows = config.map_rows
-        self.mix_weight = weight("mix_weight", (rows,), rows)
-        self.mix_bias = bias("mix_bias", ())
-        self.out_static = weight("out_static", (d, d), d)
-        self.out_dynamic = weight(
-            "out_dynamic", (d, config.fused_len), config.fused_len)
-        if config.flags.use_diff_attention:
-            diff_len = config.coeff_len - 1
-            self.out_diff = weight("out_diff", (d, diff_len), diff_len)
-        else:
-            self.out_diff = None
-        self.out_bias = bias("out_bias", (d,))
-        self._ordered = ordered
-
-    @classmethod
-    def initialized(cls, config, rng):
-        """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
-        params = cls(config)
-        for _, value, fan_in in params._ordered:
-            if fan_in is None:
-                continue
-            bound = 1.0 / np.sqrt(fan_in)
-            value[...] = rng.uniform(-bound, bound, size=value.shape)
-        return params
-
-    def named_arrays(self):
-        return [(name, value) for name, value, _ in self._ordered]
-
-    def arrays(self):
-        return [value for _, value, _ in self._ordered]
-
-    def branches_for(self, feature):
-        if self.config.shared_branches:
-            return self.branch_sets[0]
-        return self.branch_sets[feature]
-
-    def stacked_branches(self):
-        """The three branches with every set stacked on a leading axis.
-
-        Arrays are (sets, 2, width) and (sets, 2); one set broadcasts over
-        all features when branches are shared.
-        """
-        sets = self.branch_sets
-        return [
-            BranchParams(
-                kernel_top=np.stack([s[bi].kernel_top for s in sets]),
-                kernel_bottom=np.stack([s[bi].kernel_bottom for s in sets]),
-                bias=np.stack([s[bi].bias for s in sets]),
-                dilation=rate,
-            )
-            for bi, rate in enumerate(self.config.dilations)
-        ]
-
-    def copy(self):
-        clone = ModelParams(self.config)
-        for (_, src, _), (_, dst, _) in zip(self._ordered, clone._ordered):
-            dst[...] = src
-        return clone
+    d = config.n_classes
+    layout = [("static_weight", (d, config.n_static), config.n_static),
+              ("static_bias", (d,), None)]
+    if config.flags.use_correlation:
+        w = config.kernel_width
+        sets = 1 if config.shared_branches else config.n_dynamic
+        layout.append(
+            ("branches", (sets, len(config.dilations), 4 * w + 2), 2 * w))
+    rows = config.map_rows
+    layout += [("mix_weight", (rows,), rows),
+               ("mix_bias", (), None),
+               ("out_static", (d, d), d),
+               ("out_dynamic", (d, config.fused_len), config.fused_len)]
+    if config.flags.use_diff_attention:
+        diff_len = config.coeff_len - 1
+        layout.append(("out_diff", (d, diff_len), diff_len))
+    layout.append(("out_bias", (d,), None))
+    return layout
 
 
 def parameter_count(config):
@@ -260,19 +188,84 @@ def parameter_count(config):
 
     A checkpoint loader sizes an untrusted config with it first.
     """
-    d = config.n_classes
-    count = d * config.n_static + d
-    if config.flags.use_correlation:
-        n_sets = 1 if config.shared_branches else config.n_dynamic
-        count += n_sets * len(config.dilations) * (4 * config.kernel_width + 2)
-    count += config.map_rows + 1 + d * d + d * config.fused_len + d
-    if config.flags.use_diff_attention:
-        count += d * (config.coeff_len - 1)
-    return count
+    return sum(math.prod(shape) for _, shape, _ in _layout(config))
 
 
-def _branch_prefix(set_index, branch_index):
-    return f"branch[{set_index}][{branch_index}]"
+class ModelParams:
+    """All trainable values of one model in one float64 buffer, ``flat``.
+
+    Every named array is a view into ``flat``, laid out in declaration order
+    (see ``_layout``), so an in-place update of the buffer is an update of
+    every array and vice versa.  ``branch_kernels`` (sets, 3, 2, 2, width)
+    and ``branch_bias`` (sets, 3, 2) view the correlation branches; one set
+    serves every feature when branches are shared.  ``flat`` wraps an
+    existing buffer of the right size instead of a zeroed new one, which is
+    how gradients share the parameters' layout.
+    """
+
+    def __init__(self, config, flat=None):
+        self.config = config
+        layout = _layout(config)
+        sizes = [math.prod(shape) for _, shape, _ in layout]
+        if flat is None:
+            flat = np.zeros(sum(sizes))
+        elif flat.shape != (sum(sizes),):
+            raise ConfigError(
+                f"model params: buffer of shape {flat.shape}, the config "
+                f"needs {sum(sizes)} values"
+            )
+        self.flat = flat
+        self.branch_kernels = self.branch_bias = self.out_diff = None
+        offset = 0
+        for (name, shape, _), size in zip(layout, sizes):
+            view = flat[offset:offset + size].reshape(shape)
+            offset += size
+            if name == "branches":
+                w = config.kernel_width
+                self.branch_kernels = view[..., :4 * w].reshape(
+                    shape[:2] + (2, 2, w))
+                self.branch_bias = view[..., 4 * w:]
+            else:
+                setattr(self, name, view)
+
+    def _entries(self):
+        """(name, array, fan_in) of every named array, declaration order."""
+        for name, shape, fan_in in _layout(self.config):
+            if name != "branches":
+                yield name, getattr(self, name), fan_in
+                continue
+            for si, bi in np.ndindex(shape[:2]):
+                prefix = f"branch[{si}][{bi}]"
+                kernels = self.branch_kernels[si, bi]
+                yield prefix + ".kernel_top", kernels[0], fan_in
+                yield prefix + ".kernel_bottom", kernels[1], fan_in
+                yield prefix + ".bias", self.branch_bias[si, bi], None
+
+    @classmethod
+    def initialized(cls, config, rng):
+        """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
+        params = cls(config)
+        for _, value, fan_in in params._entries():
+            if fan_in is None:
+                continue
+            bound = 1.0 / np.sqrt(fan_in)
+            value[...] = rng.uniform(-bound, bound, size=value.shape)
+        return params
+
+    def named_arrays(self):
+        return [(name, value) for name, value, _ in self._entries()]
+
+    def arrays(self):
+        return [value for _, value, _ in self._entries()]
+
+    def branches(self):
+        """The three ``BranchParams``, each viewing every set at once."""
+        return [BranchParams(self.branch_kernels[:, bi],
+                             self.branch_bias[:, bi], rate)
+                for bi, rate in enumerate(self.config.dilations)]
+
+    def copy(self):
+        return ModelParams(self.config, self.flat.copy())
 
 
 @dataclass(frozen=True)
@@ -405,7 +398,7 @@ def forward(batch, params):
         )
     flags = config.flags
     if flags.use_correlation:
-        maps = correlation_forward(batch.lines, params.stacked_branches())
+        maps = correlation_forward(batch.lines, params.branches())
     elif flags.use_trend and flags.use_variation:
         maps = batch.lines
     elif flags.use_trend:
@@ -422,10 +415,10 @@ def backward(batch, params, acts):
     """Closed-form gradients of the batch-mean cross-entropy.
 
     Hand-derived reverse mode through the fixed graph, given the
-    activations ``forward`` returned for ``batch``.  Returns a dict mapping
-    every parameter name to its gradient.  A patient whose label
-    probability sits at or below the log clamp contributes nothing, like
-    the clamp itself.
+    activations ``forward`` returned for ``batch``.  Returns the gradient
+    as a ``ModelParams`` of the same config, so it has the parameters'
+    layout and names.  A patient whose label probability sits at or below
+    the log clamp contributes nothing, like the clamp itself.
     """
     n = len(batch)
     if n == 0:
@@ -436,36 +429,31 @@ def backward(batch, params, acts):
     d_logits = acts.probs.copy()
     d_logits[rows, batch.labels] -= 1.0
     d_logits *= (live / n)[:, None]
-    grads = {
-        "out_bias": d_logits.sum(axis=0),
-        "out_static": d_logits.T @ acts.h_static,
-        "out_dynamic": d_logits.T @ acts.h_dynamic,
-    }
+    grad = ModelParams(params.config)
+    grad.out_bias[...] = d_logits.sum(axis=0)
+    grad.out_static[...] = d_logits.T @ acts.h_static
+    grad.out_dynamic[...] = d_logits.T @ acts.h_dynamic
     if params.out_diff is not None:
-        grads["out_diff"] = d_logits.T @ batch.h_variation
+        grad.out_diff[...] = d_logits.T @ batch.h_variation
     d_static = (d_logits @ params.out_static) * (1.0 - acts.h_static ** 2)
-    grads["static_weight"] = d_static.T @ batch.static
-    grads["static_bias"] = d_static.sum(axis=0)
+    grad.static_weight[...] = d_static.T @ batch.static
+    grad.static_bias[...] = d_static.sum(axis=0)
     d_dynamic = (d_logits @ params.out_dynamic) * (1.0 - acts.h_dynamic ** 2)
-    grads["mix_weight"] = np.einsum("nq,nrq->r", d_dynamic, acts.fused)
-    grads["mix_bias"] = d_dynamic.sum()
+    grad.mix_weight[...] = np.einsum("nq,nrq->r", d_dynamic, acts.fused)
+    grad.mix_bias[...] = d_dynamic.sum()
     if params.config.flags.use_correlation:
         _, c, map_rows, q = acts.maps.shape
         d_fused = params.mix_weight[:, None] * d_dynamic[:, None, :]
         d_maps = d_fused.reshape(n, map_rows, c, q).swapaxes(1, 2)
         per_branch = correlation_backward(
-            batch.lines, params.stacked_branches(), acts.maps, d_maps)
+            batch.lines, params.branches(), acts.maps, d_maps)
         shared = params.config.shared_branches
-        for bi, branch_grads in enumerate(per_branch):
-            d_top, d_bottom, d_bias = (
-                g.sum(axis=0, keepdims=True) if shared else g
-                for g in branch_grads)
-            for si in range(len(params.branch_sets)):
-                prefix = _branch_prefix(si, bi)
-                grads[prefix + ".kernel_top"] = d_top[si]
-                grads[prefix + ".kernel_bottom"] = d_bottom[si]
-                grads[prefix + ".bias"] = d_bias[si]
-    return grads
+        for bi, (d_kernels, d_bias) in enumerate(per_branch):
+            # One shared set gets the sum of every feature's gradient.
+            grad.branch_kernels[:, bi] = (
+                d_kernels.sum(axis=0) if shared else d_kernels)
+            grad.branch_bias[:, bi] = d_bias.sum(axis=0) if shared else d_bias
+    return grad
 
 
 def one_hot(labels, n_classes):

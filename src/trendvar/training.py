@@ -52,44 +52,41 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
+    """First/second moment vectors, laid out like ``ModelParams.flat``."""
 
-    def __init__(self, arrays, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, size, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.first = [np.zeros_like(a) for a in arrays]
-        self.second = [np.zeros_like(a) for a in arrays]
+        self.first = np.zeros(size)
+        self.second = np.zeros(size)
 
 
-def adam_step(named_arrays, grads, state, learning_rate):
-    """One bias-corrected Adam update of ``named_arrays``, in place.
+def adam_step(params, grads, state, learning_rate):
+    """One bias-corrected Adam update of ``params.flat``, in place.
 
-    ``grads`` maps parameter names to gradients.  A name without one is
-    treated as zero-gradient, which decays its moments but leaves the values
-    asymptotically put.
+    ``grads`` is a ``ModelParams`` of the same config holding the gradient
+    (what ``backward`` returns); the update is Algorithm 1 of Kingma & Ba
+    on the one flat vector.
     """
+    grad = grads.flat
+    if not np.isfinite(grad).all():
+        name = next(name for name, value in grads.named_arrays()
+                    if not np.isfinite(value).all())
+        raise NumericError(f"non-finite gradient in {name}")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1 ** t
-    bias2 = 1.0 - b2 ** t
-    for i, (name, value) in enumerate(named_arrays):
-        grad = grads.get(name)
-        if grad is None:
-            grad = np.zeros_like(value)
-        elif not np.all(np.isfinite(grad)):
-            raise NumericError(f"non-finite gradient in {name}")
-        m = state.first[i]
-        v = state.second[i]
-        m *= b1
-        m += (1.0 - b1) * grad
-        v *= b2
-        v += (1.0 - b2) * grad * grad
-        m_hat = m / bias1
-        v_hat = v / bias2
-        value -= learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = state.first
+    v = state.second
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    params.flat -= learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 @dataclass
@@ -109,8 +106,7 @@ def train(batch, params, train_config):
         raise DataError("train: empty training set")
     rng = np.random.default_rng(
         np.random.SeedSequence(train_config.seed, spawn_key=(1,)))
-    named = params.named_arrays()
-    state = AdamState([value for _, value in named])
+    state = AdamState(params.flat.size)
     onehot = one_hot(batch.labels, params.config.n_classes)
     log = []
     for epoch in range(train_config.epochs):
@@ -121,7 +117,7 @@ def train(batch, params, train_config):
             part = batch.take(index)
             acts = forward(part, params)
             loss_total += cross_entropy(acts.probs, onehot[index]) * len(index)
-            adam_step(named, backward(part, params, acts), state,
+            adam_step(params, backward(part, params, acts), state,
                       train_config.learning_rate)
         mean_loss = loss_total / n
         if not np.isfinite(mean_loss):

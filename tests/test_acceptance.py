@@ -140,8 +140,7 @@ def test_criterion_03_convolution_oracle():
         out = conv_branch(
             stacked,
             BranchParams(
-                kernel_top=kernel_top,
-                kernel_bottom=kernel_bottom,
+                kernels=np.stack([kernel_top, kernel_bottom]),
                 bias=bias,
                 dilation=dilation,
             ),
@@ -232,8 +231,7 @@ def test_criterion_05_gradient_audit_all_configs():
 
         grads = backward(batch, params, forward(batch, params))
         results[name] = finite_diff_check(
-            loss_fn, params.arrays(),
-            [grads[n] for n, _ in params.named_arrays()], samples=100,
+            loss_fn, params.arrays(), grads.arrays(), samples=100,
             step=1e-5, rng=np.random.default_rng(7))
     elapsed = time.perf_counter() - start
     worst = max(results.values())

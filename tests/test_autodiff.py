@@ -38,7 +38,7 @@ def loss_and_grads(batch, params):
     acts = forward(batch, params)
     loss = cross_entropy(acts.probs,
                          one_hot(batch.labels, params.config.n_classes))
-    return loss, backward(batch, params, acts)
+    return loss, dict(backward(batch, params, acts).named_arrays())
 
 
 def test_sum_of_squares_gradient():
@@ -89,8 +89,8 @@ def test_softmax_cross_entropy_gradient_closed_form():
 
 
 def _worked_branches(dilations):
-    return [BranchParams(np.array([[1.0, 0.0], [0.0, 1.0]]),
-                         np.array([[0.0, 1.0], [1.0, 0.0]]),
+    return [BranchParams(np.array([[[1.0, 0.0], [0.0, 1.0]],
+                                   [[0.0, 1.0], [1.0, 0.0]]]),
                          np.zeros(2), rate) for rate in dilations]
 
 
@@ -109,11 +109,12 @@ def test_dilated_conv_worked_values():
     # windows: kernel[o, i, tap] gets sum(D_i[tap:tap + 3])
     grad = np.zeros((1, 1, 2, 11))
     grad[..., :3] = 1.0
-    (d_top, d_bottom, d_bias), rest0, rest1 = correlation_backward(
+    (d_kernels, d_bias), rest0, rest1 = correlation_backward(
         d[None, None], _worked_branches((1, 0, 0)), np.zeros_like(grad),
         grad)
-    np.testing.assert_array_equal(d_top[0], [[6.0, 9.0], [18.0, 21.0]])
-    np.testing.assert_array_equal(d_bottom[0], [[6.0, 9.0], [18.0, 21.0]])
+    d_top, d_bottom = d_kernels[0]
+    np.testing.assert_array_equal(d_top, [[6.0, 9.0], [18.0, 21.0]])
+    np.testing.assert_array_equal(d_bottom, [[6.0, 9.0], [18.0, 21.0]])
     np.testing.assert_array_equal(d_bias[0], [3.0, 3.0])
     for part in rest0 + rest1:
         assert np.abs(part).max() == 0.0
@@ -124,8 +125,7 @@ def test_concat_and_slice_roundtrip_grads():
     # the branch and the feature that produced that block.
     rng = np.random.default_rng(2)
     lines = rng.normal(size=(3, 2, 2, 6))
-    branches = [BranchParams(rng.normal(size=(2, 2, 2)),
-                             rng.normal(size=(2, 2, 2)),
+    branches = [BranchParams(rng.normal(size=(2, 2, 2, 2)),
                              rng.normal(size=(2, 2)), rate)
                 for rate in (0, 1, 3)]
     grad = np.zeros((3, 2, 2, 6 + 5 + 3))
@@ -191,8 +191,7 @@ def test_shape_mismatch_names_primitive_and_shapes():
 
     with pytest.raises(ShapeMismatchError, match="at least"):
         conv_branch(np.ones((2, 3)),
-                    BranchParams(np.ones((2, 2)), np.ones((2, 2)),
-                                 np.ones(2), 5))
+                    BranchParams(np.ones((2, 2, 2)), np.ones(2), 5))
 
 
 def test_finite_diff_check_exact_on_quadratics():

@@ -182,6 +182,13 @@ def test_exit_codes(tmp_path, workspace):
                        "--out", tmp_path / "bad")
         assert proc.returncode == 1, (flags, proc.stderr)
         assert "configuration error" in proc.stderr
+    undecodable = tmp_path / "latin1.conf"
+    undecodable.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
+    proc = run_cli("train", *data_flags(workspace), "--settings", undecodable,
+                   "--out", tmp_path / "e")
+    assert proc.returncode == 1
+    assert f"{undecodable}:2: not UTF-8 text" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
     # 2: data problems
     proc = run_cli("train", "--visits", tmp_path / "missing.csv",
@@ -196,6 +203,16 @@ def test_exit_codes(tmp_path, workspace):
                          "--corr-signs", "1,1", "--out", tmp_path / "d")
     assert degenerate.returncode == 2
     assert "degenerate class parameters" in degenerate.stderr
+
+
+def test_uncreatable_out_is_a_config_error(tmp_path):
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub"
+    proc = run_cli("synth", *SMALL_SYNTH, "--out", out)
+    assert proc.returncode == 1
+    assert f"cannot create output directory {out}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_single_class_cohort_is_a_data_error(tmp_path):

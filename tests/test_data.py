@@ -1,6 +1,7 @@
 """Cohort IO, preprocessing and synthetic generator tests."""
 
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -372,7 +373,7 @@ def test_write_cohort_is_byte_stable(tmp_path):
     first = write_cohort(cohort, tmp_path / "a")
     second = write_cohort(cohort, tmp_path / "b")
     for fa, fb in zip(first, second):
-        assert open(fa, "rb").read() == open(fb, "rb").read()
+        assert Path(fa).read_bytes() == Path(fb).read_bytes()
 
 
 # -- padding and normalization ----------------------------------------------

@@ -169,7 +169,7 @@ def test_gradient_through_attention_matches_finite_differences():
         return cross_entropy(forward(batch, params).probs, one_hot(labels, 3))
 
     grads = backward(batch, params, forward(batch, params))
-    err = finite_diff_check(loss_fn, [params.out_diff], [grads["out_diff"]],
+    err = finite_diff_check(loss_fn, [params.out_diff], [grads.out_diff],
                             samples=params.out_diff.size,
                             rng=np.random.default_rng(0))
     assert err <= 1e-4

@@ -29,8 +29,7 @@ def oracle_conv(stacked, kernel_top, kernel_bottom, bias, dilation):
 
 
 def _branch(kt, kb, bias, dilation):
-    return BranchParams(np.asarray(kt, dtype=float),
-                        np.asarray(kb, dtype=float),
+    return BranchParams(np.array([kt, kb], dtype=float),
                         np.asarray(bias, dtype=float), dilation)
 
 

@@ -249,15 +249,19 @@ def test_attention_head_is_structurally_absent_when_disabled():
 
 
 def test_branch_sets_follow_sharing_flag():
+    # (sets, branches, out rows, in rows, width): one set per feature, or
+    # one set for all of them when shared.
     per_feature = ModelParams(small_config())
-    assert len(per_feature.branch_sets) == 2
-    assert per_feature.branches_for(0) is not per_feature.branches_for(1)
+    assert per_feature.branch_kernels.shape == (2, 3, 2, 2, 2)
+    assert per_feature.branch_bias.shape == (2, 3, 2)
     shared = ModelParams(small_config(shared_branches=True))
-    assert len(shared.branch_sets) == 1
-    assert shared.branches_for(0) is shared.branches_for(1)
+    assert shared.branch_kernels.shape == (1, 3, 2, 2, 2)
+    assert shared.branch_bias.shape == (1, 3, 2)
     no_corr = ModelParams(small_config(
         flags=AblationFlags(True, True, False, False)))
-    assert no_corr.branch_sets == []
+    assert no_corr.branch_kernels is None and no_corr.branch_bias is None
+    assert not any(name.startswith("branch[")
+                   for name, _ in no_corr.named_arrays())
 
 
 def test_params_copy_is_deep():
@@ -296,18 +300,20 @@ def numpy_correlation_maps(visits, params, config):
         pair = decompose(visits[:, j], config.order)
         lines = (pair.trend, pair.variation)
         blocks = []
-        for branch in params.branches_for(j):
-            width = branch.kernel_top.shape[1]
-            out_len = lines[0].shape[0] - branch.dilation * (width - 1)
+        kernel_set = 0 if config.shared_branches else j
+        for kernels, bias, dilation in zip(params.branch_kernels[kernel_set],
+                                           params.branch_bias[kernel_set],
+                                           config.dilations):
+            width = kernels.shape[-1]
+            out_len = lines[0].shape[0] - dilation * (width - 1)
             block = np.zeros((2, out_len))
-            for o, kernel in enumerate((branch.kernel_top,
-                                        branch.kernel_bottom)):
+            for o, kernel in enumerate(kernels):
                 for q in range(out_len):
-                    acc = branch.bias[o]
+                    acc = bias[o]
                     for i in range(2):
                         for tap in range(width):
                             acc += kernel[i, tap] \
-                                * lines[i][q + branch.dilation * tap]
+                                * lines[i][q + dilation * tap]
                     block[o, q] = math.tanh(acc)
             blocks.append(block)
         maps.append(np.hstack(blocks))
@@ -416,7 +422,8 @@ def test_forward_gradient_reaches_every_parameter():
     rng = np.random.default_rng(33)
     params = ModelParams.initialized(config, rng)
     batch, _, _ = make_batch(config, rng)
-    grads = backward(batch, params, forward(batch, params))
+    grads = dict(
+        backward(batch, params, forward(batch, params)).named_arrays())
     assert set(grads) == {name for name, _ in params.named_arrays()}
     for name, value in params.named_arrays():
         g = grads[name]
@@ -439,7 +446,8 @@ def test_shared_branch_gradients_match_finite_differences(preset):
     def loss_fn():
         return cross_entropy(forward(batch, params).probs, onehots)
 
-    grads = backward(batch, params, forward(batch, params))
+    grads = dict(
+        backward(batch, params, forward(batch, params)).named_arrays())
     names = [name for name, _ in params.named_arrays()
              if name.startswith("branch[")]
     assert names and all(name.startswith("branch[0]") for name in names)
@@ -533,8 +541,23 @@ def test_parameter_count_matches_the_allocated_arrays(name, shared):
     config = small_config(flags=ABLATION_PRESETS[name], order=3, t_max=11,
                           dilations=(0, 2, 1), kernel_width=3,
                           shared_branches=shared)
-    assert parameter_count(config) == \
-        sum(a.size for a in ModelParams(config).arrays())
+    params = ModelParams(config)
+    assert parameter_count(config) == params.flat.size
+    assert all(np.shares_memory(a, params.flat) for a in params.arrays())
+    # With the buffer holding its own indices, the named arrays read back
+    # 0, 1, 2, ... in declaration order: they tile it with no gap and no
+    # overlap.
+    params.flat[...] = np.arange(params.flat.size)
+    np.testing.assert_array_equal(
+        np.concatenate([a.ravel() for a in params.arrays()]),
+        np.arange(params.flat.size))
+    if params.branch_kernels is not None:
+        assert np.shares_memory(params.branch_kernels, params.flat)
+        assert np.shares_memory(params.branch_bias, params.flat)
+    buffer = np.zeros(params.flat.size)
+    assert ModelParams(config, buffer).flat is buffer
+    with pytest.raises(ConfigError, match="buffer"):
+        ModelParams(config, np.zeros(params.flat.size + 1))
 
 
 def _fuzz_checkpoint():

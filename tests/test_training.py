@@ -13,7 +13,7 @@ from trendvar.data import (
     synth_generate,
 )
 from trendvar.errors import ConfigError, DataError, NumericError
-from trendvar.model import ModelConfig, ModelParams
+from trendvar.model import ModelConfig, ModelParams, parameter_count
 from trendvar.training import (
     AdamState,
     TrainConfig,
@@ -62,42 +62,118 @@ def test_train_config_validation():
 def test_adam_first_step_closed_form():
     # at t=1 both bias corrections cancel the (1-beta) factors exactly, so
     # the update is lr * g / (|g| + eps) per coordinate
+    config = toy_config()
     rng = np.random.default_rng(0)
-    theta = rng.normal(size=(3, 4))
-    grad = rng.normal(size=(3, 4))
-    value = theta.copy()
-    state = AdamState([value])
-    adam_step([("w", value)], {"w": grad.copy()}, state, learning_rate=0.05)
+    size = parameter_count(config)
+    params = ModelParams(config, rng.normal(size=size))
+    theta = params.flat.copy()
+    grad = rng.normal(size=size)
+    state = AdamState(size)
+    adam_step(params, ModelParams(config, grad.copy()), state,
+              learning_rate=0.05)
     expected = theta - 0.05 * grad / (np.abs(grad) + 1e-8)
-    np.testing.assert_allclose(value, expected, atol=1e-15)
+    np.testing.assert_allclose(params.flat, expected, atol=1e-15)
     assert state.step_count == 1
 
 
-def test_adam_zero_or_missing_gradient_leaves_values_alone():
-    value = np.array([1.0, -2.0])
-    state = AdamState([value])
-    adam_step([("w", value)], {"w": np.zeros(2)}, state, learning_rate=0.1)
-    np.testing.assert_array_equal(value, [1.0, -2.0])
-    adam_step([("w", value)], {}, state, learning_rate=0.1)
-    np.testing.assert_array_equal(value, [1.0, -2.0])
+def test_adam_zero_gradient_leaves_values_alone():
+    config = toy_config()
+    params = ModelParams.initialized(config, np.random.default_rng(0))
+    before = params.flat.copy()
+    state = AdamState(before.size)
+    for _ in range(2):
+        adam_step(params, ModelParams(config), state, learning_rate=0.1)
+    np.testing.assert_array_equal(params.flat, before)
     assert state.step_count == 2
 
 
 def test_adam_rejects_nonfinite_gradient_by_name():
-    value = np.zeros(2)
-    state = AdamState([value])
+    config = toy_config()
+    params = ModelParams(config)
+    state = AdamState(params.flat.size)
+    grads = ModelParams(config)
+    grads.mix_weight[1] = np.inf
     with pytest.raises(NumericError, match="mix_weight"):
-        adam_step([("mix_weight", value)],
-                  {"mix_weight": np.array([1.0, np.inf])}, state, 0.1)
+        adam_step(params, grads, state, 0.1)
+    grads = ModelParams(config)
+    grads.branch_kernels[1, 2, 1, 0, 1] = np.nan
+    with pytest.raises(NumericError,
+                       match=r"branch\[1\]\[2\]\.kernel_bottom"):
+        adam_step(params, grads, state, 0.1)
+    # the check runs before any update
+    assert state.step_count == 0
+    assert np.abs(params.flat).max() == 0.0
 
 
 def test_adam_minimizes_a_quadratic():
-    value = np.array([0.0])
-    state = AdamState([value])
+    config = toy_config()
+    params = ModelParams(config)
+    grads = ModelParams(config)
+    target = np.linspace(-3.0, 3.0, params.flat.size)
+    state = AdamState(params.flat.size)
     for _ in range(400):
-        adam_step([("x", value)], {"x": 2.0 * (value - 3.0)}, state,
-                  learning_rate=0.05)
-    assert abs(value[0] - 3.0) < 0.05
+        grads.flat[...] = 2.0 * (params.flat - target)
+        adam_step(params, grads, state, learning_rate=0.05)
+    assert np.abs(params.flat - target).max() < 0.05
+
+
+class ReferenceAdam:
+    """Adam as one loop over the named arrays, one moment pair per array.
+
+    The flat ``adam_step`` must reproduce it bit for bit: it performs the
+    same elementwise operations, only on one vector.
+    """
+
+    def __init__(self, arrays, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.eps = eps
+        self.step_count = 0
+        self.first = [np.zeros_like(a) for a in arrays]
+        self.second = [np.zeros_like(a) for a in arrays]
+
+    def step(self, named_arrays, grads, learning_rate):
+        self.step_count += 1
+        t = self.step_count
+        b1, b2 = self.beta1, self.beta2
+        bias1 = 1.0 - b1 ** t
+        bias2 = 1.0 - b2 ** t
+        for i, (name, value) in enumerate(named_arrays):
+            grad = grads[name]
+            m = self.first[i]
+            v = self.second[i]
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad * grad
+            m_hat = m / bias1
+            v_hat = v / bias2
+            value -= learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_flat_adam_matches_the_per_array_loop_bitwise(shared):
+    config = ModelConfig(t_max=16, n_dynamic=3, n_static=3, n_classes=3,
+                         order=14, shared_branches=shared)
+    rng = np.random.default_rng(17)
+    params = ModelParams.initialized(config, rng)
+    reference = [(name, value.copy()) for name, value in params.named_arrays()]
+    ref_state = ReferenceAdam([value for _, value in reference])
+    state = AdamState(params.flat.size)
+    size = params.flat.size
+    for _ in range(5):
+        # gradients over eight orders of magnitude, some exactly zero
+        grad = (rng.normal(size=size) * 10.0 ** rng.uniform(-6, 2, size=size)
+                * (rng.random(size) > 0.1))
+        grads = ModelParams(config, grad)
+        adam_step(params, grads, state, learning_rate=0.003)
+        ref_state.step(reference, dict(grads.named_arrays()), 0.003)
+    for (name, value), (_, expected) in zip(params.named_arrays(), reference):
+        np.testing.assert_array_equal(value, expected, err_msg=name)
+    for flat, per_array in ((state.first, ref_state.first),
+                            (state.second, ref_state.second)):
+        np.testing.assert_array_equal(
+            flat, np.concatenate([m.ravel() for m in per_array]))
 
 
 # -- training loop ----------------------------------------------------------
