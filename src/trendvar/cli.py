@@ -20,8 +20,6 @@ from dataclasses import replace
 import numpy as np
 
 from .data import (
-    Cohort,
-    Patient,
     SynthSpec,
     compute_stats,
     load_cohort,
@@ -53,6 +51,11 @@ from .wavelets import (
     decompose_batch,
     decompose_ragged,
 )
+
+# The most bytes one array of a run may take.  The size options (--tmax and
+# synth's sizes) are checked against an estimate of their largest array
+# before anything is allocated: too large is a configuration error.
+MAX_ARRAY_BYTES = 2 ** 32
 
 
 def _fmt(value):
@@ -330,41 +333,47 @@ def _preset_spec(name, seed):
     return replace(SYNTH_PRESETS[name], seed=seed)
 
 
-def _load_full_cohort(opts):
+def _load_cohort(opts, visits_only=False):
+    """The cohort of a --synth preset or of the data paths; with
+    ``visits_only``, of --visits alone (no statics, every label 0)."""
+    keys = ("visits",) if visits_only else ("visits", "static", "labels")
     if opts.get("synth"):
-        if opts.get("visits") or opts.get("static") or opts.get("labels"):
+        if any(opts.get(key) for key in keys):
             raise ConfigError(
-                "provide either --synth or the three data paths, not both"
+                f"provide either --synth or "
+                f"{', '.join('--' + key for key in keys)}, not both"
             )
         return synth_generate(_preset_spec(opts["synth"], opts["seed"]))
-    missing = [flag for flag, key in
-               (("--visits", "visits"), ("--static", "static"),
-                ("--labels", "labels")) if not opts.get(key)]
+    missing = [f"--{key}" for key in keys if not opts.get(key)]
     if missing:
         raise ConfigError(
             f"missing {', '.join(missing)} (or use --synth <preset>)"
         )
+    if visits_only:
+        return load_visit_table(opts["visits"])
     return load_cohort(opts["visits"], opts["static"], opts["labels"])
 
 
-def _load_visit_tables(opts):
-    if opts.get("synth"):
-        if opts.get("visits"):
-            raise ConfigError("provide either --synth or --visits, not both")
-        cohort = synth_generate(_preset_spec(opts["synth"], opts["seed"]))
-        tables = {p.patient_id: p.visits for p in cohort.patients}
-        return tables, cohort.dynamic_names
-    if not opts.get("visits"):
-        raise ConfigError("missing --visits (or use --synth <preset>)")
-    return load_visit_table(opts["visits"])
+def _check_size(options, nbytes):
+    """Refuse a run whose largest array would take ``nbytes``, if that is
+    over ``MAX_ARRAY_BYTES``; ``options`` names what sets its size."""
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ConfigError(
+            f"{options} would need an array of about {nbytes / 2 ** 30:.3g} "
+            f"GiB, over the {MAX_ARRAY_BYTES / 2 ** 30:g} GiB limit"
+        )
 
 
 def _resolve_tmax(opts, cohort):
     tmax = opts["tmax"]
     if tmax == 0:
-        tmax = max(p.visits.shape[0] for p in cohort.patients)
+        tmax = int(np.diff(cohort.offsets).max())
     if tmax < 1:
         raise ConfigError(f"--tmax must be >= 1, got {tmax}")
+    # The padded (N, tmax, c) batch, or the tmax x tmax identity the
+    # wavelet analysis matrix is built from.
+    _check_size(f"--tmax {tmax}",
+                8 * tmax * max(tmax, len(cohort) * cohort.n_dynamic))
     return tmax
 
 
@@ -417,6 +426,13 @@ def _metric_rows_for(fold_label, auroc, auprc):
 
 def cmd_synth(opts):
     out = _require_out(opts)
+    # The cohort's visit rows and statics.
+    _check_size(
+        f"--patients {opts['patients']} with --mean-visits "
+        f"{opts['mean_visits']!r}, --features {opts['features']} and "
+        f"--static-features {opts['static_features']}",
+        8 * opts["patients"] * (opts["mean_visits"] * opts["features"]
+                                + opts["static_features"]))
     _write_manifest(out, "synth", opts)
     spec = SynthSpec(
         n_patients=opts["patients"],
@@ -436,7 +452,7 @@ def cmd_synth(opts):
     cohort = synth_generate(spec)
     write_cohort(cohort, out)
     sys.stdout.write(
-        f"wrote {len(cohort.patients)} patients, "
+        f"wrote {len(cohort)} patients, "
         f"{cohort.n_dynamic} dynamic / {cohort.n_static} static features\n"
     )
 
@@ -448,8 +464,8 @@ def _run_cv(opts, cohort, config, out, write_checkpoints=True):
         rows.extend(_metric_rows_for(fold.fold, fold.auroc, fold.auprc))
         with open(os.path.join(out, f"epochs_fold{fold.fold}.csv"), "w") as fh:
             fh.write("epoch,mean_loss\n")
-            for record in fold.epoch_log:
-                fh.write(f"{record.epoch},{_fmt(record.mean_loss)}\n")
+            for epoch, loss in enumerate(fold.epoch_log):
+                fh.write(f"{epoch},{_fmt(loss)}\n")
         if write_checkpoints:
             save_checkpoint(os.path.join(out, f"fold{fold.fold}.ckpt"),
                             fold.params, config, fold.stats)
@@ -478,7 +494,7 @@ def _run_cv(opts, cohort, config, out, write_checkpoints=True):
 
 def cmd_train(opts):
     out = _require_out(opts)
-    cohort = _load_full_cohort(opts)
+    cohort = _load_cohort(opts)
     tmax = _resolve_tmax(opts, cohort)
     config = _model_config(opts, cohort, tmax)
     effective = dict(opts)
@@ -489,7 +505,7 @@ def cmd_train(opts):
 
 def cmd_sweep(opts):
     out = _require_out(opts)
-    cohort = _load_full_cohort(opts)
+    cohort = _load_cohort(opts)
     tmax = _resolve_tmax(opts, cohort)
     effective = dict(opts)
     effective["tmax"] = tmax
@@ -525,17 +541,15 @@ def _scoring_stats(bundle, cohort, effective):
     if bundle.stats is not None:
         return bundle.stats
     effective["stats"] = "evaluation cohort (checkpoint has none)"
-    return compute_stats(cohort.patients)
+    return compute_stats(cohort)
 
 
-def _scoring_blocks(cohort, stats, t_max):
-    """``cohort`` z-scored with ``stats`` and padded to ``t_max``, in slices
-    of ``PREDICT_BLOCK`` patients: scoring holds one slice's arrays at once.
-    """
+def _scoring_blocks(cohort, stats):
+    """``cohort`` z-scored with ``stats``, in slices of ``PREDICT_BLOCK``
+    patients: scoring holds one slice's arrays at once."""
     for start in range(0, len(cohort), PREDICT_BLOCK):
-        block = replace(
-            cohort, patients=cohort.patients[start:start + PREDICT_BLOCK])
-        yield pad_to_length(normalize(block, stats), t_max)
+        yield normalize(cohort.take(slice(start, start + PREDICT_BLOCK)),
+                        stats)
 
 
 def cmd_eval(opts):
@@ -543,7 +557,7 @@ def cmd_eval(opts):
     if not opts.get("checkpoint"):
         raise ConfigError("--checkpoint is required")
     bundle = load_checkpoint(opts["checkpoint"])
-    cohort = _load_full_cohort(opts)
+    cohort = _load_cohort(opts)
     config = bundle.config
     if cohort.n_dynamic != config.n_dynamic \
             or cohort.n_static != config.n_static:
@@ -563,16 +577,15 @@ def cmd_eval(opts):
     _write_manifest(out, "eval", effective)
     probs = np.concatenate([
         predict_probs(prepare_cohort(block, config), bundle.params)
-        for block in _scoring_blocks(cohort, stats, config.t_max)])
-    labels = cohort.labels()
+        for block in _scoring_blocks(cohort, stats)])
     with open(os.path.join(out, "scored.csv"), "w") as fh:
         header = ",".join(f"prob_{k}" for k in range(config.n_classes))
         fh.write(f"patient_id,label,{header}\n")
-        for patient, row in zip(cohort.patients, probs):
+        for pid, label, row in zip(cohort.ids, cohort.labels.tolist(), probs):
             cells = ",".join(_fmt(v) for v in row)
-            fh.write(f"{patient.patient_id},{patient.label},{cells}\n")
-    auroc = macro_one_vs_rest(probs, labels, "auroc")
-    auprc = macro_one_vs_rest(probs, labels, "auprc")
+            fh.write(f"{pid},{label},{cells}\n")
+    auroc = macro_one_vs_rest(probs, cohort.labels, "auroc")
+    auprc = macro_one_vs_rest(probs, cohort.labels, "auprc")
     _write_metric_rows(os.path.join(out, "metrics.csv"),
                        _metric_rows_for(0, auroc, auprc))
     with open(os.path.join(out, "summary.txt"), "w") as fh:
@@ -596,22 +609,28 @@ def _select_features(names, wanted):
 
 def cmd_decompose(opts):
     out = _require_out(opts)
-    tables, names = _load_visit_tables(opts)
+    cohort = _load_cohort(opts, visits_only=True)
+    names = cohort.dynamic_names
     chosen = _select_features(names, opts.get("feature"))
     _write_manifest(out, "decompose", opts)
-    columns = [names.index(name) for name in chosen]
-    pids = list(tables)
-    lines = [None] * len(pids)
-    series = [tables[pid][:, columns].T for pid in pids]
-    for indices, group in decompose_ragged(series, opts["symlet"]):
-        for i, patient_lines in zip(indices, group):
-            lines[i] = patient_lines
+    first = names.index(chosen[0])
+    # The (features, 2, m) lines of patient i are groups[g][k], with
+    # (g, k) = place[i].
+    groups = []
+    place = np.zeros((len(cohort), 2), dtype=np.intp)
+    for indices, lines in decompose_ragged(
+            cohort.values[:, first:first + len(chosen)], cohort.offsets,
+            opts["symlet"]):
+        place[indices, 0] = len(groups)
+        place[indices, 1] = np.arange(len(indices))
+        groups.append(lines)
     row_labels = {}  # coefficient count -> ",feature,kind,index," per row
     path = os.path.join(out, "decomposition.csv")
     count = 0
     with open(path, "w") as fh:
         fh.write("patient_id,feature,kind,index,value\n")
-        for pid, patient_lines in zip(pids, lines):
+        for pid, (g, k) in zip(cohort.ids, place.tolist()):
+            patient_lines = groups[g][k]
             m = patient_lines.shape[-1]
             if m not in row_labels:
                 row_labels[m] = [f",{name},{kind},{i},"
@@ -629,9 +648,10 @@ def cmd_decompose(opts):
 
 def cmd_correlate(opts):
     out = _require_out(opts)
-    tables, names = _load_visit_tables(opts)
+    cohort = _load_cohort(opts, visits_only=True)
     _write_manifest(out, "correlate", opts)
-    rows = trend_variation_report(tables, names, opts["symlet"])
+    rows = trend_variation_report(cohort.values, cohort.offsets,
+                                  cohort.dynamic_names, opts["symlet"])
     path = os.path.join(out, "correlation.csv")
     with open(path, "w") as fh:
         fh.write("rank,feature,mean_abs_correlation,mean_correlation,"
@@ -661,7 +681,8 @@ def cmd_inspect_attention(opts):
             "difference attention is disabled in this checkpoint; nothing "
             "to inspect"
         )
-    tables, names = _load_visit_tables(opts)
+    cohort = _load_cohort(opts, visits_only=True)
+    names = cohort.dynamic_names
     if len(names) != config.n_dynamic:
         raise ConfigError(
             f"checkpoint/data dimension mismatch: model expects "
@@ -669,11 +690,7 @@ def cmd_inspect_attention(opts):
         )
     chosen = _select_features(names, opts.get("feature"))
     # The same z-scoring, padding and split as eval, on visits alone.
-    no_static = np.zeros(0)
-    cohort = Cohort(
-        tuple(Patient(pid, matrix, no_static, 0)
-              for pid, matrix in tables.items()),
-        tuple(names), (), 1)
+    no_static = np.zeros(cohort.n_static)
     effective = dict(opts)
     stats = replace(_scoring_stats(bundle, cohort, effective),
                     static_mean=no_static, static_std=no_static)
@@ -684,21 +701,21 @@ def cmd_inspect_attention(opts):
     path = os.path.join(out, "attention.csv")
     with open(path, "w") as fh:
         fh.write("patient_id,feature,position,delta,weight,weighted\n")
-        for padded in _scoring_blocks(cohort, stats, config.t_max):
-            series = np.array([p.visits[:, columns].T
-                               for p in padded.patients])
-            variation = decompose_batch(series, config.order)[:, :, 1]
+        for block in _scoring_blocks(cohort, stats):
+            padded = pad_to_length(block, config.t_max)[:, :, columns]
+            variation = decompose_batch(np.swapaxes(padded, 1, 2),
+                                        config.order)[:, :, 1]
             result = diff_attention(variation)
             deltas = np.diff(variation, axis=-1)
-            for patient, delta, weight, weighted in zip(
-                    padded.patients, deltas, result.weights,
+            for pid, delta, weight, weighted in zip(
+                    block.ids, deltas, result.weights,
                     result.weighted_diff):
                 fh.write("".join([
-                    f"{patient.patient_id}{label}{d!r},{w!r},{x!r}\n"
+                    f"{pid}{label}{d!r},{w!r},{x!r}\n"
                     for label, d, w, x in zip(
                         labels, delta.ravel().tolist(),
                         weight.ravel().tolist(), weighted.ravel().tolist())]))
-    sys.stdout.write(f"wrote attention weights for {len(tables)} patients\n")
+    sys.stdout.write(f"wrote attention weights for {len(cohort)} patients\n")
 
 
 _HANDLERS = {

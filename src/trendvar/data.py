@@ -22,29 +22,38 @@ import numpy as np
 from .errors import DataError
 
 
-@dataclass(frozen=True)
-class Patient:
-    patient_id: str
-    visits: np.ndarray      # (t, c) float64, t >= 1
-    static: np.ndarray      # (s,) float64
-    label: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cohort:
-    """Immutable bundle of patients plus the feature naming.
+    """Immutable ragged cohort: every visit row in one array plus offsets.
 
-    ``t_max`` is None until the cohort has been padded to a fixed length.
+    ``values`` (R, c) stacks the visit rows of all patients in patient
+    order; patient ``i`` owns rows ``offsets[i]:offsets[i + 1]`` (the CSR
+    ``indptr`` layout), ``offsets`` being (N + 1,) from 0 to R.  ``static``
+    is (N, s), ``labels`` (N,) int64 and ``ids`` the N patient ids.
     """
 
-    patients: tuple
+    ids: tuple
+    values: np.ndarray
+    offsets: np.ndarray
+    static: np.ndarray
+    labels: np.ndarray
     dynamic_names: tuple
     static_names: tuple
     n_classes: int
-    t_max: "int | None" = None
+
+    @classmethod
+    def stack(cls, ids, visits, static, labels, dynamic_names, static_names,
+              n_classes):
+        """A cohort from one (t_i, c) visit matrix and one static row per
+        patient."""
+        return cls(tuple(ids), np.concatenate(visits),
+                   np.cumsum([0] + [v.shape[0] for v in visits]),
+                   np.asarray(static, dtype=np.float64),
+                   np.asarray(labels, dtype=np.int64), tuple(dynamic_names),
+                   tuple(static_names), n_classes)
 
     def __len__(self):
-        return len(self.patients)
+        return len(self.ids)
 
     @property
     def n_dynamic(self):
@@ -54,8 +63,25 @@ class Cohort:
     def n_static(self):
         return len(self.static_names)
 
-    def labels(self):
-        return np.array([p.label for p in self.patients], dtype=np.int64)
+    def visits(self, i):
+        """The (t_i, c) visit rows of patient ``i``, a view."""
+        return self.values[self.offsets[i]:self.offsets[i + 1]]
+
+    def take(self, index):
+        """The patients at ``index`` (a slice or index array), in its order.
+
+        Their visit rows are gathered by offsets into one new array.
+        """
+        index = np.arange(len(self))[index]
+        starts = self.offsets[index]
+        lengths = self.offsets[index + 1] - starts
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        rows = np.repeat(starts - offsets[:-1], lengths) \
+            + np.arange(offsets[-1])
+        return Cohort(tuple(self.ids[i] for i in index.tolist()),
+                      self.values[rows], offsets, self.static[index],
+                      self.labels[index], self.dynamic_names,
+                      self.static_names, self.n_classes)
 
 
 @dataclass(frozen=True)
@@ -125,11 +151,12 @@ def _parse_float(path, line_no, column, text):
 
 
 def load_visit_table(path):
-    """Parse visits.csv alone: {patient_id: (t, c) array}, feature names.
+    """Parse visits.csv alone into a visits-only ``Cohort``.
 
     Patients keep their first-seen order; rows are sorted by visit_index per
-    patient; missing cells are forward-filled then zero-filled.  Useful for
-    diagnostics that do not need statics or labels.
+    patient; missing cells are forward-filled then zero-filled.  The cohort
+    has no static features and every label is 0: it serves diagnostics
+    that do not need them.
     """
     rows = _rows(path)
     _, header = next(rows)
@@ -139,16 +166,19 @@ def load_visit_table(path):
             f"carry at least one feature column, got {header}"
         )
     names = tuple(header[2:])
-    tables = _visit_tables_by_chunk(rows, len(header))
-    if tables is None:
+    parsed = _visit_tables_by_chunk(rows, len(header))
+    if parsed is None:
         rows = _rows(path)
         next(rows)
-        tables = _visit_tables_by_row(path, rows, names)
-    return tables, names
+        parsed = _visit_tables_by_row(path, rows, names)
+    ids, values, offsets = parsed
+    return Cohort(ids, values, offsets, np.zeros((len(ids), 0)),
+                  np.zeros(len(ids), dtype=np.int64), names, (), 1)
 
 
 def _visit_tables_by_chunk(rows, width):
-    """The visit tables from column passes over chunks of ``CHUNK_ROWS`` rows.
+    """The ids, visit rows and offsets of the patients, from column passes
+    over chunks of ``CHUNK_ROWS`` rows.
 
     ``rows`` yields ``(line_no, cells)`` after the header.  Each chunk becomes
     arrays at once; the sort and the forward fill run on their concatenation.
@@ -165,7 +195,7 @@ def _visit_tables_by_chunk(rows, width):
             return None
         parts.append(part)
     if not parts:
-        return {}
+        return (), np.zeros((0, width - 2)), np.zeros(1, dtype=np.int64)
     codes, visit_index, values, present = map(np.concatenate, zip(*parts))
     del parts
     n = codes.shape[0]
@@ -174,19 +204,18 @@ def _visit_tables_by_chunk(rows, width):
     values = values[order]
     present = present[order]
     counts = np.bincount(codes, minlength=len(first_seen))
-    ends = np.cumsum(counts)
-    starts = ends - counts
+    offsets = np.concatenate([[0], np.cumsum(counts)])
     # Each cell takes the latest present cell at or above it in its column,
     # if that one belongs to the same patient; a leading gap takes 0.
     last = np.where(present, np.arange(n)[:, None], -1)
     np.maximum.accumulate(last, axis=0, out=last)
     filled = np.take_along_axis(values, last, axis=0)
-    filled[last < np.repeat(starts, counts)[:, None]] = 0.0
-    return {pid: filled[s:e] for pid, s, e in zip(first_seen, starts, ends)}
+    filled[last < np.repeat(offsets[:-1], counts)[:, None]] = 0.0
+    return tuple(first_seen), filled, offsets
 
 
 def _visit_chunk(chunk, width, first_seen):
-    """Patient codes, visit_index, values and present mask of some rows.
+    """The patient codes, visit_index, values and present mask of some rows.
 
     ``chunk`` holds non-blank rows; ``first_seen`` maps patient ids to codes
     and grows with every new id.  Values and mask are (rows, c); missing
@@ -219,7 +248,8 @@ def _visit_chunk(chunk, width, first_seen):
 
 
 def _visit_tables_by_row(path, rows, names):
-    """The visit tables row by row, raising the first problem by line.
+    """The ids, visit rows and offsets of the patients, row by row, raising
+    the first problem by line.
 
     ``rows`` yields ``(line_no, cells)`` after the header.
     """
@@ -249,18 +279,35 @@ def _visit_tables_by_row(path, rows, names):
             else:
                 values.append(_parse_float(path, line_no, name, cell))
         per_patient.setdefault(pid, []).append((visit_index, values))
-    tables = {}
-    for pid, entries in per_patient.items():
+    offsets = np.cumsum([0] + [len(e) for e in per_patient.values()])
+    matrix = np.zeros((offsets[-1], len(names)))
+    for start, entries in zip(offsets.tolist(), per_patient.values()):
         entries.sort(key=lambda e: e[0])
-        matrix = np.zeros((len(entries), len(names)))
         for j in range(len(names)):
             last = 0.0
             for i, (_, values) in enumerate(entries):
                 if values[j] is not None:
                     last = values[j]
-                matrix[i, j] = last
-        tables[pid] = matrix
-    return tables
+                matrix[start + i, j] = last
+    return tuple(per_patient), matrix, offsets
+
+
+def _patient_rows(path, rows, width):
+    """``(line_no, patient_id, cells)`` of the non-blank rows of a file with
+    one row per patient; a ragged row or a repeated id raises by line."""
+    seen = set()
+    for line_no, row in rows:
+        if not row:
+            continue
+        if len(row) != width:
+            raise DataError(
+                f"{path}:{line_no}: expected {width} cells, got {len(row)}"
+            )
+        if row[0] in seen:
+            raise DataError(
+                f"{path}:{line_no}: duplicate patient id {row[0]!r}")
+        seen.add(row[0])
+        yield line_no, row[0], row[1:]
 
 
 def _load_static_table(path):
@@ -272,25 +319,16 @@ def _load_static_table(path):
             f"least one feature column, got {header}"
         )
     names = tuple(header[1:])
-    table = {}
-    for line_no, row in rows:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}:{line_no}: expected {len(header)} cells, got {len(row)}"
-            )
-        pid = row[0]
-        if pid in table:
-            raise DataError(f"{path}:{line_no}: duplicate patient id {pid!r}")
-        table[pid] = np.array(
-            [_parse_float(path, line_no, name, cell)
-             for name, cell in zip(names, row[1:])],
-        )
+    table = {
+        pid: np.array([_parse_float(path, line_no, name, cell)
+                       for name, cell in zip(names, cells)])
+        for line_no, pid, cells in _patient_rows(path, rows, len(header))
+    }
     return table, names
 
 
 def _load_label_table(path):
+    """{patient_id: label} in file order."""
     rows = _rows(path)
     _, header = next(rows)
     if header != ["patient_id", "label"]:
@@ -298,71 +336,56 @@ def _load_label_table(path):
             f"{path}:1: header must be patient_id,label, got {header}"
         )
     table = {}
-    order = []
-    for line_no, row in rows:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise DataError(
-                f"{path}:{line_no}: expected 2 cells, got {len(row)}"
-            )
-        pid = row[0]
-        if pid in table:
-            raise DataError(f"{path}:{line_no}: duplicate patient id {pid!r}")
+    for line_no, pid, (cell,) in _patient_rows(path, rows, 2):
         try:
-            table[pid] = int(row[1])
+            table[pid] = int(cell)
         except ValueError:
             raise DataError(
-                f"{path}:{line_no}: column label: not an integer: {row[1]!r}"
+                f"{path}:{line_no}: column label: not an integer: {cell!r}"
             ) from None
         if table[pid] < 0:
             raise DataError(
-                f"{path}:{line_no}: column label: negative label {row[1]}"
+                f"{path}:{line_no}: column label: negative label {cell}"
             )
-        order.append(pid)
-    if not order:
+    if not table:
         raise DataError(f"{path}: no patients")
-    return table, order
+    return table
 
 
 def load_cohort(visits_path, static_path, labels_path):
     """Load and join the three cohort files.
 
-    Patient order follows labels.csv.  Every id must appear in all three
-    files; strays on either side are reported by name.
+    The patients follow the order of labels.csv.  Every id must appear in
+    all three files; strays on either side are reported by name.
     """
-    visit_tables, dynamic_names = load_visit_table(visits_path)
+    visits = load_visit_table(visits_path)
     static_table, static_names = _load_static_table(static_path)
-    label_table, order = _load_label_table(labels_path)
-    for pid in order:
-        if pid not in visit_tables:
-            raise DataError(
-                f"{visits_path}: unknown patient id {pid!r} "
-                f"(listed in {labels_path} but has no visits)"
-            )
-        if pid not in static_table:
-            raise DataError(
-                f"{static_path}: unknown patient id {pid!r} "
-                f"(listed in {labels_path} but has no static row)"
-            )
-    for pid in visit_tables:
-        if pid not in label_table:
-            raise DataError(
-                f"{visits_path}: unknown patient id {pid!r} (not in "
-                f"{labels_path})"
-            )
-    for pid in static_table:
-        if pid not in label_table:
-            raise DataError(
-                f"{static_path}: unknown patient id {pid!r} (not in "
-                f"{labels_path})"
-            )
-    n_classes = max(label_table.values()) + 1
-    patients = tuple(
-        Patient(pid, visit_tables[pid], static_table[pid], label_table[pid])
-        for pid in order
+    label_table = _load_label_table(labels_path)
+    position = {pid: i for i, pid in enumerate(visits.ids)}
+    for pid in label_table:
+        for table, path, lack in ((position, visits_path, "has no visits"),
+                                  (static_table, static_path,
+                                   "has no static row")):
+            if pid not in table:
+                raise DataError(
+                    f"{path}: unknown patient id {pid!r} "
+                    f"(listed in {labels_path} but {lack})"
+                )
+    for ids, path in ((visits.ids, visits_path), (static_table, static_path)):
+        for pid in ids:
+            if pid not in label_table:
+                raise DataError(
+                    f"{path}: unknown patient id {pid!r} (not in "
+                    f"{labels_path})"
+                )
+    order = list(label_table)
+    return replace(
+        visits.take([position[pid] for pid in order]),
+        static=np.array([static_table[pid] for pid in order]),
+        labels=np.array([label_table[pid] for pid in order], dtype=np.int64),
+        static_names=static_names,
+        n_classes=max(label_table.values()) + 1,
     )
-    return Cohort(patients, dynamic_names, static_names, n_classes)
 
 
 def write_cohort(cohort, directory):
@@ -377,24 +400,22 @@ def write_cohort(cohort, directory):
     labels_path = os.path.join(directory, "labels.csv")
     with open(visits_path, "w", newline="") as fh:
         fh.write("patient_id,visit_index," + ",".join(cohort.dynamic_names) + "\n")
-        for p in cohort.patients:
-            for i in range(p.visits.shape[0]):
-                cells = ",".join(repr(float(v)) for v in p.visits[i])
-                fh.write(f"{p.patient_id},{i},{cells}\n")
+        for i, pid in enumerate(cohort.ids):
+            for visit, row in enumerate(cohort.visits(i).tolist()):
+                fh.write(f"{pid},{visit},{','.join(map(repr, row))}\n")
     with open(static_path, "w", newline="") as fh:
         fh.write("patient_id," + ",".join(cohort.static_names) + "\n")
-        for p in cohort.patients:
-            cells = ",".join(repr(float(v)) for v in p.static)
-            fh.write(f"{p.patient_id},{cells}\n")
+        for pid, row in zip(cohort.ids, cohort.static.tolist()):
+            fh.write(f"{pid},{','.join(map(repr, row))}\n")
     with open(labels_path, "w", newline="") as fh:
         fh.write("patient_id,label\n")
-        for p in cohort.patients:
-            fh.write(f"{p.patient_id},{p.label}\n")
+        for pid, label in zip(cohort.ids, cohort.labels.tolist()):
+            fh.write(f"{pid},{label}\n")
     return visits_path, static_path, labels_path
 
 
 def pad_to_length(cohort, t_max):
-    """Fix every patient to exactly t_max visits.
+    """Every patient's visits fixed to exactly t_max: an (N, t_max, c) array.
 
     Longer histories keep their most recent t_max visits; shorter ones
     repeat the final visit, which leaves trend flat and variation ~zero in
@@ -402,42 +423,27 @@ def pad_to_length(cohort, t_max):
     """
     if t_max < 1:
         raise DataError(f"pad_to_length: t_max must be >= 1, got {t_max}")
-    if not cohort.patients:
-        return replace(cohort, t_max=t_max)
-    rows, lengths = _stacked_visits(cohort.patients)
-    starts = np.cumsum(lengths) - lengths
+    lengths = np.diff(cohort.offsets)
     # Visit j of a padded history is row skip + j of the patient, capped at
     # its final row; skip drops the oldest visits of a long history.
     skip = np.maximum(lengths - t_max, 0)
     take = np.minimum(skip[:, None] + np.arange(t_max), lengths[:, None] - 1)
-    padded = rows[starts[:, None] + take]
-    patients = tuple(Patient(p.patient_id, visits, p.static, p.label)
-                     for p, visits in zip(cohort.patients, padded))
-    return replace(cohort, patients=patients, t_max=t_max)
+    return cohort.values[cohort.offsets[:-1, None] + take]
 
 
-def _stacked_visits(patients):
-    """All visit rows of ``patients`` in one (sum t, c) array, and each t."""
-    lengths = np.array([p.visits.shape[0] for p in patients])
-    return np.concatenate([p.visits for p in patients]), lengths
-
-
-def compute_stats(patients):
-    """Feature means/stds over all visit rows (and statics) of ``patients``.
+def compute_stats(cohort):
+    """Feature means/stds over all visit rows (and statics) of ``cohort``.
 
     Population std (ddof 0); constant features keep std 0 and are neutralised
     in ``normalize``.
     """
-    patients = list(patients)
-    if not patients:
-        raise DataError("compute_stats: empty patient list")
-    stacked = np.vstack([p.visits for p in patients])
-    statics = np.vstack([p.static for p in patients])
+    if not len(cohort):
+        raise DataError("compute_stats: empty cohort")
     return FeatureStats(
-        dynamic_mean=stacked.mean(axis=0),
-        dynamic_std=stacked.std(axis=0),
-        static_mean=statics.mean(axis=0),
-        static_std=statics.std(axis=0),
+        dynamic_mean=cohort.values.mean(axis=0),
+        dynamic_std=cohort.values.std(axis=0),
+        static_mean=cohort.static.mean(axis=0),
+        static_std=cohort.static.std(axis=0),
     )
 
 
@@ -451,17 +457,11 @@ def _zscore(matrix, mean, std):
 
 def normalize(cohort, stats):
     """Z-score every patient with the given stats (never its own)."""
-    if not cohort.patients:
-        return cohort
-    rows, lengths = _stacked_visits(cohort.patients)
-    visits = np.split(
-        _zscore(rows, stats.dynamic_mean, stats.dynamic_std),
-        np.cumsum(lengths)[:-1])
-    static = _zscore(np.stack([p.static for p in cohort.patients]),
-                     stats.static_mean, stats.static_std)
-    patients = tuple(Patient(p.patient_id, v, s, p.label)
-                     for p, v, s in zip(cohort.patients, visits, static))
-    return replace(cohort, patients=patients)
+    return replace(
+        cohort,
+        values=_zscore(cohort.values, stats.dynamic_mean, stats.dynamic_std),
+        static=_zscore(cohort.static, stats.static_mean, stats.static_std),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +530,7 @@ class SynthSpec:
                 f"synthetic spec: n_noise_features {self.n_noise_features} "
                 f"must leave at least one informative dynamic feature"
             )
-        if self.mean_visits < 3:
+        if not self.mean_visits >= 3:
             raise DataError(
                 f"synthetic spec: mean_visits must be >= 3, got "
                 f"{self.mean_visits}"
@@ -544,7 +544,8 @@ def synth_generate(spec):
     counts vary around ``mean_visits`` with a floor of 3.
     """
     rng = np.random.default_rng(spec.seed)
-    patients = []
+    visit_list = []
+    static = np.empty((spec.n_patients, spec.n_static))
     digits = len(str(spec.n_patients - 1))
     for idx in range(spec.n_patients):
         k = idx % spec.n_classes
@@ -569,14 +570,14 @@ def synth_generate(spec):
                 + 0.5 * envelope * alternation
                 + rng.normal(0.0, spec.noise_scale, t)
             )
-        static = np.empty(spec.n_static)
         for i in range(spec.n_static):
             lean = 1.0 if (i + k) % 2 == 0 else -1.0
             prob = float(np.clip(0.5 + spec.static_class_weight * lean,
                                  0.05, 0.95))
-            static[i] = 1.0 if rng.random() < prob else 0.0
-        patients.append(Patient(f"p{idx:0{digits}d}", visits, static, k))
-    dynamic_names = tuple(f"dyn_{j}" for j in range(spec.n_dynamic))
-    static_names = tuple(f"st_{i}" for i in range(spec.n_static))
-    return Cohort(tuple(patients), dynamic_names, static_names,
-                  spec.n_classes)
+            static[idx, i] = 1.0 if rng.random() < prob else 0.0
+        visit_list.append(visits)
+    return Cohort.stack(
+        [f"p{idx:0{digits}d}" for idx in range(spec.n_patients)],
+        visit_list, static, np.arange(spec.n_patients) % spec.n_classes,
+        [f"dyn_{j}" for j in range(spec.n_dynamic)],
+        [f"st_{i}" for i in range(spec.n_static)], spec.n_classes)

@@ -45,16 +45,12 @@ def auroc_binary(scores, labels):
             f"{n_neg} negatives"
         )
     order = np.argsort(scores, kind="mergesort")
+    # A tied block at sorted positions i..i+k-1 takes the midrank
+    # i + (k - 1) / 2 + 1.
+    _, first, counts = np.unique(scores[order], return_index=True,
+                                 return_counts=True)
     ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # midrank of the tied block occupying ranks i+1 .. j+1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(first + 0.5 * (counts - 1) + 1.0, counts)
     rank_sum = ranks[labels == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -71,25 +67,13 @@ def auprc_binary(scores, labels):
         raise DataError("auprc: no positive examples")
     order = np.argsort(-scores, kind="mergesort")
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    area = 0.0
-    true_pos = 0
-    seen = 0
-    prev_recall = 0.0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        true_pos += int(sorted_labels[i:j + 1].sum())
-        seen += j - i + 1
-        recall = true_pos / n_pos
-        precision = true_pos / seen
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return float(area)
+    # The last position of each tied block: a threshold's cut.
+    seen = np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1],
+                                    True)) + 1
+    true_pos = np.cumsum(labels[order])[seen - 1]
+    recall = true_pos / n_pos
+    gains = np.diff(recall, prepend=0.0) * (true_pos / seen)
+    return float(_running_sum(gains))
 
 
 @dataclass
@@ -185,34 +169,35 @@ def _running_sum(x):
     return np.cumsum(x, axis=0)[-1] if len(x) else np.zeros(x.shape[1:])
 
 
-def trend_variation_report(visit_tables, feature_names, order):
+def trend_variation_report(values, offsets, feature_names, order):
     """Rank features by how strongly trend and variation co-move.
 
-    For every patient and feature, correlate the trend line with the
-    variation line; report the mean |r| per feature, descending.  Patients
-    whose lines are constant (or too short) count as undefined rather than
-    poisoning the mean.  Patients are decomposed in groups of equal visit
-    count; the sums over patients run in table order.
+    ``values`` (R, c) and ``offsets`` (N + 1,) hold the visit rows of N
+    patients, as in a ``Cohort``.  For every patient and feature, correlate
+    the trend line with the variation line; report the mean |r| per
+    feature, descending.  Patients whose lines are constant (or too short)
+    count as undefined rather than poisoning the mean.  Patients are
+    decomposed in groups of equal visit count; the sums over patients run
+    in patient order.
     """
-    matrices = list(visit_tables.values())
-    for matrix in matrices:
-        if matrix.shape[1] != len(feature_names):
-            raise DataError(
-                f"trend_variation_report: matrix has {matrix.shape[1]} "
-                f"columns for {len(feature_names)} features"
-            )
-    r = np.zeros((len(matrices), len(feature_names)))
+    if values.shape[1] != len(feature_names):
+        raise DataError(
+            f"trend_variation_report: matrix has {values.shape[1]} "
+            f"columns for {len(feature_names)} features"
+        )
+    n_patients = offsets.shape[0] - 1
+    r = np.zeros((n_patients, len(feature_names)))
     defined = np.zeros(r.shape, dtype=bool)
-    for indices, lines in decompose_ragged([m.T for m in matrices], order):
+    for indices, lines in decompose_ragged(values, offsets, order):
         if lines.shape[-1] >= 2:
             r[indices], defined[indices] = _pearson_rows(
                 lines[..., 0, :], lines[..., 1, :])
     # A constant series has constant lines in exact arithmetic, but the
     # matrix product leaves them roundoff apart: test the series itself.
-    for i, matrix in enumerate(matrices):
-        flat = (matrix == matrix[:1]).all(axis=0)
-        r[i, flat] = 0.0
-        defined[i, flat] = False
+    flat = np.maximum.reduceat(values, offsets[:-1]) \
+        == np.minimum.reduceat(values, offsets[:-1])
+    r[flat] = 0.0
+    defined[flat] = False
     # Undefined entries hold 0.0, so these running sums in patient order
     # equal the left-to-right sums over the defined ones.
     sums = _running_sum(r)
@@ -226,7 +211,7 @@ def trend_variation_report(visit_tables, feature_names, order):
             mean_abs_correlation=float(abs_sums[j]) / n if n else 0.0,
             mean_correlation=float(sums[j]) / n if n else 0.0,
             n_defined=n,
-            n_undefined=len(matrices) - n,
+            n_undefined=n_patients - n,
         ))
     rows.sort(key=lambda row: (-row.mean_abs_correlation, row.feature))
     return rows

@@ -7,7 +7,7 @@ choice (fold assignment, init, shuffling) derives from the seed, making runs
 bit-reproducible.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,16 +89,11 @@ def adam_step(params, grads, state, learning_rate):
     params.flat -= learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
-@dataclass
-class EpochRecord:
-    epoch: int
-    mean_loss: float
-
-
 def train(batch, params, train_config):
-    """Fit ``params`` on a prepared batch; returns the epoch loss log.
+    """Fit ``params`` on a prepared batch; returns the epoch losses and the
+    optimizer state.
 
-    ``params`` is updated in place.  Loss reported per epoch is the mean
+    ``params`` is updated in place.  ``losses[e]`` is epoch e's mean
     cross-entropy over all patients at the point each was visited.
     """
     n = len(batch)
@@ -108,7 +103,7 @@ def train(batch, params, train_config):
         np.random.SeedSequence(train_config.seed, spawn_key=(1,)))
     state = AdamState(params.flat.size)
     onehot = one_hot(batch.labels, params.config.n_classes)
-    log = []
+    losses = np.empty(train_config.epochs)
     for epoch in range(train_config.epochs):
         order = rng.permutation(n)
         loss_total = 0.0
@@ -124,8 +119,8 @@ def train(batch, params, train_config):
             raise NumericError(
                 f"training diverged: non-finite mean loss at epoch {epoch}"
             )
-        log.append(EpochRecord(epoch, mean_loss))
-    return log, state
+        losses[epoch] = mean_loss
+    return losses, state
 
 
 def predict_probs(batch, params):
@@ -137,10 +132,10 @@ def predict_probs(batch, params):
 
 
 def prepare_cohort(cohort, config):
-    """Prepared batch of every patient of an already-padded cohort."""
-    return prepare(np.stack([p.visits for p in cohort.patients]),
-                   np.stack([p.static for p in cohort.patients]),
-                   cohort.labels(), config)
+    """Prepared batch of every patient of a normalized cohort, padded to the
+    model's ``t_max``."""
+    return prepare(pad_to_length(cohort, config.t_max), cohort.static,
+                   cohort.labels, config)
 
 
 @dataclass
@@ -149,7 +144,7 @@ class FoldResult:
     test_indices: np.ndarray
     stats: object
     params: ModelParams
-    epoch_log: list
+    epoch_log: np.ndarray
     probs: np.ndarray
     labels: np.ndarray
     auroc: object
@@ -190,18 +185,14 @@ def run_fold(cohort, config, train_config, fold, test_indices, param_init=None):
     Normalization stats come from the training patients only; the held-out
     fold is z-scored with those same stats, never its own.
     """
-    test_set = set(int(i) for i in test_indices)
-    train_patients = [p for i, p in enumerate(cohort.patients)
-                      if i not in test_set]
-    test_patients = [p for i, p in enumerate(cohort.patients)
-                     if i in test_set]
-    stats = compute_stats(train_patients)
-    normalized = normalize(
-        replace(cohort, patients=tuple(train_patients + test_patients)),
-        stats,
-    )
-    prepared = prepare_cohort(pad_to_length(normalized, config.t_max), config)
-    n_train = len(train_patients)
+    held_out = np.zeros(len(cohort), dtype=bool)
+    held_out[test_indices] = True
+    n_train = len(cohort) - int(held_out.sum())
+    # Train first, then test, each in cohort order: one batch for both.
+    ordered = cohort.take(np.concatenate([np.flatnonzero(~held_out),
+                                          np.flatnonzero(held_out)]))
+    stats = compute_stats(ordered.take(slice(0, n_train)))
+    prepared = prepare_cohort(normalize(ordered, stats), config)
     fold_seed_rng = np.random.default_rng(
         np.random.SeedSequence(train_config.seed, spawn_key=(2, fold)))
     if param_init is None:
@@ -217,7 +208,7 @@ def run_fold(cohort, config, train_config, fold, test_indices, param_init=None):
     epoch_log, _ = train(prepared.take(slice(0, n_train)), params,
                          fold_train_config)
     probs = predict_probs(prepared.take(slice(n_train, None)), params)
-    labels = np.array([p.label for p in test_patients], dtype=np.int64)
+    labels = ordered.labels[n_train:]
     auroc = macro_one_vs_rest(probs, labels, "auroc")
     auprc = macro_one_vs_rest(probs, labels, "auprc")
     return FoldResult(fold, np.asarray(test_indices), stats, params,
@@ -226,7 +217,7 @@ def run_fold(cohort, config, train_config, fold, test_indices, param_init=None):
 
 def cross_validate(cohort, k, config, train_config, param_init=None):
     """k-fold cross-validation over a raw (unpadded, unnormalized) cohort."""
-    folds = fold_assignment(len(cohort.patients), k, train_config.seed)
+    folds = fold_assignment(len(cohort), k, train_config.seed)
     results = [
         run_fold(cohort, config, train_config, fold, folds[fold], param_init)
         for fold in range(k)

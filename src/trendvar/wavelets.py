@@ -209,17 +209,19 @@ def decompose_batch(series, order):
     return lines.reshape(series.shape[:-1] + (2, matrix.shape[0] // 2))
 
 
-def decompose_ragged(series, order):
-    """Split series of varying length, one ``decompose_batch`` per length.
+def decompose_ragged(values, offsets, order):
+    """Split ragged series, one ``decompose_batch`` per distinct length.
 
-    ``series`` is a sequence of (..., t_i) arrays with one leading shape.
-    Yields ``(indices, lines)`` per distinct length, in order of first
-    appearance: ``lines[k]`` is the (..., 2, m) split of
-    ``series[indices[k]]``.
+    ``values`` (R, c) holds the visit rows of every patient, patient ``i``
+    owning rows ``offsets[i]:offsets[i + 1]``.  Yields ``(indices, lines)``
+    per distinct visit count, in order of first appearance: ``lines[k]`` is
+    the (c, 2, m) split of the columns of patient ``indices[k]``.
     """
-    groups = {}
-    for i, s in enumerate(series):
-        groups.setdefault(s.shape[-1], []).append(i)
-    for indices in groups.values():
-        yield indices, decompose_batch(
-            np.stack([series[i] for i in indices]), order)
+    lengths = np.diff(offsets)
+    _, first = np.unique(lengths, return_index=True)
+    columns = np.arange(values.shape[1])[:, None]
+    for t in lengths[np.sort(first)].tolist():
+        indices = np.flatnonzero(lengths == t)
+        # Gathered straight into (patients, c, t): one copy of the group.
+        rows = offsets[indices, None, None] + np.arange(t)
+        yield indices, decompose_batch(values[rows, columns], order)

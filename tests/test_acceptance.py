@@ -15,13 +15,7 @@ import time
 import numpy as np
 
 from trendvar.autodiff import finite_diff_check
-from trendvar.data import (
-    SynthSpec,
-    compute_stats,
-    normalize,
-    pad_to_length,
-    synth_generate,
-)
+from trendvar.data import SynthSpec, compute_stats, normalize, synth_generate
 from trendvar.diff_attention import diff_attention
 from trendvar.dilated import BranchParams, conv_branch
 from trendvar.metrics import auprc_binary, auroc_binary, macro_one_vs_rest
@@ -35,7 +29,12 @@ from trendvar.model import (
     one_hot,
     prepare,
 )
-from trendvar.training import TrainConfig, predict_probs, train
+from trendvar.training import (
+    TrainConfig,
+    predict_probs,
+    prepare_cohort,
+    train,
+)
 from trendvar.wavelets import (
     MAX_ORDER,
     MIN_ORDER,
@@ -297,20 +296,17 @@ def learning_trial(seed):
     train_idx, test_idx = perm[:800], perm[800:]
     config = ModelConfig(t_max=10, n_dynamic=5, n_static=3, n_classes=3,
                          order=6)
-    stats = compute_stats([cohort.patients[i] for i in train_idx])
-    padded = pad_to_length(normalize(cohort, stats), config.t_max)
+    normed = normalize(cohort, compute_stats(cohort.take(train_idx)))
 
     def prep(indices):
-        return prepare(np.stack([padded.patients[i].visits for i in indices]),
-                       np.stack([padded.patients[i].static for i in indices]),
-                       [padded.patients[i].label for i in indices], config)
+        return prepare_cohort(normed.take(indices), config)
 
     params = ModelParams.initialized(config, np.random.default_rng(seed + 1))
     train(prep(train_idx), params,
           TrainConfig(learning_rate=1e-4, batch_size=64, epochs=50,
                       seed=seed))
     probs = predict_probs(prep(test_idx), params)
-    labels = np.array([cohort.patients[i].label for i in test_idx])
+    labels = cohort.labels[test_idx]
     return (macro_one_vs_rest(probs, labels, "auroc").value,
             macro_one_vs_rest(probs, labels, "auprc").value)
 
@@ -345,20 +341,17 @@ def ablation_trial(seed, preset):
     train_idx, test_idx = perm[:320], perm[320:]
     config = ModelConfig(t_max=12, n_dynamic=3, n_static=2, n_classes=2,
                          order=6, flags=ABLATION_PRESETS[preset])
-    stats = compute_stats([cohort.patients[i] for i in train_idx])
-    padded = pad_to_length(normalize(cohort, stats), config.t_max)
+    normed = normalize(cohort, compute_stats(cohort.take(train_idx)))
 
     def prep(indices):
-        return prepare(np.stack([padded.patients[i].visits for i in indices]),
-                       np.stack([padded.patients[i].static for i in indices]),
-                       [padded.patients[i].label for i in indices], config)
+        return prepare_cohort(normed.take(indices), config)
 
     params = ModelParams.initialized(config, np.random.default_rng(seed + 1))
     train(prep(train_idx), params,
           TrainConfig(learning_rate=1e-3, batch_size=32, epochs=40,
                       seed=seed))
     probs = predict_probs(prep(test_idx), params)
-    labels = np.array([cohort.patients[i].label for i in test_idx])
+    labels = cohort.labels[test_idx]
     return macro_one_vs_rest(probs, labels, "auroc").value
 
 

@@ -2,11 +2,13 @@
 
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from trendvar import cli
 from trendvar.data import compute_stats, load_cohort
 from trendvar.model import load_checkpoint, save_checkpoint
 
@@ -70,7 +72,7 @@ def test_synth_writes_a_loadable_cohort(workspace):
         assert (data / name).exists()
     cohort = load_cohort(data / "visits.csv", data / "static.csv",
                          data / "labels.csv")
-    assert len(cohort.patients) == 14
+    assert len(cohort) == 14
     assert cohort.n_dynamic == 2
     manifest = read(data / "manifest.txt")
     assert "command = synth" in manifest
@@ -215,6 +217,42 @@ def test_uncreatable_out_is_a_config_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["train", "--synth", "default", "--tmax", "99999999999"],
+     "--tmax 99999999999"),
+    (["sweep-symlets", "--synth", "default", "--tmax", "3000000"],
+     "--tmax 3000000"),
+    (["train", "--synth", "default", "--settings", "tmax.txt"],
+     "--tmax 99999999999"),
+    (["synth", "--patients", "3", "--features", "2000000000"],
+     "--features 2000000000"),
+    (["synth", "--patients", "100000000000"], "--patients 100000000000"),
+    (["synth", "--static-features", "10000000000"],
+     "--static-features 10000000000"),
+    (["synth", "--mean-visits", "1e12"], "--mean-visits 1000000000000.0"),
+    (["synth", "--mean-visits", "inf"], "--mean-visits inf"),
+], ids=["train-tmax", "sweep-tmax", "settings-tmax", "synth-features",
+        "synth-patients", "synth-static-features", "synth-mean-visits",
+        "synth-mean-visits-inf"])
+def test_oversized_sizes_are_config_errors_before_allocating(
+        tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tmax.txt").write_text("tmax = 99999999999\n")
+    tracemalloc.start()
+    try:
+        code = cli.main([*argv, "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert named in err and "GiB limit" in err
+    assert "Traceback" not in err
+    # Refused before the run began: no manifest, nothing large allocated.
+    assert not (tmp_path / "out").exists()
+    assert peak < 16 * 2 ** 20, peak
+
+
 def test_single_class_cohort_is_a_data_error(tmp_path):
     (tmp_path / "v.csv").write_text(
         "patient_id,visit_index,x\na,0,1.0\na,1,2.0\nb,0,3.0\nb,1,4.0\n")
@@ -343,7 +381,7 @@ def test_checkpoint_without_stats_uses_the_cohort_stats(tmp_path, workspace):
     cohort = load_cohort(d / "visits.csv", d / "static.csv",
                          d / "labels.csv")
     save_checkpoint(own, bundle.params, bundle.config,
-                    compute_stats(cohort.patients))
+                    compute_stats(cohort))
     note = "stats = evaluation cohort (checkpoint has none)\n"
     for command, flags, output in (
             ("eval", data_flags(workspace), "scored.csv"),

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from trendvar import data
 from trendvar.data import (
     Cohort,
-    Patient,
     SynthSpec,
     compute_stats,
     load_cohort,
@@ -30,6 +29,11 @@ def write(path, text):
     return str(path)
 
 
+def visit_tables(cohort):
+    """{patient_id: (t, c) visit rows} of a cohort, in cohort order."""
+    return {pid: cohort.visits(i) for i, pid in enumerate(cohort.ids)}
+
+
 # -- visit table parsing ----------------------------------------------------
 
 def test_visit_table_basic_shape(tmp_path):
@@ -38,8 +42,9 @@ def test_visit_table_basic_shape(tmp_path):
                  "a,0,60.0,120.0\n"
                  "a,1,61.0,121.0\n"
                  "b,0,70.0,130.0\n")
-    tables, names = load_visit_table(path)
-    assert names == ("hr", "bp")
+    cohort = load_visit_table(path)
+    tables = visit_tables(cohort)
+    assert cohort.dynamic_names == ("hr", "bp")
     assert set(tables) == {"a", "b"}
     np.testing.assert_array_equal(tables["a"],
                                   [[60.0, 120.0], [61.0, 121.0]])
@@ -52,7 +57,7 @@ def test_visit_rows_are_sorted_by_visit_index(tmp_path):
                  "a,2,3.0\n"
                  "a,0,1.0\n"
                  "a,1,2.0\n")
-    tables, _ = load_visit_table(path)
+    tables = visit_tables(load_visit_table(path))
     np.testing.assert_array_equal(tables["a"].ravel(), [1.0, 2.0, 3.0])
 
 
@@ -62,7 +67,7 @@ def test_missing_cells_forward_fill_then_zero(tmp_path):
                  "a,0,,5.0\n"
                  "a,1,2.0,\n"
                  "a,2,,\n")
-    tables, _ = load_visit_table(path)
+    tables = visit_tables(load_visit_table(path))
     # hr: leading gap -> 0, then 2 carried forward; bp: 5 carried forward
     np.testing.assert_array_equal(tables["a"],
                                   [[0.0, 5.0], [2.0, 5.0], [2.0, 5.0]])
@@ -112,7 +117,7 @@ def test_interleaved_patients_keep_first_seen_order(tmp_path):
                  "c,0,100.0\n"
                  "a,1,20.0\n"
                  "b,2,3.0\n")
-    tables, _ = load_visit_table(path)
+    tables = visit_tables(load_visit_table(path))
     assert list(tables) == ["b", "a", "c"]
     np.testing.assert_array_equal(tables["b"].ravel(), [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(tables["a"].ravel(), [10.0, 20.0])
@@ -128,7 +133,7 @@ def test_out_of_order_visits_sort_stably_per_patient(tmp_path):
                  "b,0,10.0\n"
                  "a,5,4.0\n"
                  "a,0,2.0\n")
-    tables, _ = load_visit_table(path)
+    tables = visit_tables(load_visit_table(path))
     # Equal visit_index values keep their file order (3.0 before 4.0).
     np.testing.assert_array_equal(tables["a"].ravel(), [1.0, 2.0, 3.0, 4.0])
     np.testing.assert_array_equal(tables["b"].ravel(), [10.0, 20.0])
@@ -143,7 +148,7 @@ def test_leading_gap_then_later_gap_per_patient(tmp_path):
                  "b,2,5.0,\n"
                  "b,3,,3.0\n"
                  "a,1,,\n")
-    tables, _ = load_visit_table(path)
+    tables = visit_tables(load_visit_table(path))
     # b's leading hr gap is 0, never a's 7.0; later gaps carry b's own.
     np.testing.assert_array_equal(
         tables["b"], [[0.0, 2.0], [0.0, 2.0], [5.0, 2.0], [5.0, 3.0]])
@@ -181,13 +186,14 @@ def test_column_pass_equals_the_row_walk(rows):
     lines = [[] if row is None else [row[0], str(row[1]), *row[2]]
              for row in rows]
     numbered = list(enumerate(lines, start=2))
-    by_row = data._visit_tables_by_row("v.csv", iter(numbered), ("x", "y"))
+    ids, values, offsets = data._visit_tables_by_row(
+        "v.csv", iter(numbered), ("x", "y"))
     for chunk_rows in (1, 2, 3, data.CHUNK_ROWS):
         with mock.patch.object(data, "CHUNK_ROWS", chunk_rows):
             by_chunk = data._visit_tables_by_chunk(iter(numbered), 4)
-        assert list(by_chunk) == list(by_row), chunk_rows
-        for pid, matrix in by_row.items():
-            np.testing.assert_array_equal(by_chunk[pid], matrix)
+        assert by_chunk[0] == ids, chunk_rows
+        np.testing.assert_array_equal(by_chunk[1], values)
+        np.testing.assert_array_equal(by_chunk[2], offsets)
 
 
 def test_patient_rows_span_chunk_boundaries(tmp_path, monkeypatch):
@@ -201,7 +207,7 @@ def test_patient_rows_span_chunk_boundaries(tmp_path, monkeypatch):
                  "b,1,,6.0\n"
                  "a,3,,\n"
                  "c,0,9.0,9.5\n")
-    tables, _ = load_visit_table(path)
+    tables = visit_tables(load_visit_table(path))
     assert list(tables) == ["a", "b", "c"]
     # a's rows sit in three chunks; the sort and the fill see them together.
     np.testing.assert_array_equal(
@@ -222,7 +228,7 @@ def test_blank_rows_at_chunk_boundaries_are_skipped(tmp_path, monkeypatch):
                  "\n"
                  "b,0,4.0\n"
                  "\n")
-    tables, _ = load_visit_table(path)
+    tables = visit_tables(load_visit_table(path))
     np.testing.assert_array_equal(tables["a"].ravel(), [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(tables["b"].ravel(), [4.0])
 
@@ -240,7 +246,10 @@ def test_bad_cell_in_a_later_chunk_names_its_line(tmp_path, monkeypatch):
 
 def test_header_only_file_has_no_patients(tmp_path):
     path = write(tmp_path / "v.csv", "patient_id,visit_index,hr\n\n")
-    assert load_visit_table(path) == ({}, ("hr",))
+    cohort = load_visit_table(path)
+    assert cohort.ids == () and cohort.dynamic_names == ("hr",)
+    assert cohort.values.shape == (0, 1)
+    np.testing.assert_array_equal(cohort.offsets, [0])
     v, s, y = cohort_files(tmp_path)
     header_only = write(tmp_path / "visits_header.csv",
                         "patient_id,visit_index,hr\n")
@@ -288,11 +297,11 @@ def test_loader_memory_is_bounded_by_the_tables(tmp_path):
     del lines, values
     tracemalloc.start()
     try:
-        tables, _ = load_visit_table(path)
+        cohort = load_visit_table(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    nbytes = sum(table.nbytes for table in tables.values())
+    nbytes = cohort.values.nbytes
     assert nbytes == n_patients * n_visits * c * 8
     # The whole file as Python rows would be over 17 times the tables.
     assert peak <= 6 * nbytes + 4 * 2 ** 20, (peak, nbytes)
@@ -313,13 +322,13 @@ def cohort_files(tmp_path, visits=None, static=None, labels=None):
 
 def test_load_cohort_joins_in_label_order(tmp_path):
     cohort = load_cohort(*cohort_files(tmp_path))
-    assert [p.patient_id for p in cohort.patients] == ["a", "b"]
+    assert cohort.ids == ("a", "b")
     assert cohort.dynamic_names == ("hr",)
     assert cohort.static_names == ("age",)
     assert cohort.n_classes == 2
-    assert cohort.patients[0].label == 0
-    np.testing.assert_array_equal(cohort.patients[1].static, [40.0])
-    assert cohort.t_max is None
+    assert cohort.labels[0] == 0
+    np.testing.assert_array_equal(cohort.static[1], [40.0])
+    np.testing.assert_array_equal(cohort.offsets, [0, 2, 3])
 
 
 def test_load_cohort_reports_strays_by_name(tmp_path):
@@ -359,11 +368,11 @@ def test_write_then_load_round_trip(tmp_path):
     assert loaded.dynamic_names == cohort.dynamic_names
     assert loaded.static_names == cohort.static_names
     assert loaded.n_classes == cohort.n_classes
-    for orig, back in zip(cohort.patients, loaded.patients):
-        assert orig.patient_id == back.patient_id
-        assert orig.label == back.label
-        np.testing.assert_array_equal(orig.visits, back.visits)
-        np.testing.assert_array_equal(orig.static, back.static)
+    assert loaded.ids == cohort.ids
+    np.testing.assert_array_equal(loaded.labels, cohort.labels)
+    np.testing.assert_array_equal(loaded.values, cohort.values)
+    np.testing.assert_array_equal(loaded.offsets, cohort.offsets)
+    np.testing.assert_array_equal(loaded.static, cohort.static)
 
 
 def test_write_cohort_is_byte_stable(tmp_path):
@@ -379,34 +388,63 @@ def test_write_cohort_is_byte_stable(tmp_path):
 # -- padding and normalization ----------------------------------------------
 
 def two_patient_cohort():
-    a = Patient("a", np.array([[1.0], [2.0], [3.0], [4.0]]),
-                np.array([10.0]), 0)
-    b = Patient("b", np.array([[5.0], [6.0]]), np.array([20.0]), 1)
-    return Cohort((a, b), ("x",), ("s",), 2)
+    return Cohort.stack(
+        ("a", "b"),
+        [np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([[5.0], [6.0]])],
+        [[10.0], [20.0]], [0, 1], ("x",), ("s",), 2)
 
 
 def test_pad_keeps_most_recent_visits():
     cohort = two_patient_cohort()
     padded = pad_to_length(cohort, 3)
-    assert padded.t_max == 3
-    np.testing.assert_array_equal(padded.patients[0].visits.ravel(),
-                                  [2.0, 3.0, 4.0])
+    assert padded.shape == (2, 3, 1)
+    np.testing.assert_array_equal(padded[0].ravel(), [2.0, 3.0, 4.0])
 
 
 def test_pad_repeats_final_visit():
     cohort = two_patient_cohort()
     padded = pad_to_length(cohort, 5)
-    np.testing.assert_array_equal(padded.patients[1].visits.ravel(),
+    np.testing.assert_array_equal(padded[1].ravel(),
                                   [5.0, 6.0, 6.0, 6.0, 6.0])
 
 
 def test_pad_exact_length_is_a_copy():
     cohort = two_patient_cohort()
     padded = pad_to_length(cohort, 4)
-    np.testing.assert_array_equal(padded.patients[0].visits,
-                                  cohort.patients[0].visits)
-    padded.patients[0].visits[0, 0] = 99.0
-    assert cohort.patients[0].visits[0, 0] == 1.0
+    np.testing.assert_array_equal(padded[0], cohort.visits(0))
+    padded[0, 0, 0] = 99.0
+    assert cohort.visits(0)[0, 0] == 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(labels=st.lists(st.integers(0, 4), min_size=1, max_size=8),
+       data=st.data())
+def test_take_then_pad_equals_padding_each_patient(labels, data):
+    n = len(labels)
+    lengths = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    index = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
+    t_max = data.draw(st.integers(1, 7))
+    # Every cell distinct, so any misaligned row shows.
+    visits = [100.0 * i + np.arange(2.0 * t).reshape(t, 2)
+              for i, t in enumerate(lengths)]
+    cohort = Cohort.stack([f"p{i}" for i in range(n)], visits,
+                          -np.arange(float(n))[:, None], labels, ("x", "y"),
+                          ("s",), 5)
+    part = cohort.take(np.array(index, dtype=np.intp))
+
+    def pad_one(v):
+        if v.shape[0] >= t_max:
+            return v[v.shape[0] - t_max:]
+        return np.concatenate([v] + [v[-1:]] * (t_max - v.shape[0]))
+
+    expected = np.array([pad_one(visits[i]) for i in index]).reshape(
+        len(index), t_max, 2)
+    np.testing.assert_array_equal(pad_to_length(part, t_max), expected)
+    assert part.ids == tuple(f"p{i}" for i in index)
+    assert part.labels.tolist() == [labels[i] for i in index]
+    assert part.static.ravel().tolist() == [-float(i) for i in index]
+    for k, i in enumerate(index):
+        np.testing.assert_array_equal(part.visits(k), visits[i])
 
 
 def test_pad_rejects_nonpositive_length():
@@ -416,46 +454,43 @@ def test_pad_rejects_nonpositive_length():
 
 def test_compute_stats_population_std():
     cohort = two_patient_cohort()
-    stats = compute_stats(cohort.patients)
+    stats = compute_stats(cohort)
     rows = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     assert stats.dynamic_mean[0] == pytest.approx(rows.mean())
     assert stats.dynamic_std[0] == pytest.approx(rows.std())  # ddof=0
     assert stats.static_mean[0] == pytest.approx(15.0)
-    with pytest.raises(DataError, match="empty patient list"):
-        compute_stats([])
+    with pytest.raises(DataError, match="empty cohort"):
+        compute_stats(cohort.take([]))
 
 
 def test_normalize_matches_direct_zscore():
     cohort = two_patient_cohort()
-    stats = compute_stats(cohort.patients)
+    stats = compute_stats(cohort)
     normed = normalize(cohort, stats)
-    expected = (cohort.patients[0].visits - stats.dynamic_mean) \
-        / stats.dynamic_std
-    np.testing.assert_allclose(normed.patients[0].visits, expected,
-                               atol=1e-15)
+    expected = (cohort.visits(0) - stats.dynamic_mean) / stats.dynamic_std
+    np.testing.assert_allclose(normed.visits(0), expected, atol=1e-15)
     # normalized features have pooled mean 0 / std 1
-    pooled = np.vstack([p.visits for p in normed.patients])
+    pooled = normed.values
     assert pooled.mean() == pytest.approx(0.0, abs=1e-12)
     assert pooled.std() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalize_zeroes_constant_features():
-    a = Patient("a", np.array([[7.0], [7.0]]), np.array([3.0]), 0)
-    b = Patient("b", np.array([[7.0], [7.0]]), np.array([3.0]), 1)
-    cohort = Cohort((a, b), ("x",), ("s",), 2)
-    stats = compute_stats(cohort.patients)
+    cohort = Cohort.stack(("a", "b"), [np.full((2, 1), 7.0)] * 2,
+                          [[3.0], [3.0]], [0, 1], ("x",), ("s",), 2)
+    stats = compute_stats(cohort)
     assert stats.dynamic_std[0] == 0.0
     normed = normalize(cohort, stats)
-    for p in normed.patients:
-        assert np.abs(p.visits).max() == 0.0
-        assert np.abs(p.static).max() == 0.0
+    for i in range(len(normed)):
+        assert np.abs(normed.visits(i)).max() == 0.0
+        assert np.abs(normed.static[i]).max() == 0.0
 
 
 def test_normalize_does_not_mutate_input():
     cohort = two_patient_cohort()
-    before = cohort.patients[0].visits.copy()
-    normalize(cohort, compute_stats(cohort.patients))
-    np.testing.assert_array_equal(cohort.patients[0].visits, before)
+    before = cohort.visits(0).copy()
+    normalize(cohort, compute_stats(cohort))
+    np.testing.assert_array_equal(cohort.visits(0), before)
 
 
 # -- synthetic cohorts ------------------------------------------------------
@@ -464,13 +499,13 @@ def test_synth_round_robin_labels_and_ids():
     cohort = synth_generate(SynthSpec(
         n_patients=7, n_classes=3, slopes=(-1.0, 0.0, 1.0),
         amplitudes=(0.1, 0.2, 0.3), corr_signs=(1.0, 1.0, 1.0), seed=1))
-    assert cohort.labels().tolist() == [0, 1, 2, 0, 1, 2, 0]
-    assert [p.patient_id for p in cohort.patients][:3] == ["p0", "p1", "p2"]
+    assert cohort.labels.tolist() == [0, 1, 2, 0, 1, 2, 0]
+    assert cohort.ids[:3] == ("p0", "p1", "p2")
     big = synth_generate(SynthSpec(
         n_patients=12, n_classes=2, slopes=(1.0, -1.0),
         amplitudes=(0.1, 0.1), corr_signs=(1.0, 1.0), seed=1))
-    assert big.patients[0].patient_id == "p00"
-    assert big.patients[11].patient_id == "p11"
+    assert big.ids[0] == "p00"
+    assert big.ids[11] == "p11"
 
 
 def test_synth_is_seeded():
@@ -478,9 +513,9 @@ def test_synth_is_seeded():
                      amplitudes=(0.2, 0.2), corr_signs=(1.0, 1.0), seed=9)
     a = synth_generate(spec)
     b = synth_generate(spec)
-    for pa, pb in zip(a.patients, b.patients):
-        np.testing.assert_array_equal(pa.visits, pb.visits)
-        np.testing.assert_array_equal(pa.static, pb.static)
+    np.testing.assert_array_equal(a.values, b.values)
+    np.testing.assert_array_equal(a.offsets, b.offsets)
+    np.testing.assert_array_equal(a.static, b.static)
 
 
 def test_synth_pure_trend_is_strictly_monotone():
@@ -488,9 +523,9 @@ def test_synth_pure_trend_is_strictly_monotone():
         n_patients=6, n_classes=2, slopes=(1.0, -1.0),
         amplitudes=(0.0, 0.0), corr_signs=(1.0, -1.0),
         n_dynamic=2, noise_scale=0.0, seed=3))
-    for p in cohort.patients:
-        diffs = np.diff(p.visits, axis=0)
-        if p.label == 0:
+    for i, label in enumerate(cohort.labels):
+        diffs = np.diff(cohort.visits(i), axis=0)
+        if label == 0:
             assert np.all(diffs > 0)
         else:
             assert np.all(diffs < 0)
@@ -501,8 +536,8 @@ def test_synth_pure_oscillation_alternates():
         n_patients=4, n_classes=2, slopes=(0.0, 0.0),
         amplitudes=(0.5, 1.0), corr_signs=(0.0, 0.0),
         n_dynamic=1, noise_scale=0.0, seed=6))
-    for p in cohort.patients:
-        diffs = np.diff(p.visits[:, 0])
+    for i in range(len(cohort)):
+        diffs = np.diff(cohort.visits(i)[:, 0])
         signs = np.sign(diffs)
         assert np.all(signs[1:] == -signs[:-1])
 
@@ -512,11 +547,11 @@ def test_synth_visit_counts_and_statics():
         n_patients=60, n_classes=2, slopes=(1.0, -1.0),
         amplitudes=(0.2, 0.2), corr_signs=(1.0, 1.0),
         mean_visits=4.0, seed=2))
-    counts = [p.visits.shape[0] for p in cohort.patients]
+    counts = np.diff(cohort.offsets).tolist()
     assert min(counts) >= 3
     assert len(set(counts)) > 1
-    for p in cohort.patients:
-        assert set(np.unique(p.static)) <= {0.0, 1.0}
+    for static in cohort.static:
+        assert set(np.unique(static)) <= {0.0, 1.0}
 
 
 def test_synth_randomized_direction_mixes_trends():
@@ -525,9 +560,9 @@ def test_synth_randomized_direction_mixes_trends():
         amplitudes=(0.0, 0.0), corr_signs=(1.0, -1.0),
         n_dynamic=1, noise_scale=0.0,
         randomize_trend_direction=True, seed=5))
-    rising = sum(np.all(np.diff(p.visits[:, 0]) > 0) for p in cohort.patients)
-    falling = sum(np.all(np.diff(p.visits[:, 0]) < 0)
-                  for p in cohort.patients)
+    series = [cohort.visits(i)[:, 0] for i in range(len(cohort))]
+    rising = sum(np.all(np.diff(x) > 0) for x in series)
+    falling = sum(np.all(np.diff(x) < 0) for x in series)
     assert rising + falling == 20
     assert rising > 0 and falling > 0
 
@@ -539,12 +574,12 @@ def test_synth_noise_features_lack_trend_structure():
         n_dynamic=3, n_noise_features=1, noise_scale=0.0, seed=7))
     # informative columns move monotonically; the noise column does not
     noise_monotone = 0
-    for p in cohort.patients:
-        assert np.all(np.diff(p.visits[:, 0]) != 0)
-        diffs = np.diff(p.visits[:, 2])
+    for i in range(len(cohort)):
+        assert np.all(np.diff(cohort.visits(i)[:, 0]) != 0)
+        diffs = np.diff(cohort.visits(i)[:, 2])
         if np.all(diffs > 0) or np.all(diffs < 0):
             noise_monotone += 1
-    assert noise_monotone < len(cohort.patients) // 2
+    assert noise_monotone < len(cohort) // 2
 
 
 def test_synth_spec_validation():
@@ -565,3 +600,5 @@ def test_synth_spec_validation():
         SynthSpec(**{**good, "n_noise_features": 5})
     with pytest.raises(DataError, match="mean_visits"):
         SynthSpec(**{**good, "mean_visits": 2.0})
+    with pytest.raises(DataError, match="mean_visits"):
+        SynthSpec(**{**good, "mean_visits": float("nan")})

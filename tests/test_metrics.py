@@ -70,6 +70,34 @@ def test_both_metrics_match_their_oracles_on_random_instances():
             expected_prc, abs=1e-12), (scores, labels)
 
 
+def auroc_by_tie_blocks(scores, labels):
+    """Midranks by walking the tied blocks of the sorted scores."""
+    order = np.argsort(scores, kind="mergesort")
+    ranked = scores[order]
+    ranks = np.empty(scores.size)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and ranked[j + 1] == ranked[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0)
+                 / (n_pos * n_neg))
+
+
+def test_both_metrics_equal_the_tie_block_walks_exactly():
+    rng = np.random.default_rng(7)
+    for case in range(300):
+        scores, labels = random_binary_instance(rng, force_ties=case % 3 > 0)
+        assert auroc_binary(scores, labels) \
+            == auroc_by_tie_blocks(scores, labels), (scores, labels)
+        assert auprc_binary(scores, labels) \
+            == auprc_by_thresholds(scores, labels), (scores, labels)
+
+
 def test_auroc_worked_examples():
     assert auroc_binary(np.array([0.1, 0.9]), np.array([0, 1])) == 1.0
     assert auroc_binary(np.array([0.9, 0.1]), np.array([0, 1])) == 0.0
@@ -215,8 +243,8 @@ def test_report_ranks_coupled_feature_above_noise():
         mean_visits=14.0, seed=11,
     )
     cohort = synth_generate(spec)
-    tables = {p.patient_id: p.visits for p in cohort.patients}
-    rows = trend_variation_report(tables, cohort.dynamic_names, order=2)
+    rows = trend_variation_report(cohort.values, cohort.offsets,
+                                  cohort.dynamic_names, order=2)
     assert [r.feature for r in rows][0] == "dyn_0"
     assert rows[0].mean_abs_correlation > rows[1].mean_abs_correlation
     assert rows[0].n_defined == 12
@@ -224,13 +252,11 @@ def test_report_ranks_coupled_feature_above_noise():
 
 
 def test_report_counts_undefined_patients():
-    tables = {
-        "flat": np.column_stack([np.full(10, 2.0),
-                                 np.linspace(0.0, 1.0, 10)]),
-        "live": np.column_stack([np.sin(np.arange(10.0)),
-                                 np.linspace(1.0, 0.0, 10)]),
-    }
-    rows = trend_variation_report(tables, ("a", "b"), order=2)
+    flat = np.column_stack([np.full(10, 2.0), np.linspace(0.0, 1.0, 10)])
+    live = np.column_stack([np.sin(np.arange(10.0)),
+                            np.linspace(1.0, 0.0, 10)])
+    rows = trend_variation_report(np.concatenate([flat, live]),
+                                  np.array([0, 10, 20]), ("a", "b"), order=2)
     by_name = {r.feature: r for r in rows}
     assert by_name["a"].n_undefined == 1  # the constant column
     assert by_name["a"].n_defined == 1
@@ -245,7 +271,9 @@ def test_report_matches_a_per_patient_pearson_loop():
         if k % 5 == 0:
             matrix[:, 1] = 0.5  # a constant column: undefined
         tables[f"p{k}"] = matrix
-    rows = trend_variation_report(tables, ("a", "b", "c"), order=3)
+    offsets = np.cumsum([0] + [m.shape[0] for m in tables.values()])
+    rows = trend_variation_report(np.concatenate(list(tables.values())),
+                                  offsets, ("a", "b", "c"), order=3)
     for j, row in enumerate(sorted(rows, key=lambda r: r.feature)):
         rs = []
         for matrix in tables.values():
@@ -262,6 +290,6 @@ def test_report_matches_a_per_patient_pearson_loop():
 
 
 def test_report_rejects_column_mismatch():
-    tables = {"a": np.zeros((5, 3))}
     with pytest.raises(DataError, match="3 columns for 2 features"):
-        trend_variation_report(tables, ("x", "y"), order=2)
+        trend_variation_report(np.zeros((5, 3)), np.array([0, 5]),
+                               ("x", "y"), order=2)

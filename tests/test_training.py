@@ -5,11 +5,9 @@ import pytest
 
 from trendvar.data import (
     Cohort,
-    Patient,
     SynthSpec,
     compute_stats,
     normalize,
-    pad_to_length,
     synth_generate,
 )
 from trendvar.errors import ConfigError, DataError, NumericError
@@ -181,7 +179,7 @@ def test_flat_adam_matches_the_per_array_loop_bitwise(shared):
 def test_train_rejects_empty_set():
     config = toy_config()
     params = ModelParams(config)
-    samples = prepare_cohort(pad_to_length(toy_cohort(), 8), config)
+    samples = prepare_cohort(toy_cohort(), config)
     with pytest.raises(DataError, match="empty training set"):
         train(samples.take(slice(0, 0)), params, TrainConfig())
 
@@ -189,7 +187,7 @@ def test_train_rejects_empty_set():
 def test_zero_learning_rate_keeps_initial_parameters():
     config = toy_config()
     cohort = toy_cohort()
-    samples = prepare_cohort(pad_to_length(cohort, 8), config)
+    samples = prepare_cohort(cohort, config)
     params = ModelParams.initialized(config, np.random.default_rng(3))
     before = [t.copy() for t in params.arrays()]
     log, state = train(samples, params,
@@ -202,7 +200,7 @@ def test_zero_learning_rate_keeps_initial_parameters():
 def test_training_is_bitwise_deterministic():
     config = toy_config()
     cohort = toy_cohort()
-    samples = prepare_cohort(pad_to_length(cohort, 8), config)
+    samples = prepare_cohort(cohort, config)
 
     def fit():
         params = ModelParams.initialized(config, np.random.default_rng(5))
@@ -215,13 +213,13 @@ def test_training_is_bitwise_deterministic():
     p2, log2 = fit()
     for a, b in zip(p1.arrays(), p2.arrays()):
         np.testing.assert_array_equal(a, b)
-    assert [r.mean_loss for r in log1] == [r.mean_loss for r in log2]
+    assert log1.tolist() == log2.tolist()
 
 
 def test_shuffle_seed_matters_for_small_batches():
     config = toy_config()
     cohort = toy_cohort()
-    samples = prepare_cohort(pad_to_length(cohort, 8), config)
+    samples = prepare_cohort(cohort, config)
 
     def fit(seed):
         params = ModelParams.initialized(config, np.random.default_rng(5))
@@ -239,7 +237,7 @@ def test_shuffle_seed_matters_for_small_batches():
 def test_step_count_tracks_batches():
     config = toy_config()
     cohort = toy_cohort(n=10)
-    samples = prepare_cohort(pad_to_length(cohort, 8), config)
+    samples = prepare_cohort(cohort, config)
     params = ModelParams.initialized(config, np.random.default_rng(0))
     _, state = train(samples, params,
                      TrainConfig(epochs=4, batch_size=64))
@@ -253,21 +251,20 @@ def test_step_count_tracks_batches():
 def test_loss_log_shape_and_learning_progress():
     config = toy_config()
     cohort = toy_cohort(n=12, noise=0.02)
-    padded = pad_to_length(cohort, 8)
-    stats = compute_stats(padded.patients)
-    samples = prepare_cohort(normalize(padded, stats), config)
+    stats = compute_stats(cohort)
+    samples = prepare_cohort(normalize(cohort, stats), config)
     params = ModelParams.initialized(config, np.random.default_rng(1))
     log, _ = train(samples, params,
                    TrainConfig(learning_rate=1e-2, epochs=30, batch_size=12))
-    assert [r.epoch for r in log] == list(range(30))
-    assert all(np.isfinite(r.mean_loss) for r in log)
-    assert log[-1].mean_loss < log[0].mean_loss
+    assert log.shape == (30,)
+    assert np.all(np.isfinite(log))
+    assert log[-1] < log[0]
 
 
 def test_predict_probs_shape_and_simplex():
     config = toy_config()
     cohort = toy_cohort(n=6)
-    samples = prepare_cohort(pad_to_length(cohort, 8), config)
+    samples = prepare_cohort(cohort, config)
     params = ModelParams.initialized(config, np.random.default_rng(2))
     probs = predict_probs(samples, params)
     assert probs.shape == (6, 2)
@@ -309,13 +306,14 @@ def test_fold_assignment_errors():
 def outlier_cohort():
     """Five ordinary patients plus one wildly offset outlier."""
     rng = np.random.default_rng(0)
-    patients = []
+    visits, static = [], []
     for i in range(5):
-        visits = rng.normal(size=(8, 2))
-        patients.append(Patient(f"p{i}", visits, rng.normal(size=2), i % 2))
-    outlier = Patient("p5", np.full((8, 2), 1000.0), np.full(2, 1000.0), 1)
-    patients.append(outlier)
-    return Cohort(tuple(patients), ("d0", "d1"), ("s0", "s1"), 2)
+        visits.append(rng.normal(size=(8, 2)))
+        static.append(rng.normal(size=2))
+    visits.append(np.full((8, 2), 1000.0))
+    static.append(np.full(2, 1000.0))
+    return Cohort.stack([f"p{i}" for i in range(6)], visits, static,
+                        [0, 1, 0, 1, 0, 1], ("d0", "d1"), ("s0", "s1"), 2)
 
 
 def test_run_fold_normalizes_with_training_patients_only():
@@ -324,7 +322,7 @@ def test_run_fold_normalizes_with_training_patients_only():
     # test fold holds the outlier plus one ordinary patient of each class
     result = run_fold(cohort, config, TrainConfig(epochs=0), fold=0,
                       test_indices=np.array([4, 5]))
-    train_only = compute_stats(cohort.patients[:4])
+    train_only = compute_stats(cohort.take(slice(0, 4)))
     np.testing.assert_array_equal(result.stats.dynamic_mean,
                                   train_only.dynamic_mean)
     np.testing.assert_array_equal(result.stats.dynamic_std,
@@ -332,7 +330,7 @@ def test_run_fold_normalizes_with_training_patients_only():
     np.testing.assert_array_equal(result.stats.static_mean,
                                   train_only.static_mean)
     # the outlier would have dragged the pooled mean far away
-    pooled = compute_stats(cohort.patients)
+    pooled = compute_stats(cohort)
     assert abs(pooled.dynamic_mean[0] - train_only.dynamic_mean[0]) > 100
 
 

@@ -215,13 +215,15 @@ def test_batch_matches_per_series_decompose(order, length, lead, seed):
 def test_ragged_groups_by_length_in_first_seen_order():
     rng = np.random.default_rng(8)
     series = [rng.normal(size=(3, t)) for t in (5, 7, 5, 1, 7)]
-    groups = list(decompose_ragged(series, 4))
-    assert [indices for indices, _ in groups] == [[0, 2], [1, 4], [3]]
+    values = np.concatenate([s.T for s in series])
+    offsets = np.cumsum([0, 5, 7, 5, 1, 7])
+    groups = list(decompose_ragged(values, offsets, 4))
+    assert [indices.tolist() for indices, _ in groups] == [[0, 2], [1, 4], [3]]
     for indices, lines in groups:
         for i, split in zip(indices, lines):
             np.testing.assert_array_equal(
                 split, decompose_batch(series[i], 4))
-    assert list(decompose_ragged([], 4)) == []
+    assert list(decompose_ragged(np.zeros((0, 3)), np.zeros(1, int), 4)) == []
 
 
 def test_single_visit_is_representable():
