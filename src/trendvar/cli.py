@@ -552,6 +552,14 @@ def _scoring_blocks(cohort, stats):
                         stats)
 
 
+def _score(cohort, stats, bundle):
+    """The (N, d) class probabilities of ``cohort`` under a checkpoint,
+    scored one block at a time."""
+    return np.concatenate([
+        predict_probs(prepare_cohort(block, bundle.config), bundle.params)
+        for block in _scoring_blocks(cohort, stats)])
+
+
 def cmd_eval(opts):
     out = _require_out(opts)
     if not opts.get("checkpoint"):
@@ -575,9 +583,7 @@ def cmd_eval(opts):
     effective = dict(opts)
     stats = _scoring_stats(bundle, cohort, effective)
     _write_manifest(out, "eval", effective)
-    probs = np.concatenate([
-        predict_probs(prepare_cohort(block, config), bundle.params)
-        for block in _scoring_blocks(cohort, stats)])
+    probs = _score(cohort, stats, bundle)
     with open(os.path.join(out, "scored.csv"), "w") as fh:
         header = ",".join(f"prob_{k}" for k in range(config.n_classes))
         fh.write(f"patient_id,label,{header}\n")

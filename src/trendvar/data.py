@@ -181,10 +181,12 @@ def _visit_tables_by_chunk(rows, width):
     over chunks of ``CHUNK_ROWS`` rows.
 
     ``rows`` yields ``(line_no, cells)`` after the header.  Each chunk becomes
-    arrays at once; the sort and the forward fill run on their concatenation.
-    Returns None as soon as a row is off (ragged, empty id, bad visit_index,
-    unparsable or non-finite cell); the per-row walk then names the first
-    such problem with its line and column.
+    arrays at once; the sort and the forward fill run on their concatenation,
+    and each is skipped when its result would be the identity: rows that
+    come sorted by patient and visit_index, and a table without a missing
+    cell.  Returns None as soon as a row is off (ragged, empty id, bad
+    visit_index, unparsable or non-finite cell); the per-row walk then names
+    the first such problem with its line and column.
     """
     body = (row for _, row in rows if row)
     first_seen = {}
@@ -199,12 +201,17 @@ def _visit_tables_by_chunk(rows, width):
     codes, visit_index, values, present = map(np.concatenate, zip(*parts))
     del parts
     n = codes.shape[0]
-    # Stable: rows of one patient with equal visit_index keep file order.
-    order = np.lexsort((visit_index, codes))
-    values = values[order]
-    present = present[order]
+    next_code = np.diff(codes)
+    if not ((next_code > 0)
+            | ((next_code == 0) & (np.diff(visit_index) >= 0))).all():
+        # Stable: rows of one patient with equal visit_index keep file order.
+        order = np.lexsort((visit_index, codes))
+        values = values[order]
+        present = present[order]
     counts = np.bincount(codes, minlength=len(first_seen))
     offsets = np.concatenate([[0], np.cumsum(counts)])
+    if present.all():
+        return tuple(first_seen), values, offsets
     # Each cell takes the latest present cell at or above it in its column,
     # if that one belongs to the same patient; a leading gap takes 0.
     last = np.where(present, np.arange(n)[:, None], -1)
@@ -218,21 +225,18 @@ def _visit_chunk(chunk, width, first_seen):
     """The patient codes, visit_index, values and present mask of some rows.
 
     ``chunk`` holds non-blank rows; ``first_seen`` maps patient ids to codes
-    and grows with every new id.  Values and mask are (rows, c); missing
-    cells hold 0.  Returns None if any row is off.
+    and grows with every new id.  Values and mask are (rows, c), row-major;
+    missing cells hold 0.  Returns None if any row is off.
     """
     if any(len(row) != width for row in chunk):
         return None
     k, c = len(chunk), width - 2
-    cells = list(chain.from_iterable(chunk))
-    pids = cells[0::width]
+    pids = [row[0] for row in chunk]
     if "" in pids:
         return None
-    # Feature cells column by column: (c, k) once reshaped.
-    features = list(chain.from_iterable(
-        cells[j::width] for j in range(2, width)))
+    features = list(chain.from_iterable(row[2:] for row in chunk))
     try:
-        visit_index = np.fromiter(map(int, cells[1::width]), np.int64, k)
+        visit_index = np.fromiter((int(row[1]) for row in chunk), np.int64, k)
         present = np.fromiter(map(bool, features), bool, k * c)
         values = np.zeros(k * c)
         values[present] = np.fromiter(
@@ -244,7 +248,7 @@ def _visit_chunk(chunk, width, first_seen):
     codes = np.fromiter(
         (first_seen.setdefault(pid, len(first_seen)) for pid in pids),
         np.intp, k)
-    return codes, visit_index, values.reshape(c, k).T, present.reshape(c, k).T
+    return codes, visit_index, values.reshape(k, c), present.reshape(k, c)
 
 
 def _visit_tables_by_row(path, rows, names):
@@ -534,6 +538,16 @@ class SynthSpec:
             raise DataError(
                 f"synthetic spec: mean_visits must be >= 3, got "
                 f"{self.mean_visits}"
+            )
+        if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise DataError(
+                f"synthetic spec: noise_scale must be finite and >= 0, got "
+                f"{self.noise_scale}"
+            )
+        if not np.isfinite(self.static_class_weight):
+            raise DataError(
+                f"synthetic spec: static_class_weight must be finite, got "
+                f"{self.static_class_weight}"
             )
 
 

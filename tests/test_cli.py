@@ -1,16 +1,29 @@
 """End-to-end CLI tests, run through subprocesses like a real user would."""
 
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendvar import cli
-from trendvar.data import compute_stats, load_cohort
-from trendvar.model import load_checkpoint, save_checkpoint
+from trendvar.data import compute_stats, load_cohort, synth_generate
+from trendvar.model import (
+    CheckpointBundle,
+    ModelConfig,
+    ModelParams,
+    ablation_from_name,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def run_cli(*args):
@@ -206,6 +219,15 @@ def test_exit_codes(tmp_path, workspace):
     assert degenerate.returncode == 2
     assert "degenerate class parameters" in degenerate.stderr
 
+    for flags, named in ((["--noise", "-1"], "noise_scale"),
+                         (["--noise", "nan"], "noise_scale"),
+                         (["--static-weight", "nan"], "static_class_weight")):
+        proc = run_cli("synth", *SMALL_SYNTH, *flags, "--out",
+                       tmp_path / "synth_bad")
+        assert proc.returncode == 2, (flags, proc.stderr)
+        assert f"data error: synthetic spec: {named}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 def test_uncreatable_out_is_a_config_error(tmp_path):
     blocker = tmp_path / "plain_file"
@@ -291,6 +313,79 @@ def test_undecodable_or_oversized_cells_exit_2(tmp_path, workspace, kind):
         assert "Traceback" not in proc.stderr
 
 
+# -- damaged static.csv / labels.csv -------------------------------------------
+
+_IDS = [f"p{i}" for i in range(6)]
+_FILES = {
+    "visits": ["patient_id,visit_index,x"]
+    + [f"{pid},{v},{i + 0.25 * v}" for i, pid in enumerate(_IDS)
+       for v in range(4)],
+    "static": ["patient_id,age,sex"]
+    + [f"{pid},{40.0 + i},{i % 2}.0" for i, pid in enumerate(_IDS)],
+    "labels": ["patient_id,label"]
+    + [f"{pid},{i % 2}" for i, pid in enumerate(_IDS)],
+}
+
+
+@st.composite
+def _damaged(draw):
+    """(file kind, damage, its lines): one duplicate id, missing patient,
+    stray id, ragged row or (labels.csv) float or negative label, or no
+    damage at all."""
+    kind = draw(st.sampled_from(["static", "labels"]))
+    lines = list(_FILES[kind])
+    row = draw(st.integers(1, len(_IDS)))
+    cells = lines[row].split(",")
+    damage = draw(st.sampled_from(
+        ["none", "duplicate", "missing", "stray", "ragged"]
+        + (["float label", "negative label"] if kind == "labels" else [])))
+    if damage == "duplicate":
+        cells[1:] = draw(st.sampled_from([cells[1:], ["1"] * len(cells[1:])]))
+        lines.insert(draw(st.integers(1, len(lines))), ",".join(cells))
+    elif damage == "missing":
+        del lines[row]
+    elif damage == "stray":
+        lines[row] = ",".join([draw(st.sampled_from(["q", "p", "P0", " p1"])),
+                               *cells[1:]])
+    elif damage == "ragged":
+        extra = draw(st.lists(st.sampled_from(["", "1", "2.5"]),
+                              min_size=1, max_size=3))
+        cells = draw(st.sampled_from([cells[:-1], cells + extra]))
+        lines[row] = ",".join(cells)
+    elif damage == "float label":
+        label = draw(st.floats(allow_nan=True, allow_infinity=True))
+        lines[row] = f"{cells[0]},{label!r}"
+    elif damage == "negative label":
+        lines[row] = f"{cells[0]},{draw(st.integers(max_value=-1))}"
+    return kind, damage, lines
+
+
+@settings(max_examples=80, deadline=None)
+@given(damaged=_damaged())
+def test_damaged_static_or_labels_exit_2_without_a_traceback(damaged):
+    kind, damage, lines = damaged
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, content in {**_FILES, kind: lines}.items():
+            paths[name] = Path(tmp, f"{name}.csv")
+            paths[name].write_text("\n".join(content) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([
+                "train", "--visits", str(paths["visits"]),
+                "--static", str(paths["static"]),
+                "--labels", str(paths["labels"]), "--symlet", "2",
+                "--tmax", "8", "--folds", "2", "--epochs", "1",
+                "--out", str(Path(tmp, "out"))])
+    if damage == "none":  # the intact cohort trains
+        assert code == 0, err.getvalue()
+        return
+    assert code == 2, (lines, err.getvalue())
+    assert err.getvalue().startswith("data error: "), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 # -- eval -----------------------------------------------------------------------
 
 def test_eval_scores_every_patient_deterministically(tmp_path, workspace):
@@ -313,6 +408,33 @@ def test_eval_scores_every_patient_deterministically(tmp_path, workspace):
         (out2 / "scored.csv").read_bytes()
     assert (out1 / "metrics.csv").read_bytes() == \
         (out2 / "metrics.csv").read_bytes()
+
+
+def test_eval_block_loop_memory_does_not_grow_with_the_cohort():
+    wide = replace(cli.SYNTH_PRESETS["default"], n_patients=1024,
+                   n_dynamic=8, n_static=4, mean_visits=24.0, seed=1)
+    large = synth_generate(wide)
+    small = large.take(slice(0, 256))
+    config = ModelConfig(t_max=29, n_dynamic=8, n_static=4, n_classes=3,
+                         flags=ablation_from_name("A7"))
+    bundle = CheckpointBundle(
+        ModelParams.initialized(config, np.random.default_rng(0)), config,
+        compute_stats(large))
+    cli._score(small.take(slice(0, 8)), bundle.stats, bundle)  # warm caches
+    peaks = []
+    # The cohorts exist before tracing starts, so only what scoring
+    # allocates counts.
+    for cohort in (small, large):
+        tracemalloc.start()
+        try:
+            probs = cli._score(cohort, bundle.stats, bundle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (len(cohort), 3)
+        peaks.append(peak)
+    # Four times the patients, one block's activations at a time.
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_eval_rejects_mismatched_data(tmp_path, workspace):

@@ -176,13 +176,26 @@ _CELLS = st.one_of(
     st.integers(-10 ** 6, 10 ** 6).map(str))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(rows=st.lists(st.one_of(
     st.none(),  # a blank row
     st.tuples(st.sampled_from("abcd"), st.integers(-3, 3),
               st.lists(_CELLS, min_size=2, max_size=2))),
-    max_size=25))
-def test_column_pass_equals_the_row_walk(rows):
+    max_size=25),
+    presorted=st.booleans(), complete=st.booleans())
+def test_column_pass_equals_the_row_walk(rows, presorted, complete):
+    # Tables that come sorted, or without a missing cell, take the loader's
+    # shortcuts past the sort and the fill; the rest take the general path.
+    if complete:
+        rows = [row and (row[0], row[1], [cell or "0.5" for cell in row[2]])
+                for row in rows]
+    if presorted:
+        first = {}
+        for row in rows:
+            if row:
+                first.setdefault(row[0], len(first))
+        rows = sorted((row for row in rows if row),
+                      key=lambda row: (first[row[0]], row[1]))
     lines = [[] if row is None else [row[0], str(row[1]), *row[2]]
              for row in rows]
     numbered = list(enumerate(lines, start=2))
@@ -192,7 +205,10 @@ def test_column_pass_equals_the_row_walk(rows):
         with mock.patch.object(data, "CHUNK_ROWS", chunk_rows):
             by_chunk = data._visit_tables_by_chunk(iter(numbered), 4)
         assert by_chunk[0] == ids, chunk_rows
-        np.testing.assert_array_equal(by_chunk[1], values)
+        assert by_chunk[1].flags.c_contiguous, chunk_rows
+        assert by_chunk[1].shape == values.shape, chunk_rows
+        # Bit for bit: a -0.0 cell stays -0.0.
+        assert by_chunk[1].tobytes() == values.tobytes(), chunk_rows
         np.testing.assert_array_equal(by_chunk[2], offsets)
 
 
@@ -602,3 +618,11 @@ def test_synth_spec_validation():
         SynthSpec(**{**good, "mean_visits": 2.0})
     with pytest.raises(DataError, match="mean_visits"):
         SynthSpec(**{**good, "mean_visits": float("nan")})
+    for noise in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(DataError, match="noise_scale"):
+            SynthSpec(**{**good, "noise_scale": noise})
+    SynthSpec(**{**good, "noise_scale": 0.0})
+    for weight in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DataError, match="static_class_weight"):
+            SynthSpec(**{**good, "static_class_weight": weight})
+    SynthSpec(**{**good, "static_class_weight": -0.3})
