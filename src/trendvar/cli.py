@@ -24,7 +24,6 @@ from .data import (
     compute_stats,
     load_cohort,
     load_visit_table,
-    normalize,
     pad_to_length,
     synth_generate,
     write_cohort,
@@ -36,25 +35,21 @@ from .model import (
     ModelConfig,
     ablation_from_name,
     load_checkpoint,
+    parameter_count,
     save_checkpoint,
 )
 from .training import (
-    PREDICT_BLOCK,
     TrainConfig,
     cross_validate,
+    normalized_blocks,
     predict_probs,
-    prepare_cohort,
 )
-from .wavelets import (
-    MAX_ORDER,
-    MIN_ORDER,
-    decompose_batch,
-    decompose_ragged,
-)
+from .wavelets import MAX_ORDER, MIN_ORDER, decompose_batch
 
 # The most bytes one array of a run may take.  The size options (--tmax and
-# synth's sizes) are checked against an estimate of their largest array
-# before anything is allocated: too large is a configuration error.
+# synth's sizes) and the model's parameter buffer are checked against an
+# estimate of their largest array before anything is allocated: too large
+# is a configuration error.
 MAX_ARRAY_BYTES = 2 ** 32
 
 
@@ -67,6 +62,13 @@ def _parse_int(text):
         return int(text)
     except ValueError:
         raise ConfigError(f"expected an integer, got {text!r}") from None
+
+
+def _parse_seed(text):
+    seed = _parse_int(text)
+    if seed < 0:
+        raise ConfigError(f"expected a non-negative seed, got {seed}")
+    return seed
 
 
 def _parse_float(text):
@@ -144,7 +146,7 @@ _TRAIN_OPTS = [
     _opt("--folds", _parse_int, 10, "cross-validation folds"),
 ]
 
-_SEED_OPT = _opt("--seed", _parse_int, 0, "master random seed")
+_SEED_OPT = _opt("--seed", _parse_seed, 0, "master random seed")
 _OUT_OPT = _opt("--out", str, None, "output directory (required)")
 _SETTINGS_OPT = _opt("--settings", str, None,
                      "settings file with key = value lines")
@@ -380,7 +382,7 @@ def _resolve_tmax(opts, cohort):
 def _model_config(opts, cohort, tmax):
     if cohort.n_classes < 2:
         raise DataError("cohort holds a single class; nothing to discriminate")
-    return ModelConfig(
+    config = ModelConfig(
         t_max=tmax,
         n_dynamic=cohort.n_dynamic,
         n_static=cohort.n_static,
@@ -391,6 +393,11 @@ def _model_config(opts, cohort, tmax):
         flags=ablation_from_name(opts["config"]),
         shared_branches=opts["shared_branches"],
     )
+    # The one flat parameter buffer; labels.csv sets the class count.
+    _check_size(f"a model of {config.n_classes} classes with --kernel-width "
+                f"{config.kernel_width} and --tmax {tmax}",
+                8 * parameter_count(config))
+    return config
 
 
 def _train_config(opts):
@@ -544,22 +551,6 @@ def _scoring_stats(bundle, cohort, effective):
     return compute_stats(cohort)
 
 
-def _scoring_blocks(cohort, stats):
-    """``cohort`` z-scored with ``stats``, in slices of ``PREDICT_BLOCK``
-    patients: scoring holds one slice's arrays at once."""
-    for start in range(0, len(cohort), PREDICT_BLOCK):
-        yield normalize(cohort.take(slice(start, start + PREDICT_BLOCK)),
-                        stats)
-
-
-def _score(cohort, stats, bundle):
-    """The (N, d) class probabilities of ``cohort`` under a checkpoint,
-    scored one block at a time."""
-    return np.concatenate([
-        predict_probs(prepare_cohort(block, bundle.config), bundle.params)
-        for block in _scoring_blocks(cohort, stats)])
-
-
 def cmd_eval(opts):
     out = _require_out(opts)
     if not opts.get("checkpoint"):
@@ -583,7 +574,7 @@ def cmd_eval(opts):
     effective = dict(opts)
     stats = _scoring_stats(bundle, cohort, effective)
     _write_manifest(out, "eval", effective)
-    probs = _score(cohort, stats, bundle)
+    probs = predict_probs(cohort, stats, bundle.params)
     with open(os.path.join(out, "scored.csv"), "w") as fh:
         header = ",".join(f"prob_{k}" for k in range(config.n_classes))
         fh.write(f"patient_id,label,{header}\n")
@@ -620,24 +611,16 @@ def cmd_decompose(opts):
     chosen = _select_features(names, opts.get("feature"))
     _write_manifest(out, "decompose", opts)
     first = names.index(chosen[0])
-    # The (features, 2, m) lines of patient i are groups[g][k], with
-    # (g, k) = place[i].
-    groups = []
-    place = np.zeros((len(cohort), 2), dtype=np.intp)
-    for indices, lines in decompose_ragged(
-            cohort.values[:, first:first + len(chosen)], cohort.offsets,
-            opts["symlet"]):
-        place[indices, 0] = len(groups)
-        place[indices, 1] = np.arange(len(indices))
-        groups.append(lines)
+    columns = slice(first, first + len(chosen))
     row_labels = {}  # coefficient count -> ",feature,kind,index," per row
     path = os.path.join(out, "decomposition.csv")
     count = 0
     with open(path, "w") as fh:
         fh.write("patient_id,feature,kind,index,value\n")
-        for pid, (g, k) in zip(cohort.ids, place.tolist()):
-            patient_lines = groups[g][k]
-            m = patient_lines.shape[-1]
+        for patient, pid in enumerate(cohort.ids):
+            lines = decompose_batch(cohort.visits(patient)[:, columns].T,
+                                    opts["symlet"])
+            m = lines.shape[-1]
             if m not in row_labels:
                 row_labels[m] = [f",{name},{kind},{i},"
                                  for name in chosen
@@ -646,8 +629,7 @@ def cmd_decompose(opts):
             labels = row_labels[m]
             fh.write("".join([
                 f"{pid}{label}{value!r}\n"
-                for label, value in zip(labels,
-                                        patient_lines.ravel().tolist())]))
+                for label, value in zip(labels, lines.ravel().tolist())]))
             count += len(labels)
     sys.stdout.write(f"wrote {count} coefficient rows\n")
 
@@ -707,7 +689,7 @@ def cmd_inspect_attention(opts):
     path = os.path.join(out, "attention.csv")
     with open(path, "w") as fh:
         fh.write("patient_id,feature,position,delta,weight,weighted\n")
-        for block in _scoring_blocks(cohort, stats):
+        for block in normalized_blocks(cohort, stats):
             padded = pad_to_length(block, config.t_max)[:, :, columns]
             variation = decompose_batch(np.swapaxes(padded, 1, 2),
                                         config.order)[:, :, 1]

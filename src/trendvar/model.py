@@ -94,12 +94,17 @@ class ModelConfig:
     shared_branches: bool = False
 
     def __post_init__(self):
+        # A checkpoint stores these, the order and the dilation rates as u32
+        # (see save_checkpoint).
         for label, value in (("t_max", self.t_max),
                              ("n_dynamic", self.n_dynamic),
                              ("n_static", self.n_static),
-                             ("n_classes", self.n_classes)):
-            if value < 1:
-                raise ConfigError(f"model config: {label} must be >= 1, got {value}")
+                             ("n_classes", self.n_classes),
+                             ("kernel width", self.kernel_width)):
+            if not 1 <= value < 2 ** 32:
+                raise ConfigError(
+                    f"model config: {label} must be >= 1 and fit a "
+                    f"checkpoint's 32-bit field, got {value}")
         if self.n_classes < 2:
             raise ConfigError(
                 f"model config: need at least 2 classes, got {self.n_classes}"
@@ -109,15 +114,12 @@ class ModelConfig:
                 f"model config: symlet order {self.order} outside "
                 f"{MIN_ORDER}..{MAX_ORDER}"
             )
-        if self.kernel_width < 1:
-            raise ConfigError(
-                f"model config: kernel width must be >= 1, got {self.kernel_width}"
-            )
         object.__setattr__(self, "dilations", tuple(int(d) for d in self.dilations))
-        if len(self.dilations) != 3 or any(d < 0 for d in self.dilations):
+        if len(self.dilations) != 3 or any(not 0 <= d < 2 ** 32
+                                           for d in self.dilations):
             raise ConfigError(
-                f"model config: dilations must be three non-negative rates, "
-                f"got {self.dilations}"
+                f"model config: dilations must be three non-negative rates "
+                f"that fit a checkpoint's 32-bit fields, got {self.dilations}"
             )
         if self.flags.use_correlation:
             # Raises if any branch would produce an empty map.
@@ -334,9 +336,15 @@ def prepare(visits, static, labels, config):
     return PreparedBatch(config, lines, static, labels, h_variation)
 
 
+# The head's ``h @ W.T`` as an einsum, which sums each output on its own: a
+# patient's row does not depend on how many rows share the call.
+HEAD_PRODUCT = "...k,dk->...d"
+
+
 def embed_static(static, params):
     """Affine map of the static vectors followed by tanh."""
-    return np.tanh(static @ params.static_weight.T + params.static_bias)
+    return np.tanh(np.einsum(HEAD_PRODUCT, static, params.static_weight)
+                   + params.static_bias)
 
 
 def fuse_dynamic(feature_maps, params):
@@ -363,14 +371,16 @@ def predict(h_static, h_dynamic, h_variation, params):
     ``h_variation`` is None when difference attention is off; the term is
     simply absent rather than zeroed.
     """
-    logits = h_static @ params.out_static.T + h_dynamic @ params.out_dynamic.T
+    logits = (np.einsum(HEAD_PRODUCT, h_static, params.out_static)
+              + np.einsum(HEAD_PRODUCT, h_dynamic, params.out_dynamic))
     if h_variation is not None:
         if params.out_diff is None:
             raise ConfigError(
                 "predict: attention embedding given but this model was built "
                 "without the attention head"
             )
-        logits = logits + h_variation @ params.out_diff.T
+        logits = logits + np.einsum(HEAD_PRODUCT, h_variation,
+                                    params.out_diff)
     return softmax(logits + params.out_bias)
 
 

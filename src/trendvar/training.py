@@ -23,11 +23,11 @@ from .model import (
     prepare,
 )
 
-# Patients per forward pass in ``predict_probs`` and per block of ``eval``
-# and ``inspect-attention``: bounds the activation memory of scoring a large
-# cohort.  Chosen by peak RSS of ``eval`` on 1200 patients with 8 features
-# and about 24 visits (x86-64 Linux, numpy 2.4 with OpenBLAS): 46.0 / 40.6 /
-# 38.1 / 37.4 MiB at 256 / 128 / 64 / 32.
+# Patients per block of ``normalized_blocks``, the scoring loop of ``eval``,
+# ``inspect-attention`` and the CV test folds: bounds the activation memory
+# of scoring a large cohort.  Chosen by peak RSS of ``eval`` on 1200
+# patients with 8 features and about 24 visits (x86-64 Linux, numpy 2.4
+# with OpenBLAS): 46.0 / 40.6 / 38.1 / 37.4 MiB at 256 / 128 / 64 / 32.
 PREDICT_BLOCK = 64
 
 
@@ -126,12 +126,20 @@ def train(batch, params, train_config):
     return losses, state
 
 
-def predict_probs(batch, params):
-    """Forward a prepared batch; returns an (N, d) probability matrix."""
+def normalized_blocks(cohort, stats):
+    """``cohort`` z-scored with ``stats``, in slices of ``PREDICT_BLOCK``
+    patients: scoring holds one slice's arrays at once."""
+    for start in range(0, len(cohort), PREDICT_BLOCK):
+        yield normalize(cohort.take(slice(start, start + PREDICT_BLOCK)),
+                        stats)
+
+
+def predict_probs(cohort, stats, params):
+    """The (N, d) class probabilities of a raw cohort under ``params``,
+    prepared and forwarded one ``normalized_blocks`` block at a time."""
     return np.concatenate([
-        forward(batch.take(slice(start, start + PREDICT_BLOCK)), params).probs
-        for start in range(0, len(batch), PREDICT_BLOCK)
-    ])
+        forward(prepare_cohort(block, params.config), params).probs
+        for block in normalized_blocks(cohort, stats)])
 
 
 def prepare_cohort(cohort, config):
@@ -188,14 +196,9 @@ def run_fold(cohort, config, train_config, fold, test_indices, param_init=None):
     Normalization stats come from the training patients only; the held-out
     fold is z-scored with those same stats, never its own.
     """
-    held_out = np.zeros(len(cohort), dtype=bool)
-    held_out[test_indices] = True
-    n_train = len(cohort) - int(held_out.sum())
-    # Train first, then test, each in cohort order: one batch for both.
-    ordered = cohort.take(np.concatenate([np.flatnonzero(~held_out),
-                                          np.flatnonzero(held_out)]))
-    stats = compute_stats(ordered.take(slice(0, n_train)))
-    prepared = prepare_cohort(normalize(ordered, stats), config)
+    train_part = cohort.take(
+        np.setdiff1d(np.arange(len(cohort)), test_indices))
+    stats = compute_stats(train_part)
     fold_seed_rng = np.random.default_rng(
         np.random.SeedSequence(train_config.seed, spawn_key=(2, fold)))
     if param_init is None:
@@ -208,10 +211,10 @@ def run_fold(cohort, config, train_config, fold, test_indices, param_init=None):
         epochs=train_config.epochs,
         seed=int(fold_seed_rng.integers(0, 2 ** 31 - 1)),
     )
-    epoch_log, _ = train(prepared.take(slice(0, n_train)), params,
-                         fold_train_config)
-    probs = predict_probs(prepared.take(slice(n_train, None)), params)
-    labels = ordered.labels[n_train:]
+    epoch_log, _ = train(prepare_cohort(normalize(train_part, stats), config),
+                         params, fold_train_config)
+    probs = predict_probs(cohort.take(test_indices), stats, params)
+    labels = cohort.labels[test_indices]
     auroc = macro_one_vs_rest(probs, labels, "auroc")
     auprc = macro_one_vs_rest(probs, labels, "auprc")
     return FoldResult(fold, np.asarray(test_indices), stats, params,

@@ -184,6 +184,8 @@ def decompose_batch(series, order):
     Returns lines of shape (..., 2, m): ``[..., 0, :]`` is the trend line and
     ``[..., 1, :]`` the variation line of each series, as ``decompose``
     gives them up to roundoff, from one product with ``analysis_matrix``.
+    Each series' lines are bit for bit the same whatever else is stacked
+    with it.
     Non-finite samples are rejected up front with their coordinates,
     because a single NaN would silently smear across 2K coefficients; the
     axis before the visit axis is reported as the feature column, as in a
@@ -205,7 +207,9 @@ def decompose_batch(series, order):
         raise NumericError(f"decompose_batch: non-finite value at {where}")
     t = series.shape[-1]
     matrix = analysis_matrix(order, t)
-    lines = series.reshape(-1, t) @ matrix.T
+    # einsum sums each output on its own, in a fixed order; a BLAS matmul
+    # rounds a row differently depending on how many rows share the call.
+    lines = np.einsum("rt,kt->rk", series.reshape(-1, t), matrix)
     return lines.reshape(series.shape[:-1] + (2, matrix.shape[0] // 2))
 
 

@@ -296,16 +296,13 @@ def learning_trial(seed):
     train_idx, test_idx = perm[:800], perm[800:]
     config = ModelConfig(t_max=10, n_dynamic=5, n_static=3, n_classes=3,
                          order=6)
-    normed = normalize(cohort, compute_stats(cohort.take(train_idx)))
-
-    def prep(indices):
-        return prepare_cohort(normed.take(indices), config)
-
+    stats = compute_stats(cohort.take(train_idx))
     params = ModelParams.initialized(config, np.random.default_rng(seed + 1))
-    train(prep(train_idx), params,
+    train(prepare_cohort(normalize(cohort.take(train_idx), stats), config),
+          params,
           TrainConfig(learning_rate=1e-4, batch_size=64, epochs=50,
                       seed=seed))
-    probs = predict_probs(prep(test_idx), params)
+    probs = predict_probs(cohort.take(test_idx), stats, params)
     labels = cohort.labels[test_idx]
     return (macro_one_vs_rest(probs, labels, "auroc").value,
             macro_one_vs_rest(probs, labels, "auprc").value)
@@ -341,16 +338,13 @@ def ablation_trial(seed, preset):
     train_idx, test_idx = perm[:320], perm[320:]
     config = ModelConfig(t_max=12, n_dynamic=3, n_static=2, n_classes=2,
                          order=6, flags=ABLATION_PRESETS[preset])
-    normed = normalize(cohort, compute_stats(cohort.take(train_idx)))
-
-    def prep(indices):
-        return prepare_cohort(normed.take(indices), config)
-
+    stats = compute_stats(cohort.take(train_idx))
     params = ModelParams.initialized(config, np.random.default_rng(seed + 1))
-    train(prep(train_idx), params,
+    train(prepare_cohort(normalize(cohort.take(train_idx), stats), config),
+          params,
           TrainConfig(learning_rate=1e-3, batch_size=32, epochs=40,
                       seed=seed))
-    probs = predict_probs(prep(test_idx), params)
+    probs = predict_probs(cohort.take(test_idx), stats, params)
     labels = cohort.labels[test_idx]
     return macro_one_vs_rest(probs, labels, "auroc").value
 

@@ -15,15 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendvar import cli
-from trendvar.data import compute_stats, load_cohort, synth_generate
+from trendvar.data import (
+    compute_stats,
+    load_cohort,
+    synth_generate,
+    write_cohort,
+)
 from trendvar.model import (
-    CheckpointBundle,
     ModelConfig,
     ModelParams,
     ablation_from_name,
     load_checkpoint,
     save_checkpoint,
 )
+from trendvar.training import predict_probs
 
 
 def run_cli(*args):
@@ -229,6 +234,74 @@ def test_exit_codes(tmp_path, workspace):
         assert "Traceback" not in proc.stderr
 
 
+# Valid settings lines that keep a run cheap, if one ever got through.
+_VALID_SETTINGS = ["epochs = 1", "folds = 2", "batch = 16", "symlet = 2",
+                   "seed = 7", "config = A6", "lr = 0.001"]
+_HUGE_OR_NEGATIVE = st.one_of(st.integers(min_value=2 ** 32),
+                              st.integers(max_value=-1))
+_NOT_A_NUMBER = st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e999",
+                                 "9" * 5000, "0x10", "", "1,2"])
+
+
+@st.composite
+def _hostile_settings(draw):
+    """A settings file ``train`` must refuse: valid lines plus one line of
+    non-UTF-8 bytes, a duplicate key, an unknown key or an extreme value."""
+    lines = draw(st.lists(st.sampled_from(_VALID_SETTINGS), unique=True,
+                          max_size=4))
+    lines = [line.encode() for line in lines]
+    kind = draw(st.sampled_from(["bytes", "duplicate", "unknown", "extreme"]))
+    if kind == "bytes":
+        junk = draw(st.binary(max_size=30).filter(
+            lambda b: b"\n" not in b and b"\r" not in b))
+        cut = draw(st.integers(0, len(junk)))
+        bad = junk[:cut] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) \
+            + junk[cut:]
+    elif kind == "duplicate":
+        key = draw(st.sampled_from(["epochs", "kernel-width", "kernel_width",
+                                    "seed"]))
+        lines.append(f"{key.replace('-', '_')} = 1".encode())
+        bad = f"  {key}={draw(st.integers(0, 9))}".encode()
+    elif kind == "unknown":
+        known = {option.dest for option in cli._COMMANDS["train"]}
+        key = draw(st.text(
+            alphabet="abcdefghijklmnopqrstuvwxyzAZ09_- ", min_size=1,
+            max_size=12).filter(
+                lambda k: k.strip() and k.strip().replace("-", "_")
+                not in known | {"settings"}))
+        bad = f"{key} = {draw(st.integers())}".encode()
+    else:
+        key, value = draw(st.one_of(
+            st.tuples(st.sampled_from(["tmax", "symlet", "kernel_width",
+                                       "folds"]),
+                      st.one_of(_HUGE_OR_NEGATIVE, _NOT_A_NUMBER)),
+            st.tuples(st.sampled_from(["seed", "epochs"]),
+                      st.one_of(st.integers(max_value=-1), _NOT_A_NUMBER)),
+            st.tuples(st.just("batch"), st.integers(max_value=0)),
+            st.tuples(st.just("dilations"),
+                      _HUGE_OR_NEGATIVE.map(lambda d: f"0,0,{d}")),
+            st.tuples(st.just("lr"), st.sampled_from(
+                ["nan", "inf", "-inf", "1e999", "-1e999", "-0.5"]))))
+        bad = f"{key} = {value}".encode()
+    lines = draw(st.permutations(lines + [bad]))
+    return b"\n".join(lines) + draw(st.sampled_from([b"", b"\n", b"\r\n"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(content=_hostile_settings())
+def test_hostile_settings_files_exit_1_or_2_without_a_traceback(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "settings.txt")
+        path.write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["train", "--synth", "default", "--settings",
+                             str(path), "--out", str(Path(tmp, "out"))])
+    assert code in (1, 2), (content, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
 def test_uncreatable_out_is_a_config_error(tmp_path):
     blocker = tmp_path / "plain_file"
     blocker.write_text("not a directory\n")
@@ -253,13 +326,22 @@ def test_uncreatable_out_is_a_config_error(tmp_path):
      "--static-features 10000000000"),
     (["synth", "--mean-visits", "1e12"], "--mean-visits 1000000000000.0"),
     (["synth", "--mean-visits", "inf"], "--mean-visits inf"),
+    (["train", "--visits", "v.csv", "--static", "s.csv", "--labels",
+      "y.csv", "--symlet", "2", "--tmax", "8"], "1000001 classes"),
+    (["train", "--synth", "default", "--kernel-width", "1000000000",
+      "--dilations", "0,0,0"], "--kernel-width 1000000000"),
 ], ids=["train-tmax", "sweep-tmax", "settings-tmax", "synth-features",
         "synth-patients", "synth-static-features", "synth-mean-visits",
-        "synth-mean-visits-inf"])
+        "synth-mean-visits-inf", "train-label", "train-kernel-width"])
 def test_oversized_sizes_are_config_errors_before_allocating(
         tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "tmax.txt").write_text("tmax = 99999999999\n")
+    # A cohort whose largest label sizes a model of 1000001 classes.
+    (tmp_path / "v.csv").write_text(
+        "patient_id,visit_index,x\na,0,1.0\na,1,2.0\nb,0,3.0\nb,1,4.0\n")
+    (tmp_path / "s.csv").write_text("patient_id,s\na,1.0\nb,0.0\n")
+    (tmp_path / "y.csv").write_text("patient_id,label\na,0\nb,1000000\n")
     tracemalloc.start()
     try:
         code = cli.main([*argv, "--out", str(tmp_path / "out")])
@@ -273,6 +355,20 @@ def test_oversized_sizes_are_config_errors_before_allocating(
     # Refused before the run began: no manifest, nothing large allocated.
     assert not (tmp_path / "out").exists()
     assert peak < 16 * 2 ** 20, peak
+
+
+def test_checkpoint_field_overflow_is_a_config_error_before_training(
+        tmp_path, capsys):
+    # The checkpoint stores each dilation rate as u32.
+    code = cli.main(["train", "--synth", "default", "--kernel-width", "1",
+                     "--dilations", "0,0,4294967296", "--folds", "2",
+                     "--epochs", "1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "dilations must be three non-negative rates that fit a " \
+        "checkpoint's 32-bit fields, got (0, 0, 4294967296)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_single_class_cohort_is_a_data_error(tmp_path):
@@ -410,31 +506,74 @@ def test_eval_scores_every_patient_deterministically(tmp_path, workspace):
         (out2 / "metrics.csv").read_bytes()
 
 
-def test_eval_block_loop_memory_does_not_grow_with_the_cohort():
+def test_eval_block_loop_memory_does_not_grow_with_the_cohort(
+        tmp_path, monkeypatch):
     wide = replace(cli.SYNTH_PRESETS["default"], n_patients=1024,
                    n_dynamic=8, n_static=4, mean_visits=24.0, seed=1)
     large = synth_generate(wide)
     small = large.take(slice(0, 256))
     config = ModelConfig(t_max=29, n_dynamic=8, n_static=4, n_classes=3,
                          flags=ablation_from_name("A7"))
-    bundle = CheckpointBundle(
-        ModelParams.initialized(config, np.random.default_rng(0)), config,
-        compute_stats(large))
-    cli._score(small.take(slice(0, 8)), bundle.stats, bundle)  # warm caches
-    peaks = []
-    # The cohorts exist before tracing starts, so only what scoring
-    # allocates counts.
-    for cohort in (small, large):
-        tracemalloc.start()
-        try:
-            probs = cli._score(cohort, bundle.stats, bundle)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert probs.shape == (len(cohort), 3)
-        peaks.append(peak)
-    # Four times the patients, one block's activations at a time.
-    assert peaks[1] <= 1.1 * peaks[0], peaks
+    params = ModelParams.initialized(config, np.random.default_rng(0))
+    stats = compute_stats(large)
+
+    def decompose(cohort):
+        monkeypatch.setattr(cli, "_load_cohort",
+                            lambda opts, visits_only: cohort)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.cmd_decompose({"out": str(tmp_path), "symlet": 14,
+                               "feature": cohort.dynamic_names[0]})
+
+    # eval's scoring loop and decompose's write loop, each on a cohort that
+    # exists before tracing starts, so only what the loop allocates counts.
+    runs = {"eval": lambda cohort: predict_probs(cohort, stats, params),
+            "decompose": decompose}
+    for name, run in runs.items():
+        run(small.take(slice(0, 8)))  # warm caches
+        peaks = []
+        for cohort in (small, large):
+            tracemalloc.start()
+            try:
+                probs = run(cohort)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            if name == "eval":
+                assert probs.shape == (len(cohort), 3)
+            peaks.append(peak)
+        # Four times the patients, one block or patient at a time.
+        assert peaks[1] <= 1.1 * peaks[0], (name, peaks)
+
+
+def test_eval_rows_do_not_depend_on_the_rest_of_the_file(tmp_path):
+    """A patient's scored row is the same whether it is scored with the
+    whole file or with only the first k patients."""
+    whole = tmp_path / "whole"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["synth", "--patients", "150", "--features", "8",
+                         "--static-features", "4", "--mean-visits", "24",
+                         "--seed", "1001", "--out", str(whole)]) == 0
+        cohort = load_cohort(whole / "visits.csv", whole / "static.csv",
+                             whole / "labels.csv")
+        config = ModelConfig(t_max=16, n_dynamic=8, n_static=4,
+                             n_classes=3, order=14)
+        ckpt = tmp_path / "t16.ckpt"
+        save_checkpoint(ckpt, ModelParams.initialized(
+            config, np.random.default_rng(4)), config, compute_stats(cohort))
+
+        def scored(data, out):
+            assert cli.main([
+                "eval", "--visits", str(data / "visits.csv"),
+                "--static", str(data / "static.csv"),
+                "--labels", str(data / "labels.csv"),
+                "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+            return read(out / "scored.csv").splitlines()[1:]
+
+        rows = scored(whole, tmp_path / "eval_whole")
+        for k in (2, 37, 100):
+            first = tmp_path / f"first{k}"
+            write_cohort(cohort.take(slice(0, k)), first)
+            assert scored(first, tmp_path / f"eval_first{k}") == rows[:k], k
 
 
 def test_eval_rejects_mismatched_data(tmp_path, workspace):

@@ -201,6 +201,13 @@ def test_model_config_validation():
     # a history too short for the widest dilated branch
     with pytest.raises(ConfigError):
         small_config(t_max=2)
+    # the checkpoint stores these fields as u32
+    for field, value in (("t_max", 2 ** 32), ("n_dynamic", 2 ** 32),
+                         ("n_static", 2 ** 40), ("n_classes", 2 ** 32),
+                         ("kernel_width", 2 ** 32),
+                         ("dilations", (0, 0, 2 ** 32))):
+        with pytest.raises(ConfigError, match="32-bit"):
+            small_config(**{"dilations": (0, 0, 0), field: value})
 
 
 def test_model_config_derived_sizes():
@@ -380,6 +387,26 @@ def test_forward_is_a_probability_simplex(preset):
     assert np.all(np.isfinite(probs))
     assert probs.min() >= 0.0
     assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(preset=st.sampled_from(sorted(ABLATION_PRESETS)),
+       order=st.sampled_from([2, 6, 14, 20]),
+       t_max=st.integers(16, 40),
+       n=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_forward_row_does_not_depend_on_the_rest_of_the_batch(
+        preset, order, t_max, n, seed, data):
+    config = small_config(flags=ABLATION_PRESETS[preset], order=order,
+                          t_max=t_max, n_dynamic=3, n_static=4, n_classes=3)
+    rng = np.random.default_rng(seed)
+    params = ModelParams.initialized(config, rng)
+    batch, _, _ = make_batch(config, rng, n=n)
+    k = data.draw(st.integers(0, n - 1))
+    probs = forward(batch, params).probs
+    np.testing.assert_array_equal(
+        forward(batch.take(slice(k, k + 1)), params).probs[0], probs[k])
 
 
 def test_forward_rejects_a_batch_prepared_for_another_config():

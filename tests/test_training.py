@@ -264,9 +264,8 @@ def test_loss_log_shape_and_learning_progress():
 def test_predict_probs_shape_and_simplex():
     config = toy_config()
     cohort = toy_cohort(n=6)
-    samples = prepare_cohort(cohort, config)
     params = ModelParams.initialized(config, np.random.default_rng(2))
-    probs = predict_probs(samples, params)
+    probs = predict_probs(cohort, compute_stats(cohort), params)
     assert probs.shape == (6, 2)
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(6), atol=1e-12)
 

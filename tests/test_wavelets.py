@@ -212,6 +212,26 @@ def test_batch_matches_per_series_decompose(order, length, lead, seed):
         np.testing.assert_allclose(back, series[index], rtol=0, atol=1e-10)
 
 
+# Order 14 at these lengths is where a BLAS matmul rounds a row of a stack
+# differently from the same row alone.
+_BLAS_SENSITIVE_LENGTHS = [16, 17, 18, 23, 24, 25, 26, 31, 32, 33, 34, 39]
+
+
+@settings(max_examples=60, deadline=None)
+@given(order=st.one_of(st.just(14), st.integers(MIN_ORDER, MAX_ORDER)),
+       length=st.one_of(st.sampled_from(_BLAS_SENSITIVE_LENGTHS),
+                        st.integers(1, 44)),
+       rows=st.integers(1, 300),
+       seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_batch_row_does_not_depend_on_the_rest_of_the_stack(
+        order, length, rows, seed, data):
+    stack = np.random.default_rng(seed).normal(size=(rows, length))
+    k = data.draw(st.integers(0, rows - 1))
+    np.testing.assert_array_equal(decompose_batch(stack[k], order),
+                                  decompose_batch(stack, order)[k])
+
+
 def test_ragged_groups_by_length_in_first_seen_order():
     rng = np.random.default_rng(8)
     series = [rng.normal(size=(3, t)) for t in (5, 7, 5, 1, 7)]
