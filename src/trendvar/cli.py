@@ -271,7 +271,6 @@ def _resolve(args, options):
     settings = {}
     if getattr(args, "settings", None):
         settings = _read_settings(args.settings)
-    settings.pop("settings", None)
     effective = {}
     for option in options:
         if option.dest == "settings":

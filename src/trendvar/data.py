@@ -13,9 +13,11 @@ typically exported by hand from somewhere messier.
 """
 
 import csv
+import math
 import os
+import warnings
 from dataclasses import dataclass, replace
-from itertools import chain, compress, islice
+from itertools import chain
 
 import numpy as np
 
@@ -94,11 +96,6 @@ class FeatureStats:
     static_std: np.ndarray
 
 
-# Rows of visits.csv turned into arrays at a time: the loader holds one
-# chunk of rows as Python strings and 8 bytes per cell otherwise.
-CHUNK_ROWS = 1024
-
-
 def _rows(path):
     """Yield ``(line_no, cells)`` for every row of a cohort CSV, header first.
 
@@ -166,89 +163,105 @@ def load_visit_table(path):
             f"carry at least one feature column, got {header}"
         )
     names = tuple(header[2:])
-    parsed = _visit_tables_by_chunk(rows, len(header))
+    parsed = _visit_tables_by_column(path, len(names))
     if parsed is None:
-        rows = _rows(path)
-        next(rows)
         parsed = _visit_tables_by_row(path, rows, names)
+    rows.close()
     ids, values, offsets = parsed
     return Cohort(ids, values, offsets, np.zeros((len(ids), 0)),
                   np.zeros(len(ids), dtype=np.int64), names, (), 1)
 
 
-def _visit_tables_by_chunk(rows, width):
-    """The ids, visit rows and offsets of the patients, from column passes
-    over chunks of ``CHUNK_ROWS`` rows.
+def _visit_tables_by_column(path, c):
+    """The ids, visit rows and offsets of the patients from numpy's C
+    tokenizer, or None where the row walk must decide (see
+    ``_visit_records``).
 
-    ``rows`` yields ``(line_no, cells)`` after the header.  Each chunk becomes
-    arrays at once; the sort and the forward fill run on their concatenation,
-    and each is skipped when its result would be the identity: rows that
-    come sorted by patient and visit_index, and a table without a missing
-    cell.  Returns None as soon as a row is off (ragged, empty id, bad
-    visit_index, unparsable or non-finite cell); the per-row walk then names
-    the first such problem with its line and column.
+    The sort and the forward fill are skipped when their result would be
+    the identity: rows that come sorted by patient and visit_index, and a
+    table without a missing cell.
     """
-    body = (row for _, row in rows if row)
-    first_seen = {}
-    parts = []
-    while chunk := list(islice(body, CHUNK_ROWS)):
-        part = _visit_chunk(chunk, width, first_seen)
-        if part is None:
-            return None
-        parts.append(part)
-    if not parts:
-        return (), np.zeros((0, width - 2)), np.zeros(1, dtype=np.int64)
-    codes, visit_index, values, present = map(np.concatenate, zip(*parts))
-    del parts
-    n = codes.shape[0]
-    next_code = np.diff(codes)
-    if not ((next_code > 0)
-            | ((next_code == 0) & (np.diff(visit_index) >= 0))).all():
+    ids, table = (_visit_records(path, c, None)
+                  or _visit_records(path, c, _cell_or_nan) or (None, None))
+    if table is None:
+        return None
+    codes, visit_index = table["code"], table["visit_index"]
+    step = np.diff(codes)
+    if ((step > 0) | ((step == 0) & (np.diff(visit_index) >= 0))).all():
+        values = np.ascontiguousarray(table["values"])
+    else:
         # Stable: rows of one patient with equal visit_index keep file order.
-        order = np.lexsort((visit_index, codes))
-        values = values[order]
-        present = present[order]
-    counts = np.bincount(codes, minlength=len(first_seen))
+        values = table["values"][np.lexsort((visit_index, codes))]
+    counts = np.bincount(codes, minlength=len(ids))
+    del table, codes, visit_index
     offsets = np.concatenate([[0], np.cumsum(counts)])
+    present = ~np.isnan(values)
     if present.all():
-        return tuple(first_seen), values, offsets
+        return ids, values, offsets
     # Each cell takes the latest present cell at or above it in its column,
     # if that one belongs to the same patient; a leading gap takes 0.
-    last = np.where(present, np.arange(n)[:, None], -1)
+    last = np.where(present, np.arange(len(values))[:, None], -1)
     np.maximum.accumulate(last, axis=0, out=last)
     filled = np.take_along_axis(values, last, axis=0)
     filled[last < np.repeat(offsets[:-1], counts)[:, None]] = 0.0
-    return tuple(first_seen), filled, offsets
+    return ids, filled, offsets
 
 
-def _visit_chunk(chunk, width, first_seen):
-    """The patient codes, visit_index, values and present mask of some rows.
+def _visit_records(path, c, cell):
+    r"""The ids in first-seen order and the (code, visit_index, values)
+    records of the rows below the header of visits.csv, or None.
 
-    ``chunk`` holds non-blank rows; ``first_seen`` maps patient ids to codes
-    and grows with every new id.  Values and mask are (rows, c), row-major;
-    missing cells hold 0.  Returns None if any row is off.
+    ``cell`` converts the feature cells; None parses them in C, which fails
+    on an empty one.  None is returned on a numpy error or warning (an
+    empty table warns), bytes that are not UTF-8, an empty id, a non-finite
+    value, and where the csv module could read the file otherwise: numpy
+    strips the separators \x1c-\x1f around a number, which int() and
+    float() reject, and does not cap the length of a field.  A field is no
+    longer than its record, which spans at most ``lines - records + 1``
+    lines.
     """
-    if any(len(row) != width for row in chunk):
-        return None
-    k, c = len(chunk), width - 2
-    pids = [row[0] for row in chunk]
-    if "" in pids:
-        return None
-    features = list(chain.from_iterable(row[2:] for row in chunk))
+    first_seen = {}
+    converters = dict.fromkeys(range(2, c + 2), cell) if cell else {}
+    converters[0] = lambda pid: first_seen.setdefault(pid, len(first_seen))
+    lines = longest = 0
+
+    def batches(fh):
+        nonlocal lines, longest
+        while batch := fh.readlines(1 << 16):
+            text = "".join(batch)
+            if any(sep in text for sep in "\x1c\x1d\x1e\x1f"):
+                raise ValueError("separator character")
+            lines += len(batch)
+            longest = max(longest, *map(len, batch))
+            yield batch
+
+    dtype = np.dtype([("code", np.intp), ("visit_index", np.int64),
+                      ("values", np.float64, (c,))])
     try:
-        visit_index = np.fromiter((int(row[1]) for row in chunk), np.int64, k)
-        present = np.fromiter(map(bool, features), bool, k * c)
-        values = np.zeros(k * c)
-        values[present] = np.fromiter(
-            map(float, compress(features, present.tolist())), np.float64)
-    except (ValueError, OverflowError):
+        with open(path, newline="", encoding="utf-8") as fh, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            next(csv.reader(fh))
+            table = np.loadtxt(chain.from_iterable(batches(fh)), dtype=dtype,
+                               delimiter=",", comments=None, quotechar='"',
+                               ndmin=1, converters=converters)
+    except (OSError, ValueError, csv.Error, Warning):
         return None
-    if not np.isfinite(values).all():
+    if ("" in first_seen
+            or (cell is None and not np.isfinite(table["values"]).all())
+            or longest * (lines - len(table) + 1) > csv.field_size_limit()):
         return None
-    codes = np.fromiter(
-        (first_seen.setdefault(pid, len(first_seen)) for pid in pids),
-        np.intp, k)
-    return codes, visit_index, values.reshape(k, c), present.reshape(k, c)
+    return tuple(first_seen), table
+
+
+def _cell_or_nan(text):
+    """A feature cell read as the row walk reads it, NaN if empty."""
+    if not text:
+        return np.nan
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 def _visit_tables_by_row(path, rows, names):

@@ -175,13 +175,19 @@ def test_settings_file_fills_in_and_flags_override(tmp_path, workspace):
     assert "epochs = 2" in read(overridden / "manifest.txt")
 
 
-def test_unknown_settings_key_is_rejected(tmp_path, workspace):
+def test_unknown_settings_key_is_rejected(tmp_path, workspace, capsys):
     settings = tmp_path / "bad.conf"
     settings.write_text("epochs = 1\nrocket_boost = yes\n")
     proc = run_cli("train", *data_flags(workspace), "--settings", settings,
                    "--out", tmp_path / "o")
     assert proc.returncode == 1
     assert "unknown settings keys: rocket_boost" in proc.stderr
+    nested = tmp_path / "nested.conf"
+    nested.write_text("settings = /nonexistent/file\n")
+    code = cli.main(["decompose", "--synth", "default", "--settings",
+                     str(nested), "--out", str(tmp_path / "n")])
+    assert code == 1
+    assert "unknown settings keys: settings" in capsys.readouterr().err
 
 
 # -- exit codes -----------------------------------------------------------------
@@ -263,12 +269,14 @@ def _hostile_settings(draw):
         lines.append(f"{key.replace('-', '_')} = 1".encode())
         bad = f"  {key}={draw(st.integers(0, 9))}".encode()
     elif kind == "unknown":
-        known = {option.dest for option in cli._COMMANDS["train"]}
-        key = draw(st.text(
+        # A settings file cannot name another one.
+        known = {option.dest for option in cli._COMMANDS["train"]} \
+            - {"settings"}
+        key = draw(st.one_of(st.just("settings"), st.text(
             alphabet="abcdefghijklmnopqrstuvwxyzAZ09_- ", min_size=1,
-            max_size=12).filter(
+            max_size=12)).filter(
                 lambda k: k.strip() and k.strip().replace("-", "_")
-                not in known | {"settings"}))
+                not in known))
         bad = f"{key} = {draw(st.integers())}".encode()
     else:
         key, value = draw(st.one_of(
