@@ -181,10 +181,10 @@ def _visit_tables_by_column(path, c):
     the identity: rows that come sorted by patient and visit_index, and a
     table without a missing cell.
     """
-    ids, table = (_visit_records(path, c, None)
-                  or _visit_records(path, c, _cell_or_nan) or (None, None))
-    if table is None:
+    parsed = _visit_records(path, c)
+    if parsed is None:
         return None
+    ids, table = parsed
     codes, visit_index = table["code"], table["visit_index"]
     step = np.diff(codes)
     if ((step > 0) | ((step == 0) & (np.diff(visit_index) >= 0))).all():
@@ -207,18 +207,19 @@ def _visit_tables_by_column(path, c):
     return ids, filled, offsets
 
 
-def _visit_records(path, c, cell):
+def _visit_records(path, c, cell=None):
     r"""The ids in first-seen order and the (code, visit_index, values)
     records of the rows below the header of visits.csv, or None.
 
-    ``cell`` converts the feature cells; None parses them in C, which fails
-    on an empty one.  None is returned on a numpy error or warning (an
-    empty table warns), bytes that are not UTF-8, an empty id, a non-finite
-    value, and where the csv module could read the file otherwise: numpy
-    strips the separators \x1c-\x1f around a number, which int() and
-    float() reject, and does not cap the length of a field.  A field is no
-    longer than its record, which spans at most ``lines - records + 1``
-    lines.
+    ``cell`` converts the feature cells; None parses them in C, and a file
+    whose first failing cell is an empty feature cell is read again with
+    ``_cell_or_nan``.  None is returned on any other numpy error or warning
+    (an empty table warns), bytes that are not UTF-8, an empty id, a
+    non-finite value, and where the csv module could read the file
+    otherwise: numpy strips the separators \x1c-\x1f around a number,
+    which int() and float() reject, and does not cap the length of a field.
+    A field is no longer than its record, which spans at most
+    ``lines - records + 1`` lines.
     """
     first_seen = {}
     converters = dict.fromkeys(range(2, c + 2), cell) if cell else {}
@@ -242,16 +243,26 @@ def _visit_records(path, c, cell):
                 warnings.catch_warnings():
             warnings.simplefilter("error")
             next(csv.reader(fh))
+            # encoding=None hands the converters str; before numpy 2.0 the
+            # default, "bytes", hands them latin-1 bytes.
             table = np.loadtxt(chain.from_iterable(batches(fh)), dtype=dtype,
                                delimiter=",", comments=None, quotechar='"',
-                               ndmin=1, converters=converters)
-    except (OSError, ValueError, csv.Error, Warning):
+                               ndmin=1, converters=converters, encoding=None)
+    except ValueError as exc:
+        if cell is None and str(exc).startswith(_EMPTY_FEATURE_CELL):
+            return _visit_records(path, c, _cell_or_nan)
+        return None
+    except (OSError, csv.Error, Warning):
         return None
     if ("" in first_seen
             or (cell is None and not np.isfinite(table["values"]).all())
             or longest * (lines - len(table) + 1) > csv.field_size_limit()):
         return None
     return tuple(first_seen), table
+
+
+# How np.loadtxt (numpy >= 1.23) reports an empty cell of a float64 field.
+_EMPTY_FEATURE_CELL = "could not convert string '' to float64"
 
 
 def _cell_or_nan(text):

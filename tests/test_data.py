@@ -324,7 +324,9 @@ def test_missing_cells_do_not_take_the_row_walk(tmp_path, monkeypatch):
                   "a,1,2.0,6.0\n"
                   "b,0,4.0,8.0\n"
                   "a,0,1.0,5.0\n")
-    tables = visit_tables(load_visit_table(dense))
+    cohort = load_visit_table(dense)
+    assert [type(pid) for pid in cohort.ids] == [str, str]
+    tables = visit_tables(cohort)
     np.testing.assert_array_equal(tables["a"], [[1.0, 5.0], [2.0, 6.0]])
     np.testing.assert_array_equal(tables["b"], [[4.0, 8.0]])
     sparse = write(tmp_path / "sparse.csv",
@@ -338,6 +340,30 @@ def test_missing_cells_do_not_take_the_row_walk(tmp_path, monkeypatch):
     np.testing.assert_array_equal(
         tables["a"], [[1.0, 0.0], [1.0, 6.0], [1.0, 6.0]])
     np.testing.assert_array_equal(tables["b"], [[4.0, 0.0], [4.0, 8.0]])
+
+
+def test_ids_are_str_under_the_numpy_1_loadtxt_default(tmp_path, monkeypatch):
+    # Before numpy 2.0, loadtxt's default encoding="bytes" hands converters
+    # latin-1 bytes, so an id would come back as b"a".
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(
+        np, "loadtxt",
+        lambda *args, encoding="bytes", **kwargs: loadtxt(
+            *args, encoding=encoding, **kwargs))
+    monkeypatch.setattr(data, "_visit_tables_by_row", None)
+    for body in ("a,0,1.0\nb,0,2.0\n", "a,0,\nb,0,2.0\n"):
+        path = write(tmp_path / "v.csv", "patient_id,visit_index,hr\n" + body)
+        assert load_visit_table(path).ids == ("a", "b")
+
+
+def test_bad_cells_skip_the_converter_pass(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(data, "_cell_or_nan", calls.append)
+    path = write(tmp_path / "v.csv",
+                 "patient_id,visit_index,hr\na,0,1.0\na,1,x\na,2,\n")
+    with pytest.raises(DataError, match=r"v\.csv:3: column hr: not a number"):
+        load_visit_table(path)
+    assert calls == []
 
 
 def test_header_only_file_has_no_patients(tmp_path):
