@@ -24,7 +24,6 @@ from .data import (
     compute_stats,
     load_cohort,
     load_visit_table,
-    pad_to_length,
     synth_generate,
     write_cohort,
 )
@@ -43,13 +42,14 @@ from .training import (
     cross_validate,
     normalized_blocks,
     predict_probs,
+    prepare_cohort,
 )
 from .wavelets import MAX_ORDER, MIN_ORDER, decompose_batch
 
-# The most bytes one array of a run may take.  The size options (--tmax and
-# synth's sizes) and the model's parameter buffer are checked against an
-# estimate of their largest array before anything is allocated: too large
-# is a configuration error.
+# The most bytes one array of a run may take.  The size options (--tmax,
+# --epochs and synth's sizes) and the model's parameter buffer are checked
+# against an estimate of their largest array before anything is allocated:
+# too large is a configuration error.
 MAX_ARRAY_BYTES = 2 ** 32
 
 
@@ -400,6 +400,8 @@ def _model_config(opts, cohort, tmax):
 
 
 def _train_config(opts):
+    # The loss log of a fold holds one float per epoch.
+    _check_size(f"--epochs {opts['epochs']}", 8 * opts["epochs"])
     return TrainConfig(
         learning_rate=opts["lr"],
         batch_size=opts["batch"],
@@ -463,8 +465,8 @@ def cmd_synth(opts):
     )
 
 
-def _run_cv(opts, cohort, config, out, write_checkpoints=True):
-    cv = cross_validate(cohort, opts["folds"], config, _train_config(opts))
+def _run_cv(opts, cohort, config, train_config, out):
+    cv = cross_validate(cohort, opts["folds"], config, train_config)
     rows = []
     for fold in cv.folds:
         rows.extend(_metric_rows_for(fold.fold, fold.auroc, fold.auprc))
@@ -472,9 +474,8 @@ def _run_cv(opts, cohort, config, out, write_checkpoints=True):
             fh.write("epoch,mean_loss\n")
             for epoch, loss in enumerate(fold.epoch_log):
                 fh.write(f"{epoch},{_fmt(loss)}\n")
-        if write_checkpoints:
-            save_checkpoint(os.path.join(out, f"fold{fold.fold}.ckpt"),
-                            fold.params, config, fold.stats)
+        save_checkpoint(os.path.join(out, f"fold{fold.fold}.ckpt"),
+                        fold.params, config, fold.stats)
     rows.append(("mean", "macro", cv.mean_auroc, cv.mean_auprc))
     _write_metric_rows(os.path.join(out, "metrics.csv"), rows)
     summary = [
@@ -503,16 +504,18 @@ def cmd_train(opts):
     cohort = _load_cohort(opts)
     tmax = _resolve_tmax(opts, cohort)
     config = _model_config(opts, cohort, tmax)
+    train_config = _train_config(opts)
     effective = dict(opts)
     effective["tmax"] = tmax
     _write_manifest(out, "train", effective)
-    _run_cv(opts, cohort, config, out)
+    _run_cv(opts, cohort, config, train_config, out)
 
 
 def cmd_sweep(opts):
     out = _require_out(opts)
     cohort = _load_cohort(opts)
     tmax = _resolve_tmax(opts, cohort)
+    train_config = _train_config(opts)
     effective = dict(opts)
     effective["tmax"] = tmax
     effective["symlet"] = "2..20"
@@ -522,8 +525,7 @@ def cmd_sweep(opts):
         inner = dict(opts)
         inner["symlet"] = order
         config = _model_config(inner, cohort, tmax)
-        cv = cross_validate(cohort, opts["folds"], config,
-                            _train_config(opts))
+        cv = cross_validate(cohort, opts["folds"], config, train_config)
         results.append((order, cv.mean_auroc, cv.mean_auprc))
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write("order,mean_macro_auroc,mean_macro_auprc\n")
@@ -676,11 +678,12 @@ def cmd_inspect_attention(opts):
             f"{config.n_dynamic} dynamic features, data has {len(names)}"
         )
     chosen = _select_features(names, opts.get("feature"))
-    # The same z-scoring, padding and split as eval, on visits alone.
-    no_static = np.zeros(cohort.n_static)
+    # The visits alone, with zero statics of the model's width, take the
+    # same z-scoring and preparation as eval.
+    cohort = replace(cohort,
+                     static=np.zeros((len(cohort), config.n_static)))
     effective = dict(opts)
-    stats = replace(_scoring_stats(bundle, cohort, effective),
-                    static_mean=no_static, static_std=no_static)
+    stats = _scoring_stats(bundle, cohort, effective)
     _write_manifest(out, "inspect-attention", effective)
     columns = [names.index(name) for name in chosen]
     labels = [f",{name},{i}," for name in chosen
@@ -689,9 +692,7 @@ def cmd_inspect_attention(opts):
     with open(path, "w") as fh:
         fh.write("patient_id,feature,position,delta,weight,weighted\n")
         for block in normalized_blocks(cohort, stats):
-            padded = pad_to_length(block, config.t_max)[:, :, columns]
-            variation = decompose_batch(np.swapaxes(padded, 1, 2),
-                                        config.order)[:, :, 1]
+            variation = prepare_cohort(block, config).lines[:, columns, 1]
             result = diff_attention(variation)
             deltas = np.diff(variation, axis=-1)
             for pid, delta, weight, weighted in zip(

@@ -133,6 +133,17 @@ def _undecodable_line(path):
     return "?"
 
 
+def _feature_names(path, header, start):
+    """The names of a header's feature columns, from column ``start`` on;
+    a repeated name raises on line 1."""
+    seen = set()
+    for name in header[start:]:
+        if name in seen:
+            raise DataError(f"{path}:1: repeated feature name {name!r}")
+        seen.add(name)
+    return tuple(header[start:])
+
+
 def _parse_float(path, line_no, column, text):
     try:
         value = float(text)
@@ -162,7 +173,7 @@ def load_visit_table(path):
             f"{path}:1: header must start with patient_id,visit_index and "
             f"carry at least one feature column, got {header}"
         )
-    names = tuple(header[2:])
+    names = _feature_names(path, header, 2)
     parsed = _visit_tables_by_column(path, len(names))
     if parsed is None:
         parsed = _visit_tables_by_row(path, rows, names)
@@ -243,8 +254,6 @@ def _visit_records(path, c, cell=None):
                 warnings.catch_warnings():
             warnings.simplefilter("error")
             next(csv.reader(fh))
-            # encoding=None hands the converters str; before numpy 2.0 the
-            # default, "bytes", hands them latin-1 bytes.
             table = np.loadtxt(chain.from_iterable(batches(fh)), dtype=dtype,
                                delimiter=",", comments=None, quotechar='"',
                                ndmin=1, converters=converters, encoding=None)
@@ -261,7 +270,7 @@ def _visit_records(path, c, cell=None):
     return tuple(first_seen), table
 
 
-# How np.loadtxt (numpy >= 1.23) reports an empty cell of a float64 field.
+# How np.loadtxt reports an empty cell of a float64 field.
 _EMPTY_FEATURE_CELL = "could not convert string '' to float64"
 
 
@@ -346,7 +355,7 @@ def _load_static_table(path):
             f"{path}:1: header must start with patient_id and carry at "
             f"least one feature column, got {header}"
         )
-    names = tuple(header[1:])
+    names = _feature_names(path, header, 1)
     table = {
         pid: np.array([_parse_float(path, line_no, name, cell)
                        for name, cell in zip(names, cells)])

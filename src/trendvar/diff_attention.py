@@ -64,15 +64,6 @@ def diff_attention(values):
     return AttentionOutputs(weights, weights * diff)
 
 
-def pool_features(weighted_diffs):
-    """Elementwise mean of the per-feature weighted-difference vectors."""
-    if len(weighted_diffs) == 0:
-        raise ConfigError("pool_features: no feature vectors given")
-    first_shape = np.shape(weighted_diffs[0])
-    for v in weighted_diffs[1:]:
-        if np.shape(v) != first_shape:
-            raise ConfigError(
-                f"pool_features: length mismatch, {first_shape} vs "
-                f"{np.shape(v)}"
-            )
-    return np.sum(weighted_diffs, axis=0) * (1.0 / len(weighted_diffs))
+def pool_features(weighted):
+    """Mean over features of (..., c, m - 1) weighted differences."""
+    return weighted.sum(axis=-2) * (1.0 / weighted.shape[-2])

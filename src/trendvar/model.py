@@ -25,7 +25,6 @@ import numpy as np
 
 from .diff_attention import diff_attention, pool_features, softmax
 from .dilated import (
-    BranchParams,
     DEFAULT_DILATIONS,
     DEFAULT_KERNEL_WIDTH,
     combined_width,
@@ -260,12 +259,6 @@ class ModelParams:
     def arrays(self):
         return [value for _, value, _ in self._entries()]
 
-    def branches(self):
-        """The three ``BranchParams``, each viewing every set at once."""
-        return [BranchParams(self.branch_kernels[:, bi],
-                             self.branch_bias[:, bi], rate)
-                for bi, rate in enumerate(self.config.dilations)]
-
     def copy(self):
         return ModelParams(self.config, self.flat.copy())
 
@@ -331,8 +324,8 @@ def prepare(visits, static, labels, config):
     lines = decompose_batch(np.swapaxes(visits, 1, 2), config.order)
     h_variation = None
     if config.flags.use_diff_attention:
-        weighted = diff_attention(lines[:, :, 1]).weighted_diff
-        h_variation = pool_features(np.swapaxes(weighted, 0, 1))
+        h_variation = pool_features(
+            diff_attention(lines[:, :, 1]).weighted_diff)
     return PreparedBatch(config, lines, static, labels, h_variation)
 
 
@@ -347,21 +340,15 @@ def embed_static(static, params):
                    + params.static_bias)
 
 
-def fuse_dynamic(feature_maps, params):
+def fuse_dynamic(maps, params):
     """Concatenate per-feature maps column-wise and mix rows into a vector.
 
-    ``feature_maps`` holds one (..., rows, Q) map per feature.  Returns the
-    fused (..., rows, c*Q) map and its mixed, activated (..., c*Q) vector.
+    ``maps`` is (N, c, rows, Q), one map per patient and feature.  Returns
+    the fused (N, rows, c*Q) map, feature blocks in feature order, and its
+    mixed, activated (N, c*Q) vector.
     """
-    if len(feature_maps) == 0:
-        raise ConfigError("fuse_dynamic: no feature maps")
-    shape = np.shape(feature_maps[0])
-    for fm in feature_maps[1:]:
-        if np.shape(fm) != shape:
-            raise ConfigError(
-                f"fuse_dynamic: ragged feature maps, {shape} vs {np.shape(fm)}"
-            )
-    fused = np.concatenate(feature_maps, axis=-1)
+    n, c, rows, q = maps.shape
+    fused = maps.swapaxes(1, 2).reshape(n, rows, c * q)
     return fused, np.tanh(params.mix_weight @ fused + params.mix_bias)
 
 
@@ -408,14 +395,15 @@ def forward(batch, params):
         )
     flags = config.flags
     if flags.use_correlation:
-        maps = correlation_forward(batch.lines, params.branches())
+        maps = correlation_forward(batch.lines, params.branch_kernels,
+                                   params.branch_bias, config.dilations)
     elif flags.use_trend and flags.use_variation:
         maps = batch.lines
     elif flags.use_trend:
         maps = batch.lines[:, :, :1]
     else:
         maps = batch.lines[:, :, 1:]
-    fused, h_dynamic = fuse_dynamic(np.swapaxes(maps, 0, 1), params)
+    fused, h_dynamic = fuse_dynamic(maps, params)
     h_static = embed_static(batch.static, params)
     probs = predict(h_static, h_dynamic, batch.h_variation, params)
     return Activations(maps, fused, h_static, h_dynamic, probs)
@@ -451,18 +439,19 @@ def backward(batch, params, acts):
     d_dynamic = (d_logits @ params.out_dynamic) * (1.0 - acts.h_dynamic ** 2)
     grad.mix_weight[...] = np.einsum("nq,nrq->r", d_dynamic, acts.fused)
     grad.mix_bias[...] = d_dynamic.sum()
-    if params.config.flags.use_correlation:
+    config = params.config
+    if config.flags.use_correlation:
         _, c, map_rows, q = acts.maps.shape
         d_fused = params.mix_weight[:, None] * d_dynamic[:, None, :]
         d_maps = d_fused.reshape(n, map_rows, c, q).swapaxes(1, 2)
-        per_branch = correlation_backward(
-            batch.lines, params.branches(), acts.maps, d_maps)
-        shared = params.config.shared_branches
-        for bi, (d_kernels, d_bias) in enumerate(per_branch):
+        d_kernels, d_bias = correlation_backward(
+            batch.lines, acts.maps, d_maps, config.dilations,
+            config.kernel_width)
+        if config.shared_branches:
             # One shared set gets the sum of every feature's gradient.
-            grad.branch_kernels[:, bi] = (
-                d_kernels.sum(axis=0) if shared else d_kernels)
-            grad.branch_bias[:, bi] = d_bias.sum(axis=0) if shared else d_bias
+            d_kernels, d_bias = d_kernels.sum(axis=0), d_bias.sum(axis=0)
+        grad.branch_kernels[...] = d_kernels
+        grad.branch_bias[...] = d_bias
     return grad
 
 

@@ -1,12 +1,12 @@
 """Central-difference audit of hand-derived gradients.
 
 The model's gradients are written out in closed form (``model.backward``);
-this module is the independent oracle they are checked against.
+this test helper is the independent oracle they are checked against.
 """
 
 import numpy as np
 
-from .errors import NumericError
+from trendvar.errors import NumericError
 
 
 def finite_diff_check(loss_fn, arrays, grads, samples=100, step=1e-5,

@@ -14,10 +14,10 @@ import time
 
 import numpy as np
 
-from trendvar.autodiff import finite_diff_check
+from gradcheck import finite_diff_check
 from trendvar.data import SynthSpec, compute_stats, normalize, synth_generate
 from trendvar.diff_attention import diff_attention
-from trendvar.dilated import BranchParams, conv_branch
+from trendvar.dilated import conv_branch
 from trendvar.metrics import auprc_binary, auroc_binary, macro_one_vs_rest
 from trendvar.model import (
     ABLATION_PRESETS,
@@ -136,15 +136,8 @@ def test_criterion_03_convolution_oracle():
         kernel_top = rng.normal(size=(2, width))
         kernel_bottom = rng.normal(size=(2, width))
         bias = rng.normal(size=2)
-        out = conv_branch(
-            stacked,
-            BranchParams(
-                kernels=np.stack([kernel_top, kernel_bottom]),
-                bias=bias,
-                dilation=dilation,
-            ),
-            activate=False,
-        )
+        out = conv_branch(stacked, np.stack([kernel_top, kernel_bottom]),
+                          bias, dilation, activate=False)
         expected = conv_oracle(stacked, kernel_top, kernel_bottom, bias,
                                dilation)
         worst = max(worst, np.abs(out - expected).max())

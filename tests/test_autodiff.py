@@ -11,9 +11,9 @@ that uses the operation and the parameters whose gradient passes through it.
 import numpy as np
 import pytest
 
-from trendvar.autodiff import finite_diff_check
+from gradcheck import finite_diff_check
 from trendvar.diff_attention import softmax
-from trendvar.dilated import BranchParams, conv_branch, correlation_backward
+from trendvar.dilated import conv_branch, correlation_backward
 from trendvar.errors import ConfigError, DataError, ShapeMismatchError
 from trendvar.model import (
     ABLATION_PRESETS,
@@ -22,7 +22,6 @@ from trendvar.model import (
     backward,
     cross_entropy,
     forward,
-    fuse_dynamic,
     one_hot,
     prepare,
 )
@@ -88,16 +87,15 @@ def test_softmax_cross_entropy_gradient_closed_form():
     assert grads["out_bias"] == pytest.approx(expected, abs=1e-12)
 
 
-def _worked_branches(dilations):
-    return [BranchParams(np.array([[[1.0, 0.0], [0.0, 1.0]],
-                                   [[0.0, 1.0], [1.0, 0.0]]]),
-                         np.zeros(2), rate) for rate in dilations]
+# kernel_top and kernel_bottom of every worked branch.
+WORKED_KERNELS = np.array([[[1.0, 0.0], [0.0, 1.0]],
+                           [[0.0, 1.0], [1.0, 0.0]]])
 
 
 def test_dilated_conv_worked_values():
     d = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-    out1, out0, _ = (conv_branch(d, b, activate=False)
-                     for b in _worked_branches((1, 0, 0)))
+    out1, out0 = (conv_branch(d, WORKED_KERNELS, np.zeros(2), rate,
+                              activate=False) for rate in (1, 0))
     # dilation 1: top row j = D0[j] + D1[j+1]
     assert out1[0] == pytest.approx([7.0, 9.0, 11.0])
     assert out1[1] == pytest.approx([7.0, 9.0, 11.0])
@@ -109,14 +107,13 @@ def test_dilated_conv_worked_values():
     # windows: kernel[o, i, tap] gets sum(D_i[tap:tap + 3])
     grad = np.zeros((1, 1, 2, 11))
     grad[..., :3] = 1.0
-    (d_kernels, d_bias), rest0, rest1 = correlation_backward(
-        d[None, None], _worked_branches((1, 0, 0)), np.zeros_like(grad),
-        grad)
-    d_top, d_bottom = d_kernels[0]
+    d_kernels, d_bias = correlation_backward(
+        d[None, None], np.zeros_like(grad), grad, (1, 0, 0), 2)
+    d_top, d_bottom = d_kernels[0, 0]
     np.testing.assert_array_equal(d_top, [[6.0, 9.0], [18.0, 21.0]])
     np.testing.assert_array_equal(d_bottom, [[6.0, 9.0], [18.0, 21.0]])
-    np.testing.assert_array_equal(d_bias[0], [3.0, 3.0])
-    for part in rest0 + rest1:
+    np.testing.assert_array_equal(d_bias[0, 0], [3.0, 3.0])
+    for part in (d_kernels[:, 1:], d_bias[:, 1:]):
         assert np.abs(part).max() == 0.0
 
 
@@ -125,17 +122,13 @@ def test_concat_and_slice_roundtrip_grads():
     # the branch and the feature that produced that block.
     rng = np.random.default_rng(2)
     lines = rng.normal(size=(3, 2, 2, 6))
-    branches = [BranchParams(rng.normal(size=(2, 2, 2, 2)),
-                             rng.normal(size=(2, 2)), rate)
-                for rate in (0, 1, 3)]
     grad = np.zeros((3, 2, 2, 6 + 5 + 3))
     grad[:, 1, :, 6:11] = rng.normal(size=(3, 2, 5))
-    per_branch = correlation_backward(lines, branches,
-                                      np.zeros_like(grad), grad)
-    for bi, parts in enumerate(per_branch):
-        for part in parts:
-            assert np.abs(part[0]).max() == 0.0
-            assert (np.abs(part[1]).max() > 0.0) == (bi == 1)
+    for part in correlation_backward(lines, np.zeros_like(grad), grad,
+                                     (0, 1, 3), 2):
+        assert np.abs(part[0]).max() == 0.0
+        for bi in range(3):
+            assert (np.abs(part[1, bi]).max() > 0.0) == (bi == 1)
 
 
 def test_const_tensor_gets_no_gradient():
@@ -179,19 +172,12 @@ def test_backward_on_empty_tape_rejected():
 def test_shape_mismatch_names_primitive_and_shapes():
     config = ModelConfig(t_max=8, n_dynamic=2, n_static=2, n_classes=2,
                          order=2)
-    with pytest.raises(ConfigError) as err:
-        fuse_dynamic([np.zeros((2, 2)), np.zeros((2, 3))], ModelParams(config))
-    message = str(err.value)
-    assert "fuse_dynamic" in message and "(2, 2)" in message \
-        and "(2, 3)" in message
-
     with pytest.raises(ConfigError,
                        match=r"prepare: visits shape \(1, 7, 2\)"):
         prepare(np.zeros((1, 7, 2)), np.zeros((1, 2)), [0], config)
 
     with pytest.raises(ShapeMismatchError, match="at least"):
-        conv_branch(np.ones((2, 3)),
-                    BranchParams(np.ones((2, 2, 2)), np.ones(2), 5))
+        conv_branch(np.ones((2, 3)), np.ones((2, 2, 2)), np.ones(2), 5)
 
 
 def test_finite_diff_check_exact_on_quadratics():

@@ -18,9 +18,11 @@ from trendvar import cli
 from trendvar.data import (
     compute_stats,
     load_cohort,
+    normalize,
     synth_generate,
     write_cohort,
 )
+from trendvar.diff_attention import diff_attention
 from trendvar.model import (
     ModelConfig,
     ModelParams,
@@ -28,7 +30,7 @@ from trendvar.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from trendvar.training import predict_probs
+from trendvar.training import predict_probs, prepare_cohort
 
 
 def run_cli(*args):
@@ -239,6 +241,27 @@ def test_exit_codes(tmp_path, workspace):
         assert f"data error: synthetic spec: {named}" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    # A feature name repeated in the header of visits.csv or static.csv.
+    d = workspace["data"]
+    bad_visits = tmp_path / "repeated_visits.csv"
+    bad_visits.write_text("patient_id,visit_index,a,a\n" + read(
+        d / "visits.csv").split("\n", 1)[1])
+    bad_static = tmp_path / "repeated_static.csv"
+    bad_static.write_text("patient_id,s,s\n" + read(
+        d / "static.csv").split("\n", 1)[1])
+    labels = ["--labels", d / "labels.csv"]
+    for argv, path in (
+            (["decompose", "--visits", bad_visits, "--feature", "a"],
+             bad_visits),
+            (["train", "--visits", bad_visits, "--static", d / "static.csv",
+              *labels], bad_visits),
+            (["train", "--visits", d / "visits.csv", "--static", bad_static,
+              *labels], bad_static)):
+        proc = run_cli(*argv, "--out", tmp_path / "repeated")
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert f"{path}:1: repeated feature name" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 # Valid settings lines that keep a run cheap, if one ever got through.
 _VALID_SETTINGS = ["epochs = 1", "folds = 2", "batch = 16", "symlet = 2",
@@ -338,9 +361,14 @@ def test_uncreatable_out_is_a_config_error(tmp_path):
       "y.csv", "--symlet", "2", "--tmax", "8"], "1000001 classes"),
     (["train", "--synth", "default", "--kernel-width", "1000000000",
       "--dilations", "0,0,0"], "--kernel-width 1000000000"),
+    (["train", "--synth", "default", "--epochs", "100000000000000"],
+     "--epochs 100000000000000"),
+    (["sweep-symlets", "--synth", "default", "--epochs", "100000000000000"],
+     "--epochs 100000000000000"),
 ], ids=["train-tmax", "sweep-tmax", "settings-tmax", "synth-features",
         "synth-patients", "synth-static-features", "synth-mean-visits",
-        "synth-mean-visits-inf", "train-label", "train-kernel-width"])
+        "synth-mean-visits-inf", "train-label", "train-kernel-width",
+        "train-epochs", "sweep-epochs"])
 def test_oversized_sizes_are_config_errors_before_allocating(
         tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -756,6 +784,30 @@ def test_attention_weights_sum_to_one_per_feature(tmp_path, workspace):
     assert len(sums) == 14 * 2
     for key, total in sums.items():
         assert total == pytest.approx(1.0, abs=1e-9), key
+
+
+def test_inspect_attention_shows_what_the_model_saw(tmp_path, workspace):
+    # Every weight is, to the last bit, the attention of the variation
+    # lines that the model's own preparation gives eval's cohort under the
+    # checkpoint's stats and config.
+    ckpt = workspace["train"] / "fold0.ckpt"
+    out = tmp_path / "att"
+    d = workspace["data"]
+    run_ok("inspect-attention", "--visits", d / "visits.csv",
+           "--checkpoint", ckpt, "--out", out)
+    bundle = load_checkpoint(ckpt)
+    cohort = load_cohort(d / "visits.csv", d / "static.csv",
+                         d / "labels.csv")
+    batch = prepare_cohort(normalize(cohort, bundle.stats), bundle.config)
+    weights = diff_attention(batch.lines[:, :, 1]).weights
+    expected = {(pid, name, str(i)): repr(w)
+                for pid, per_feature in zip(cohort.ids, weights.tolist())
+                for name, row in zip(cohort.dynamic_names, per_feature)
+                for i, w in enumerate(row)}
+    rows = read(out / "attention.csv").strip().splitlines()[1:]
+    written = {tuple(row.split(",")[:3]): row.split(",")[4] for row in rows}
+    assert len(written) == len(rows)
+    assert written == expected
 
 
 def test_inspect_attention_requires_the_attention_stage(tmp_path, workspace):

@@ -84,6 +84,12 @@ def test_visit_table_error_coordinates(tmp_path):
     with pytest.raises(DataError, match=r"h\.csv:1: header"):
         load_visit_table(bad_header)
 
+    repeated = write(tmp_path / "d.csv",
+                     "patient_id,visit_index,a,a\np,0,1.0,2.0\n")
+    with pytest.raises(DataError,
+                       match=r"d\.csv:1: repeated feature name 'a'"):
+        load_visit_table(repeated)
+
     bad_index = write(tmp_path / "i.csv",
                       "patient_id,visit_index,hr\na,first,1.0\n")
     with pytest.raises(DataError, match="visit_index: not an integer"):
@@ -105,6 +111,16 @@ def test_visit_table_error_coordinates(tmp_path):
 
     with pytest.raises(DataError, match="cannot read"):
         load_visit_table(str(tmp_path / "missing.csv"))
+
+
+def test_repeated_static_feature_name_is_rejected(tmp_path):
+    visits = write(tmp_path / "v.csv",
+                   "patient_id,visit_index,a,b\np,0,1.0,2.0\n")
+    static = write(tmp_path / "s.csv", "patient_id,s,t,s\np,1.0,2.0,3.0\n")
+    labels = write(tmp_path / "y.csv", "patient_id,label\np,0\n")
+    with pytest.raises(DataError,
+                       match=r"s\.csv:1: repeated feature name 's'"):
+        load_cohort(visits, static, labels)
 
 
 def test_interleaved_patients_keep_first_seen_order(tmp_path):

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from trendvar.autodiff import finite_diff_check
+from gradcheck import finite_diff_check
 from trendvar.diff_attention import (
     attention_weights,
     diff_attention,
@@ -178,17 +178,15 @@ def test_gradient_through_attention_matches_finite_differences():
 def test_pool_features_examples_and_errors():
     a = np.array([1.0, 2.0])
     b = np.array([-1.0, -2.0])
-    pooled = pool_features([a, b])
+    pooled = pool_features(np.stack([a, b]))
     assert np.abs(pooled).max() == 0.0
 
-    only = pool_features([a])
+    only = pool_features(a[None])
     np.testing.assert_array_equal(only, a)
 
-    same = pool_features([a, a, a])
+    same = pool_features(np.stack([a, a, a]))
     np.testing.assert_allclose(same, a, atol=1e-15)
 
-    with pytest.raises(ConfigError, match="length mismatch"):
-        pool_features([a, np.array([1.0, 2.0, 3.0])])
-
-    with pytest.raises(ConfigError, match="no feature"):
-        pool_features([])
+    # A batch pools each patient over its own features.
+    batch = pool_features(np.stack([np.stack([a, b]), np.stack([a, a])]))
+    np.testing.assert_array_equal(batch, [[0.0, 0.0], a])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from trendvar.dilated import (
-    BranchParams,
     combined_width,
     conv_branch,
     correlation_forward,
@@ -29,15 +28,16 @@ def oracle_conv(stacked, kernel_top, kernel_bottom, bias, dilation):
 
 
 def _branch(kt, kb, bias, dilation):
-    return BranchParams(np.array([kt, kb], dtype=float),
-                        np.asarray(bias, dtype=float), dilation)
+    """``conv_branch``'s kernels, bias and dilation arguments."""
+    return (np.array([kt, kb], dtype=float), np.asarray(bias, dtype=float),
+            dilation)
 
 
 def test_worked_example_dilation_one():
     stacked = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
     branch = _branch([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
                      [0.0, 0.0], 1)
-    out = conv_branch(stacked, branch, activate=False)
+    out = conv_branch(stacked, *branch, activate=False)
     assert out[0] == pytest.approx([7.0, 9.0, 11.0])
 
 
@@ -45,7 +45,7 @@ def test_worked_example_dilation_zero_keeps_width():
     stacked = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
     branch = _branch([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
                      [0.0, 0.0], 0)
-    out = conv_branch(stacked, branch, activate=False)
+    out = conv_branch(stacked, *branch, activate=False)
     assert out.shape == (2, 4)
     assert out[0] == pytest.approx([6.0, 8.0, 10.0, 12.0])
 
@@ -53,7 +53,7 @@ def test_worked_example_dilation_zero_keeps_width():
 def test_zero_kernels_zero_bias_give_zeros_after_tanh():
     stacked = np.random.default_rng(0).normal(size=(2, 9))
     branch = _branch(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), 1)
-    out = conv_branch(stacked, branch, activate=True)
+    out = conv_branch(stacked, *branch, activate=True)
     assert np.abs(out).max() == 0.0
 
 
@@ -67,7 +67,7 @@ def test_matches_oracle_on_random_instances():
         kt = rng.normal(size=(2, width))
         kb = rng.normal(size=(2, width))
         bias = rng.normal(size=2)
-        out = conv_branch(stacked, _branch(kt, kb, bias, dilation),
+        out = conv_branch(stacked, *_branch(kt, kb, bias, dilation),
                           activate=False)
         np.testing.assert_allclose(
             out, oracle_conv(stacked, kt, kb, bias, dilation), atol=1e-12)
@@ -81,7 +81,7 @@ def test_preactivation_linearity_in_input():
                      np.zeros(2), 2)
 
     def run(data):
-        return conv_branch(data, branch, activate=False)
+        return conv_branch(data, *branch, activate=False)
 
     np.testing.assert_allclose(
         run(2.0 * d1 + d2), 2.0 * run(d1) + run(d2), atol=1e-12)
@@ -93,7 +93,7 @@ def test_cross_row_kernels_see_both_lines():
     bottom_only = np.vstack([np.zeros(6), rng.normal(size=6)])
     branch = _branch(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
                      np.zeros(2), 1)
-    out = conv_branch(bottom_only, branch, activate=False)
+    out = conv_branch(bottom_only, *branch, activate=False)
     assert np.abs(out).max() > 0.1
 
 
@@ -101,52 +101,39 @@ def test_correlation_forward_concatenates_branch_maps():
     # m=22 with width 2 and rates (0,1,3): 22 + 21 + 19 = 62 columns.
     rng = np.random.default_rng(1)
     stacked = rng.normal(size=(2, 22))
-    branches = [
-        _branch(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
-                rng.normal(size=2), rate)
-        for rate in (0, 1, 3)
-    ]
-    combined = correlation_forward(stacked, branches)
+    kernels = rng.normal(size=(3, 2, 2, 2))
+    bias = rng.normal(size=(3, 2))
+    combined = correlation_forward(stacked, kernels, bias, (0, 1, 3))
     assert combined.shape == (2, 62)
-    np.testing.assert_array_equal(combined[:, :22],
-                                  conv_branch(stacked, branches[0]))
-    np.testing.assert_array_equal(combined[:, 22:43],
-                                  conv_branch(stacked, branches[1]))
-    np.testing.assert_array_equal(combined[:, 43:],
-                                  conv_branch(stacked, branches[2]))
+    for bi, (rate, cols) in enumerate(zip(
+            (0, 1, 3), (slice(0, 22), slice(22, 43), slice(43, 62)))):
+        np.testing.assert_array_equal(
+            combined[:, cols],
+            conv_branch(stacked, kernels[bi], bias[bi], rate))
 
 
 def test_correlation_forward_is_deterministic():
     rng = np.random.default_rng(2)
     stacked = rng.normal(size=(2, 10))
-    branches = [
-        _branch(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
-                rng.normal(size=2), rate)
-        for rate in (0, 1, 3)
-    ]
-    first = correlation_forward(stacked, branches)
-    second = correlation_forward(stacked, branches)
+    kernels = rng.normal(size=(3, 2, 2, 2))
+    bias = rng.normal(size=(3, 2))
+    first = correlation_forward(stacked, kernels, bias, (0, 1, 3))
+    second = correlation_forward(stacked, kernels, bias, (0, 1, 3))
     np.testing.assert_array_equal(first, second)
-
-
-def test_requires_exactly_three_branches():
-    branch = _branch(np.ones((2, 2)), np.ones((2, 2)), np.zeros(2), 0)
-    with pytest.raises(ConfigError, match="3 branches"):
-        correlation_forward(np.ones((2, 5)), [branch, branch])
 
 
 def test_single_output_column_boundary():
     # m exactly equals the receptive field: one output column survives.
     stacked = np.arange(8.0).reshape(1, -1).repeat(2, axis=0)
     branch = _branch(np.ones((2, 2)), np.ones((2, 2)), np.zeros(2), 7)
-    out = conv_branch(stacked, branch, activate=False)
+    out = conv_branch(stacked, *branch, activate=False)
     assert out.shape == (2, 1)
 
 
 def test_too_short_input_reports_required_minimum():
     branch = _branch(np.ones((2, 3)), np.ones((2, 3)), np.zeros(2), 4)
     with pytest.raises(ShapeMismatchError, match="at least 9"):
-        conv_branch(np.ones((2, 8)), branch)
+        conv_branch(np.ones((2, 8)), *branch)
 
 
 def test_combined_width_formula_and_error():
@@ -163,6 +150,6 @@ def test_output_columns_shrink_with_dilation():
     for rate in (0, 1, 2, 3, 5):
         branch = _branch(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
                          np.zeros(2), rate)
-        widths.append(conv_branch(stacked, branch).shape[1])
+        widths.append(conv_branch(stacked, *branch).shape[1])
     assert widths == [12, 11, 10, 9, 7]
 

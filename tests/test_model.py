@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendvar.autodiff import finite_diff_check
+from gradcheck import finite_diff_check
 from trendvar.data import FeatureStats
 from trendvar.errors import ConfigError, NumericError
 from trendvar.model import (
@@ -71,8 +71,8 @@ def test_fuse_dynamic_row_selection():
     params.mix_weight[...] = [1.0, 0.0]
     top = np.arange(6.0)
     bottom = np.full(6, 100.0)
-    _, h = fuse_dynamic([np.vstack([top, bottom])], params)
-    np.testing.assert_allclose(h, np.tanh(top), atol=1e-15)
+    _, h = fuse_dynamic(np.vstack([top, bottom])[None, None], params)
+    np.testing.assert_allclose(h[0], np.tanh(top), atol=1e-15)
 
 
 def test_fuse_dynamic_concatenates_in_feature_order():
@@ -81,18 +81,10 @@ def test_fuse_dynamic_concatenates_in_feature_order():
     params.mix_weight[...] = [1.0, 0.0]
     a = np.vstack([np.array([1.0, 2.0]), np.zeros(2)])
     b = np.vstack([np.array([3.0, 4.0]), np.zeros(2)])
-    fused, h = fuse_dynamic([a, b], params)
-    np.testing.assert_array_equal(fused, np.hstack([a, b]))
-    np.testing.assert_allclose(h, np.tanh([1.0, 2.0, 3.0, 4.0]), atol=1e-15)
-
-
-def test_fuse_dynamic_rejects_ragged_and_empty():
-    config = small_config()
-    params = ModelParams(config)
-    with pytest.raises(ConfigError, match="ragged"):
-        fuse_dynamic([np.zeros((2, 3)), np.zeros((2, 4))], params)
-    with pytest.raises(ConfigError, match="no feature maps"):
-        fuse_dynamic([], params)
+    fused, h = fuse_dynamic(np.stack([a, b])[None], params)
+    np.testing.assert_array_equal(fused[0], np.hstack([a, b]))
+    np.testing.assert_allclose(h[0], np.tanh([1.0, 2.0, 3.0, 4.0]),
+                               atol=1e-15)
 
 
 def test_predict_zero_weights_yield_uniform():
