@@ -22,6 +22,7 @@ import numpy as np
 from .data import (
     SynthSpec,
     compute_stats,
+    csv_field,
     load_cohort,
     load_visit_table,
     synth_generate,
@@ -441,7 +442,6 @@ def cmd_synth(opts):
         f"--static-features {opts['static_features']}",
         8 * opts["patients"] * (opts["mean_visits"] * opts["features"]
                                 + opts["static_features"]))
-    _write_manifest(out, "synth", opts)
     spec = SynthSpec(
         n_patients=opts["patients"],
         n_classes=opts["classes"],
@@ -457,6 +457,7 @@ def cmd_synth(opts):
         static_class_weight=opts["static_weight"],
         seed=opts["seed"],
     )
+    _write_manifest(out, "synth", opts)
     cohort = synth_generate(spec)
     write_cohort(cohort, out)
     sys.stdout.write(
@@ -581,7 +582,7 @@ def cmd_eval(opts):
         fh.write(f"patient_id,label,{header}\n")
         for pid, label, row in zip(cohort.ids, cohort.labels.tolist(), probs):
             cells = ",".join(_fmt(v) for v in row)
-            fh.write(f"{pid},{label},{cells}\n")
+            fh.write(f"{csv_field(pid)},{label},{cells}\n")
     auroc = macro_one_vs_rest(probs, cohort.labels, "auroc")
     auprc = macro_one_vs_rest(probs, cohort.labels, "auprc")
     _write_metric_rows(os.path.join(out, "metrics.csv"),
@@ -618,12 +619,12 @@ def cmd_decompose(opts):
     count = 0
     with open(path, "w") as fh:
         fh.write("patient_id,feature,kind,index,value\n")
-        for patient, pid in enumerate(cohort.ids):
+        for patient, pid in enumerate(map(csv_field, cohort.ids)):
             lines = decompose_batch(cohort.visits(patient)[:, columns].T,
                                     opts["symlet"])
             m = lines.shape[-1]
             if m not in row_labels:
-                row_labels[m] = [f",{name},{kind},{i},"
+                row_labels[m] = [f",{csv_field(name)},{kind},{i},"
                                  for name in chosen
                                  for kind in ("trend", "variation")
                                  for i in range(m)]
@@ -648,7 +649,8 @@ def cmd_correlate(opts):
         for rank, row in enumerate(rows, start=1):
             flag = "true" if rank <= 5 else "false"
             fh.write(
-                f"{rank},{row.feature},{_fmt(row.mean_abs_correlation)},"
+                f"{rank},{csv_field(row.feature)},"
+                f"{_fmt(row.mean_abs_correlation)},"
                 f"{_fmt(row.mean_correlation)},{row.n_defined},"
                 f"{row.n_undefined},{flag}\n"
             )
@@ -686,7 +688,7 @@ def cmd_inspect_attention(opts):
     stats = _scoring_stats(bundle, cohort, effective)
     _write_manifest(out, "inspect-attention", effective)
     columns = [names.index(name) for name in chosen]
-    labels = [f",{name},{i}," for name in chosen
+    labels = [f",{csv_field(name)},{i}," for name in chosen
               for i in range(config.coeff_len - 1)]
     path = os.path.join(out, "attention.csv")
     with open(path, "w") as fh:
@@ -696,7 +698,7 @@ def cmd_inspect_attention(opts):
             result = diff_attention(variation)
             deltas = np.diff(variation, axis=-1)
             for pid, delta, weight, weighted in zip(
-                    block.ids, deltas, result.weights,
+                    map(csv_field, block.ids), deltas, result.weights,
                     result.weighted_diff):
                 fh.write("".join([
                     f"{pid}{label}{d!r},{w!r},{x!r}\n"

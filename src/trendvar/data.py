@@ -425,28 +425,41 @@ def load_cohort(visits_path, static_path, labels_path):
     )
 
 
+def csv_field(text):
+    """``text`` as one CSV field, quoted as ``csv.writer`` quotes it: only
+    a field that holds a comma, a double quote or a line break is quoted,
+    its quotes doubled."""
+    if any(mark in text for mark in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_cohort(cohort, directory):
     """Write visits/static/labels CSVs; returns the three paths.
 
     Floats are written with repr() so a rewrite of the same cohort is
-    byte-identical.
+    byte-identical.  Each patient's visit rows go out as one block.
     """
     os.makedirs(directory, exist_ok=True)
     visits_path = os.path.join(directory, "visits.csv")
     static_path = os.path.join(directory, "static.csv")
     labels_path = os.path.join(directory, "labels.csv")
+    ids = [csv_field(pid) for pid in cohort.ids]
     with open(visits_path, "w", newline="") as fh:
-        fh.write("patient_id,visit_index," + ",".join(cohort.dynamic_names) + "\n")
-        for i, pid in enumerate(cohort.ids):
-            for visit, row in enumerate(cohort.visits(i).tolist()):
-                fh.write(f"{pid},{visit},{','.join(map(repr, row))}\n")
+        fh.write(",".join(["patient_id", "visit_index",
+                           *map(csv_field, cohort.dynamic_names)]) + "\n")
+        for i, pid in enumerate(ids):
+            fh.write("".join([
+                f"{pid},{visit},{','.join(map(repr, row))}\n"
+                for visit, row in enumerate(cohort.visits(i).tolist())]))
     with open(static_path, "w", newline="") as fh:
-        fh.write("patient_id," + ",".join(cohort.static_names) + "\n")
-        for pid, row in zip(cohort.ids, cohort.static.tolist()):
+        fh.write(",".join(["patient_id",
+                           *map(csv_field, cohort.static_names)]) + "\n")
+        for pid, row in zip(ids, cohort.static.tolist()):
             fh.write(f"{pid},{','.join(map(repr, row))}\n")
     with open(labels_path, "w", newline="") as fh:
         fh.write("patient_id,label\n")
-        for pid, label in zip(cohort.ids, cohort.labels.tolist()):
+        for pid, label in zip(ids, cohort.labels.tolist()):
             fh.write(f"{pid},{label}\n")
     return visits_path, static_path, labels_path
 
@@ -550,6 +563,11 @@ class SynthSpec:
                     f"synthetic spec: {label} has {len(seq)} entries for "
                     f"{self.n_classes} classes"
                 )
+            if not all(math.isfinite(value) for value in seq):
+                raise DataError(
+                    f"synthetic spec: {label} must be finite, got "
+                    f"{', '.join(map(str, seq))}"
+                )
         triplets = list(zip(self.slopes, self.amplitudes, self.corr_signs))
         if len(set(triplets)) != len(triplets):
             raise DataError(
@@ -567,9 +585,9 @@ class SynthSpec:
                 f"synthetic spec: n_noise_features {self.n_noise_features} "
                 f"must leave at least one informative dynamic feature"
             )
-        if not self.mean_visits >= 3:
+        if not (math.isfinite(self.mean_visits) and self.mean_visits >= 3):
             raise DataError(
-                f"synthetic spec: mean_visits must be >= 3, got "
+                f"synthetic spec: mean_visits must be finite and >= 3, got "
                 f"{self.mean_visits}"
             )
         if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):
@@ -588,43 +606,73 @@ def synth_generate(spec):
     """Deterministic synthetic cohort for a ``SynthSpec``.
 
     Classes are assigned round-robin so every class is populated; visit
-    counts vary around ``mean_visits`` with a floor of 3.
+    counts vary around ``mean_visits`` with a floor of 3.  The same spec and
+    seed give the same cohort, bit for bit: per patient the stream yields
+    the visit count, then for each informative feature its optional trend
+    direction, its phase and its noise, then the noise features, then the
+    statics.  Class parameters that overflow raise ``DataError``.
     """
     rng = np.random.default_rng(spec.seed)
-    visit_list = []
+    c = spec.n_dynamic
+    n_informative = c - spec.n_noise_features
+    # Per column, a noise feature has zero slope, amplitude and coupling,
+    # which leaves base + noise of its value.
+    informative = (np.arange(c) < n_informative).astype(np.float64)
+    base = 0.25 * np.arange(c)
+    slopes = np.asarray(spec.slopes, dtype=np.float64)
+    amplitudes = np.asarray(spec.amplitudes, dtype=np.float64)[:, None] \
+        * informative
+    coupling = 0.8 * np.asarray(spec.corr_signs, dtype=np.float64)
+    # The two static probabilities, for (i + k) even and odd.
+    weight = spec.static_class_weight
+    probs = [min(max(0.5 + weight * lean, 0.05), 0.95)
+             for lean in (1.0, -1.0)]
+    static_prob = np.array([[probs[(i + k) % 2] for i in range(spec.n_static)]
+                            for k in range(spec.n_classes)])
+    grids = {}  # t -> (tau, 2 tau - 1, alternation of phase 0 and 1)
+    labels = np.arange(spec.n_patients) % spec.n_classes
     static = np.empty((spec.n_patients, spec.n_static))
-    digits = len(str(spec.n_patients - 1))
-    for idx in range(spec.n_patients):
-        k = idx % spec.n_classes
-        t = max(3, int(round(rng.normal(spec.mean_visits, 1.5))))
-        tau = np.linspace(0.0, 1.0, t) if t > 1 else np.zeros(1)
-        visits = np.empty((t, spec.n_dynamic))
-        for j in range(spec.n_dynamic):
-            base = 0.25 * j
-            if j >= spec.n_dynamic - spec.n_noise_features:
-                visits[:, j] = base + rng.normal(0.0, 1.0, t)
-                continue
-            direction = float(rng.choice((-1.0, 1.0))) \
-                if spec.randomize_trend_direction else 1.0
-            phase = int(rng.integers(0, 2))
-            alternation = np.where((np.arange(t) + phase) % 2 == 0, 1.0, -1.0)
-            envelope = spec.amplitudes[k] * (
-                1.0 + 0.8 * spec.corr_signs[k] * direction * (2.0 * tau - 1.0)
-            )
-            visits[:, j] = (
+    visit_list = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, k in enumerate(labels.tolist()):
+            t = max(3, int(round(rng.normal(spec.mean_visits, 1.5))))
+            if t not in grids:
+                tau = np.linspace(0.0, 1.0, t)[:, None]
+                grids[t] = (tau, 2.0 * tau - 1.0, np.where(
+                    (np.arange(t)[:, None] + np.arange(2)) % 2 == 0,
+                    1.0, -1.0))
+            tau, centred, alternations = grids[t]
+            directions = informative.copy()
+            phases = np.zeros(c, dtype=np.intp)
+            noise = []
+            for j in range(n_informative):
+                if spec.randomize_trend_direction:
+                    directions[j] = rng.choice((-1.0, 1.0))
+                phases[j] = rng.integers(0, 2)
+                noise.append(rng.normal(0.0, spec.noise_scale, t))
+            if spec.n_noise_features:
+                noise.extend(rng.normal(0.0, 1.0, (spec.n_noise_features, t)))
+            rng.random(out=static[idx])
+            # Each element takes the operations of the formula above in
+            # its order, as when the features were built one at a time.
+            envelope = amplitudes[k] * (
+                1.0 + coupling[k] * directions * centred)
+            visit_list.append(
                 base
-                + direction * spec.slopes[k] * tau
-                + 0.5 * envelope * alternation
-                + rng.normal(0.0, spec.noise_scale, t)
-            )
-        for i in range(spec.n_static):
-            lean = 1.0 if (i + k) % 2 == 0 else -1.0
-            prob = float(np.clip(0.5 + spec.static_class_weight * lean,
-                                 0.05, 0.95))
-            static[idx, i] = 1.0 if rng.random() < prob else 0.0
-        visit_list.append(visits)
-    return Cohort.stack(
+                + directions * slopes[k] * tau
+                + 0.5 * envelope * alternations[:, phases]
+                + np.array(noise).T)
+    digits = len(str(spec.n_patients - 1))
+    cohort = Cohort.stack(
         [f"p{idx:0{digits}d}" for idx in range(spec.n_patients)],
-        visit_list, static, np.arange(spec.n_patients) % spec.n_classes,
-        [f"dyn_{j}" for j in range(spec.n_dynamic)],
+        visit_list, (static < static_prob[labels]).astype(np.float64),
+        labels, [f"dyn_{j}" for j in range(c)],
         [f"st_{i}" for i in range(spec.n_static)], spec.n_classes)
+    overflow = ~np.isfinite(cohort.values).all(axis=0)
+    if overflow.any():
+        raise DataError(
+            f"synthetic cohort: visit values of "
+            f"{cohort.dynamic_names[overflow.argmax()]} overflow; slopes, "
+            f"amplitudes and corr_signs must keep every value finite"
+        )
+    return cohort

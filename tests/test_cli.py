@@ -1,6 +1,7 @@
 """End-to-end CLI tests, run through subprocesses like a real user would."""
 
 import contextlib
+import csv
 import io
 import subprocess
 import sys
@@ -232,14 +233,21 @@ def test_exit_codes(tmp_path, workspace):
     assert degenerate.returncode == 2
     assert "degenerate class parameters" in degenerate.stderr
 
-    for flags, named in ((["--noise", "-1"], "noise_scale"),
-                         (["--noise", "nan"], "noise_scale"),
-                         (["--static-weight", "nan"], "static_class_weight")):
+    for flags, named in (
+            (["--noise", "-1"], "spec: noise_scale"),
+            (["--noise", "nan"], "spec: noise_scale"),
+            (["--static-weight", "nan"], "spec: static_class_weight"),
+            (["--slopes=nan,-1"], "spec: slopes must be finite"),
+            (["--amplitudes=inf,0.3"], "spec: amplitudes must be finite"),
+            (["--corr-signs=1,nan"], "spec: corr_signs must be finite"),
+            (["--amplitudes=1e308,0.3"],
+             "cohort: visit values of dyn_0 overflow")):
         proc = run_cli("synth", *SMALL_SYNTH, *flags, "--out",
                        tmp_path / "synth_bad")
         assert proc.returncode == 2, (flags, proc.stderr)
-        assert f"data error: synthetic spec: {named}" in proc.stderr
+        assert f"data error: synthetic {named}" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
 
     # A feature name repeated in the header of visits.csv or static.csv.
     d = workspace["data"]
@@ -610,6 +618,47 @@ def test_eval_rows_do_not_depend_on_the_rest_of_the_file(tmp_path):
             first = tmp_path / f"first{k}"
             write_cohort(cohort.take(slice(0, k)), first)
             assert scored(first, tmp_path / f"eval_first{k}") == rows[:k], k
+
+
+def test_every_output_row_has_its_headers_width(tmp_path, capsys):
+    """Ids and feature names that hold a comma, a quote or a line break
+    are quoted in every file written, so each row parses to the width of
+    its header and gives the id back."""
+    ids = ("p,1", 'p"2', "p\n3", "p\r4", "plain", 'a,"b"')
+    cohort = replace(
+        synth_generate(cli.SYNTH_PRESETS["default"]).take(slice(0, len(ids))),
+        ids=ids, dynamic_names=("a,1", 'b"2', "c\n3", "d", "e"))
+    data = tmp_path / "data"
+    write_cohort(cohort, data)
+    config = ModelConfig(t_max=8, n_dynamic=5, n_static=4, n_classes=3,
+                         order=2)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, ModelParams.initialized(
+        config, np.random.default_rng(0)), config, compute_stats(cohort))
+    visits = ["--visits", str(data / "visits.csv")]
+    outputs = [data / name for name in ("visits.csv", "static.csv",
+                                        "labels.csv")]
+    for argv, output in (
+            (["eval", *visits, "--static", str(data / "static.csv"),
+              "--labels", str(data / "labels.csv"), "--checkpoint",
+              str(ckpt)], "scored.csv"),
+            (["decompose", *visits, "--symlet", "2"], "decomposition.csv"),
+            (["correlate", *visits, "--symlet", "2"], "correlation.csv"),
+            (["inspect-attention", *visits, "--checkpoint", str(ckpt)],
+             "attention.csv")):
+        out = tmp_path / argv[0]
+        assert cli.main([*argv, "--out", str(out)]) == 0, \
+            capsys.readouterr().err
+        outputs.append(out / output)
+    for path in outputs:
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows, path
+        assert {len(row) for row in rows} == {len(header)}, path
+        # The id column, or correlate's feature column.
+        column, wanted = (1, cohort.dynamic_names) \
+            if path.name == "correlation.csv" else (0, ids)
+        assert {row[column] for row in rows} == set(wanted), path
 
 
 def test_eval_rejects_mismatched_data(tmp_path, workspace):

@@ -1,6 +1,10 @@
 """Cohort IO, preprocessing and synthetic generator tests."""
 
+import csv
+import io
 import tracemalloc
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,7 @@ from trendvar.data import (
     Cohort,
     SynthSpec,
     compute_stats,
+    csv_field,
     load_cohort,
     load_visit_table,
     normalize,
@@ -20,7 +25,9 @@ from trendvar.data import (
     synth_generate,
     write_cohort,
 )
+from trendvar.cli import SYNTH_PRESETS
 from trendvar.errors import DataError
+from synth_reference import reference_synth_generate, reference_write_cohort
 
 
 def write(path, text):
@@ -518,6 +525,36 @@ def test_write_then_load_round_trip(tmp_path):
     np.testing.assert_array_equal(loaded.static, cohort.static)
 
 
+# Ids and names that hold what a CSV field must quote.
+_AWKWARD_IDS = ("p,1", 'p"2', "p\n3", "p\r4", 'a,"b"', "plain")
+
+
+def test_csv_field_quotes_as_csv_writer_does():
+    for text in _AWKWARD_IDS + (" lead", "'q'", '"', "p\r\n5", "x;y"):
+        row = io.StringIO()
+        csv.writer(row).writerow([text, "x"])
+        assert row.getvalue() == f"{csv_field(text)},x\r\n", repr(text)
+    assert csv_field("p007") == "p007"
+
+
+def test_awkward_ids_and_names_round_trip(tmp_path):
+    cohort = replace(
+        synth_generate(SynthSpec(
+            n_patients=len(_AWKWARD_IDS), n_classes=3,
+            slopes=(-1.0, 0.0, 1.0), amplitudes=(0.3, 0.9, 0.6),
+            corr_signs=(1.0, -1.0, 1.0), n_dynamic=3, n_static=2, seed=4)),
+        ids=_AWKWARD_IDS, dynamic_names=("a,1", 'b"2', "c"),
+        static_names=("s,1", "s\n2"))
+    loaded = load_cohort(*write_cohort(cohort, tmp_path / "out"))
+    assert loaded.ids == cohort.ids
+    assert loaded.dynamic_names == cohort.dynamic_names
+    assert loaded.static_names == cohort.static_names
+    np.testing.assert_array_equal(loaded.values, cohort.values)
+    np.testing.assert_array_equal(loaded.offsets, cohort.offsets)
+    np.testing.assert_array_equal(loaded.static, cohort.static)
+    np.testing.assert_array_equal(loaded.labels, cohort.labels)
+
+
 def test_write_cohort_is_byte_stable(tmp_path):
     cohort = synth_generate(SynthSpec(
         n_patients=4, n_classes=2, slopes=(1.0, -1.0),
@@ -725,6 +762,45 @@ def test_synth_noise_features_lack_trend_structure():
     assert noise_monotone < len(cohort) // 2
 
 
+_DRAW_ORDER_SPECS = [
+    pytest.param(replace(SYNTH_PRESETS[name], seed=seed),
+                 id=f"{name}-seed{seed}")
+    for name in sorted(SYNTH_PRESETS) for seed in (0, 1, 7)
+] + [
+    pytest.param(replace(SYNTH_PRESETS["default"], n_noise_features=2,
+                         randomize_trend_direction=True, seed=3),
+                 id="noise-features-random-direction"),
+    pytest.param(replace(SYNTH_PRESETS["default"], mean_visits=3, n_static=1,
+                         static_class_weight=-0.7, seed=5),
+                 id="short-one-static-negative-weight"),
+]
+
+
+@pytest.mark.parametrize("spec", _DRAW_ORDER_SPECS)
+def test_synth_matches_the_per_feature_reference(tmp_path, spec):
+    """Same draws from the same stream, the same bits and the same bytes as
+    the generator that built one feature at a time."""
+    cohort, expected = synth_generate(spec), reference_synth_generate(spec)
+    for field in ("values", "offsets", "static", "labels"):
+        got, want = getattr(cohort, field), getattr(expected, field)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), field
+        assert got.tobytes() == want.tobytes(), field
+    assert cohort.ids == expected.ids
+    written = write_cohort(cohort, tmp_path / "new")
+    reference = reference_write_cohort(expected, tmp_path / "reference")
+    for new, old in zip(written, reference):
+        assert Path(new).read_bytes() == Path(old).read_bytes(), new
+
+
+def test_synth_overflow_is_a_named_data_error_without_a_warning():
+    spec = SynthSpec(n_patients=6, n_classes=2, slopes=(1.0, -1.0),
+                     amplitudes=(1e308, 0.3), corr_signs=(1.0, 1.0), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="visit values of dyn_0 overflow"):
+            synth_generate(spec)
+
+
 def test_synth_spec_validation():
     good = dict(n_patients=10, n_classes=2, slopes=(1.0, -1.0),
                 amplitudes=(0.1, 0.1), corr_signs=(1.0, 1.0))
@@ -753,3 +829,9 @@ def test_synth_spec_validation():
         with pytest.raises(DataError, match="static_class_weight"):
             SynthSpec(**{**good, "static_class_weight": weight})
     SynthSpec(**{**good, "static_class_weight": -0.3})
+    with pytest.raises(DataError, match="mean_visits must be finite"):
+        SynthSpec(**{**good, "mean_visits": float("inf")})
+    for field in ("slopes", "amplitudes", "corr_signs"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(DataError, match=f"{field} must be finite"):
+                SynthSpec(**{**good, field: (bad, 0.5)})
