@@ -12,8 +12,12 @@ Exit codes: 0 success, 1 configuration problem, 2 data problem,
 3 numerical failure.
 """
 
+# Only what every command needs is imported here.  Each handler imports the
+# modules it runs itself, so ``synth`` does not load (and, without cached
+# bytecode, compile) the model, training and metrics modules it never uses.
 import argparse
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -28,24 +32,7 @@ from .data import (
     synth_generate,
     write_cohort,
 )
-from .diff_attention import diff_attention
 from .errors import ConfigError, DataError, NumericError, TrendvarError
-from .metrics import macro_one_vs_rest, trend_variation_report
-from .model import (
-    ModelConfig,
-    ablation_from_name,
-    load_checkpoint,
-    parameter_count,
-    save_checkpoint,
-)
-from .training import (
-    TrainConfig,
-    cross_validate,
-    normalized_blocks,
-    predict_probs,
-    prepare_cohort,
-)
-from .wavelets import MAX_ORDER, MIN_ORDER, decompose_batch
 
 # The most bytes one array of a run may take.  The size options (--tmax,
 # --epochs and synth's sizes) and the model's parameter buffer are checked
@@ -215,6 +202,14 @@ SYNTH_PRESETS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only plain negative numbers for values, and so
+        # ``--slopes -1,0,1`` for a missing value.  Every token that starts
+        # with a minus and a digit, or a minus, a point and a digit, is a
+        # value here; no trendvar flag starts that way.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise ConfigError(message)
 
@@ -380,6 +375,8 @@ def _resolve_tmax(opts, cohort):
 
 
 def _model_config(opts, cohort, tmax):
+    from .model import ModelConfig, ablation_from_name, parameter_count
+
     if cohort.n_classes < 2:
         raise DataError("cohort holds a single class; nothing to discriminate")
     config = ModelConfig(
@@ -401,6 +398,8 @@ def _model_config(opts, cohort, tmax):
 
 
 def _train_config(opts):
+    from .training import TrainConfig
+
     # The loss log of a fold holds one float per epoch.
     _check_size(f"--epochs {opts['epochs']}", 8 * opts["epochs"])
     return TrainConfig(
@@ -467,6 +466,9 @@ def cmd_synth(opts):
 
 
 def _run_cv(opts, cohort, config, train_config, out):
+    from .model import save_checkpoint
+    from .training import cross_validate
+
     cv = cross_validate(cohort, opts["folds"], config, train_config)
     rows = []
     for fold in cv.folds:
@@ -513,6 +515,9 @@ def cmd_train(opts):
 
 
 def cmd_sweep(opts):
+    from .training import cross_validate
+    from .wavelets import MAX_ORDER, MIN_ORDER
+
     out = _require_out(opts)
     cohort = _load_cohort(opts)
     tmax = _resolve_tmax(opts, cohort)
@@ -554,6 +559,10 @@ def _scoring_stats(bundle, cohort, effective):
 
 
 def cmd_eval(opts):
+    from .metrics import macro_one_vs_rest
+    from .model import load_checkpoint
+    from .training import predict_probs
+
     out = _require_out(opts)
     if not opts.get("checkpoint"):
         raise ConfigError("--checkpoint is required")
@@ -607,6 +616,8 @@ def _select_features(names, wanted):
 
 
 def cmd_decompose(opts):
+    from .wavelets import decompose_batch
+
     out = _require_out(opts)
     cohort = _load_cohort(opts, visits_only=True)
     names = cohort.dynamic_names
@@ -637,6 +648,8 @@ def cmd_decompose(opts):
 
 
 def cmd_correlate(opts):
+    from .metrics import trend_variation_report
+
     out = _require_out(opts)
     cohort = _load_cohort(opts, visits_only=True)
     _write_manifest(out, "correlate", opts)
@@ -662,6 +675,10 @@ def cmd_correlate(opts):
 
 
 def cmd_inspect_attention(opts):
+    from .diff_attention import diff_attention
+    from .model import load_checkpoint
+    from .training import normalized_blocks, prepare_cohort
+
     out = _require_out(opts)
     if not opts.get("checkpoint"):
         raise ConfigError("--checkpoint is required")

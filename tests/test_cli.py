@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import json
 import subprocess
 import sys
 import tempfile
@@ -116,6 +117,23 @@ def test_synth_presets_exist(tmp_path):
     assert proc.returncode == 1
     assert "unknown synthetic preset" in proc.stderr
     assert "coupled" in proc.stderr and "default" in proc.stderr
+
+
+def test_negative_list_values_parse_in_either_form(tmp_path, capsys):
+    parser = cli._build_parser()
+    lists = {"--slopes": "-1,0,1", "--corr-signs": "-1,1,1",
+             "--amplitudes": "-.5,1,1"}
+    spaced = parser.parse_args(
+        ["synth", *[part for item in lists.items() for part in item]])
+    joined = parser.parse_args(
+        ["synth", *[f"{flag}={value}" for flag, value in lists.items()]])
+    assert vars(spaced) == vars(joined)
+    assert (spaced.slopes, spaced.amplitudes) == ("-1,0,1", "-.5,1,1")
+    # A flag is still not a value.
+    assert cli.main(["synth", "--slopes", "--seed", "1",
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "argument --slopes: expected one argument" in \
+        capsys.readouterr().err
 
 
 # -- train --------------------------------------------------------------------
@@ -269,6 +287,14 @@ def test_exit_codes(tmp_path, workspace):
         assert proc.returncode == 2, (argv, proc.stderr)
         assert f"{path}:1: repeated feature name" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    # 3: numerical failures.  The one Adam step of this fit leaves the
+    # parameters finite but near 1e308, and the forward pass that scores
+    # the held-out fold overflows.
+    proc = run_cli("train", "--synth", "default", "--folds", "2",
+                   "--epochs", "1", "--lr", "1e308", "--out", tmp_path / "f")
+    assert proc.returncode == 3, proc.stderr
+    assert "numerical error: non-finite class probabilities" in proc.stderr
 
 
 # Valid settings lines that keep a run cheap, if one ever got through.
@@ -887,3 +913,58 @@ def test_sweep_covers_every_order(tmp_path, workspace):
     assert "best order = " in proc.stdout
     manifest = read(out / "manifest.txt")
     assert "symlet = 2..20" in manifest
+
+
+# -- imports ----------------------------------------------------------------------
+
+_CORE = ["trendvar", "trendvar.cli", "trendvar.data", "trendvar.errors"]
+_WAVELETS = ["trendvar._symlet_coeffs", "trendvar.wavelets"]
+_EVERY_MODULE = sorted(_CORE + _WAVELETS + [
+    "trendvar.diff_attention", "trendvar.dilated", "trendvar.metrics",
+    "trendvar.model", "trendvar.training"])
+
+# Runs ``main`` as the console script does and reports, as its last line of
+# stderr, the trendvar modules loaded and whether numpy.ma is among them.
+_IMPORT_PROBE = """
+import json, sys
+from trendvar.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(json.dumps([
+    sorted(m for m in sys.modules if m.split(".")[0] == "trendvar"),
+    "numpy.ma" in sys.modules]) + "\\n")
+sys.exit(code)
+"""
+
+
+_IMPORT_CASES = [
+    (["synth", *SMALL_SYNTH], _CORE),
+    (["decompose", "--visits", "{data}/visits.csv", "--symlet", "2"],
+     sorted(_CORE + _WAVELETS)),
+    (["correlate", "--visits", "{data}/visits.csv", "--symlet", "2"],
+     sorted(_CORE + _WAVELETS + ["trendvar.metrics"])),
+    (["train", "--synth", "default", "--symlet", "2", "--folds", "2",
+      "--epochs", "1"], _EVERY_MODULE),
+    (["eval", "--visits", "{data}/visits.csv", "--static",
+      "{data}/static.csv", "--labels", "{data}/labels.csv",
+      "--checkpoint", "{train}/fold0.ckpt"], _EVERY_MODULE),
+    (["inspect-attention", "--visits", "{data}/visits.csv",
+      "--checkpoint", "{train}/fold0.ckpt"], _EVERY_MODULE),
+    (["sweep-symlets", "--synth", "default", "--tmax", "8", "--folds", "2",
+      "--epochs", "0"], _EVERY_MODULE),
+]
+
+
+@pytest.mark.parametrize("argv, modules", _IMPORT_CASES,
+                         ids=[argv[0] for argv, _ in _IMPORT_CASES])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, workspace,
+                                                      argv, modules):
+    paths = {"data": workspace["data"], "train": workspace["train"]}
+    argv = [arg.format(**paths) for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv, "--out", tmp_path / "o"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, has_numpy_ma = json.loads(proc.stderr.splitlines()[-1])
+    assert loaded == modules
+    assert not has_numpy_ma

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trendvar import training
 from trendvar.data import (
     Cohort,
     SynthSpec,
@@ -268,6 +269,36 @@ def test_predict_probs_shape_and_simplex():
     probs = predict_probs(cohort, compute_stats(cohort), params)
     assert probs.shape == (6, 2)
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(6), atol=1e-12)
+
+
+def test_train_rejects_parameters_its_last_step_overflows(monkeypatch):
+    config = toy_config()
+    samples = prepare_cohort(toy_cohort(n=10), config)
+    params = ModelParams.initialized(config, np.random.default_rng(0))
+    steps = []
+
+    def overflowing_step(params, grads, state, learning_rate):
+        steps.append(1)
+        params.flat[3] = np.inf
+
+    # Each batch's loss is taken before its step: only the parameter check
+    # sees what an epoch's last step did.
+    monkeypatch.setattr(training, "adam_step", overflowing_step)
+    with pytest.raises(NumericError,
+                       match="non-finite parameters after epoch 0"):
+        train(samples, params, TrainConfig(epochs=2, batch_size=64))
+    assert len(steps) == 1
+
+
+def test_predict_probs_rejects_an_overflowing_forward_pass():
+    config = toy_config()
+    cohort = toy_cohort(n=6)
+    params = ModelParams.initialized(config, np.random.default_rng(2))
+    params.flat[:] = np.copysign(1e308, params.flat)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericError,
+                          match="non-finite class probabilities for patient"):
+        predict_probs(cohort, compute_stats(cohort), params)
 
 
 # -- fold assignment --------------------------------------------------------
