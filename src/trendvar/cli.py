@@ -173,7 +173,8 @@ _COMMANDS = {
                   _OUT_OPT, _SETTINGS_OPT],
     "inspect-attention": [_DATA_OPTS[0], _DATA_OPTS[3], _CHECKPOINT_OPT,
                           _FEATURE_OPT, _SEED_OPT, _OUT_OPT, _SETTINGS_OPT],
-    "sweep-symlets": _DATA_OPTS + _MODEL_OPTS + _TRAIN_OPTS
+    # The sweep sets every symlet order itself: no --symlet.
+    "sweep-symlets": _DATA_OPTS + _MODEL_OPTS[1:] + _TRAIN_OPTS
         + [_SEED_OPT, _OUT_OPT, _SETTINGS_OPT],
 }
 
@@ -419,16 +420,10 @@ def _write_metric_rows(path, rows):
             fh.write(f"{fold},{cls},{a},{p}\n")
 
 
-def _metric_rows_for(fold_label, auroc, auprc):
-    rows = []
-    classes = sorted(set(auroc.per_class) | set(auprc.per_class)
-                     | set(auroc.skipped) | set(auprc.skipped))
-    for cls in classes:
-        rows.append((
-            fold_label, cls,
-            auroc.per_class.get(cls), auprc.per_class.get(cls),
-        ))
-    rows.append((fold_label, "macro", auroc.value, auprc.value))
+def _metric_rows_for(fold_label, scores):
+    rows = [(fold_label, cls, *scores.per_class.get(cls, (None, None)))
+            for cls in sorted([*scores.per_class, *scores.skipped])]
+    rows.append((fold_label, "macro", scores.auroc, scores.auprc))
     return rows
 
 
@@ -472,7 +467,7 @@ def _run_cv(opts, cohort, config, train_config, out):
     cv = cross_validate(cohort, opts["folds"], config, train_config)
     rows = []
     for fold in cv.folds:
-        rows.extend(_metric_rows_for(fold.fold, fold.auroc, fold.auprc))
+        rows.extend(_metric_rows_for(fold.fold, fold.scores))
         with open(os.path.join(out, f"epochs_fold{fold.fold}.csv"), "w") as fh:
             fh.write("epoch,mean_loss\n")
             for epoch, loss in enumerate(fold.epoch_log):
@@ -487,11 +482,11 @@ def _run_cv(opts, cohort, config, train_config, out):
         f"mean_macro_auprc = {_fmt(cv.mean_auprc)}",
     ]
     for fold in cv.folds:
-        skipped = ",".join(str(c) for c in sorted(
-            set(fold.auroc.skipped) | set(fold.auprc.skipped))) or "none"
+        scores = fold.scores
+        skipped = ",".join(map(str, scores.skipped)) or "none"
         summary.append(
-            f"fold {fold.fold}: auroc = {_fmt(fold.auroc.value)} "
-            f"auprc = {_fmt(fold.auprc.value)} skipped = {skipped}"
+            f"fold {fold.fold}: auroc = {_fmt(scores.auroc)} "
+            f"auprc = {_fmt(scores.auprc)} skipped = {skipped}"
         )
     with open(os.path.join(out, "summary.txt"), "w") as fh:
         fh.write("\n".join(summary) + "\n")
@@ -592,16 +587,15 @@ def cmd_eval(opts):
         for pid, label, row in zip(cohort.ids, cohort.labels.tolist(), probs):
             cells = ",".join(_fmt(v) for v in row)
             fh.write(f"{csv_field(pid)},{label},{cells}\n")
-    auroc = macro_one_vs_rest(probs, cohort.labels, "auroc")
-    auprc = macro_one_vs_rest(probs, cohort.labels, "auprc")
+    scores = macro_one_vs_rest(probs, cohort.labels)
     _write_metric_rows(os.path.join(out, "metrics.csv"),
-                       _metric_rows_for(0, auroc, auprc))
+                       _metric_rows_for(0, scores))
     with open(os.path.join(out, "summary.txt"), "w") as fh:
-        fh.write(f"macro_auroc = {_fmt(auroc.value)}\n")
-        fh.write(f"macro_auprc = {_fmt(auprc.value)}\n")
+        fh.write(f"macro_auroc = {_fmt(scores.auroc)}\n")
+        fh.write(f"macro_auprc = {_fmt(scores.auprc)}\n")
     sys.stdout.write(
-        f"macro auroc = {_fmt(auroc.value)}\n"
-        f"macro auprc = {_fmt(auprc.value)}\n"
+        f"macro auroc = {_fmt(scores.auroc)}\n"
+        f"macro auprc = {_fmt(scores.auprc)}\n"
     )
 
 
@@ -746,7 +740,15 @@ def main(argv=None):
             )
         opts = _resolve(args, _COMMANDS[args.command])
         _HANDLERS[args.command](opts)
+        # A closed stdout fails here rather than at the interpreter's exit.
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # The recipe of Python's signal docs: stdout goes to devnull, so the
+        # interpreter's final flush of what is left does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write("error: standard output was closed\n")
+        return 1
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 1

@@ -78,29 +78,22 @@ def auprc_binary(scores, labels):
 
 @dataclass
 class MacroResult:
-    """Macro average plus the per-class breakdown.
+    """Macro AUROC and AUPRC plus the per-class breakdown.
 
+    ``per_class`` maps each scorable class to its ``(auroc, auprc)``.
     ``skipped`` lists classes that were absent (or universal) in the
     evaluated labels and therefore unscorable.
     """
 
-    value: float
+    auroc: float
+    auprc: float
     per_class: dict
     skipped: list
 
 
-_BINARY_METRICS = {"auroc": auroc_binary, "auprc": auprc_binary}
-
-
-def macro_one_vs_rest(probs, labels, metric):
-    """Macro-averaged one-vs-rest metric over an (N, d) probability matrix."""
-    try:
-        scorer = _BINARY_METRICS[metric]
-    except KeyError:
-        raise DataError(
-            f"unknown metric {metric!r}: choose from "
-            f"{sorted(_BINARY_METRICS)}"
-        ) from None
+def macro_one_vs_rest(probs, labels):
+    """Macro-averaged one-vs-rest AUROC and AUPRC over an (N, d)
+    probability matrix."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if probs.ndim != 2 or labels.shape != (probs.shape[0],):
@@ -116,13 +109,15 @@ def macro_one_vs_rest(probs, labels, metric):
         if n_pos == 0 or n_pos == binary.size:
             skipped.append(cls)
             continue
-        per_class[cls] = scorer(probs[:, cls], binary)
+        per_class[cls] = (auroc_binary(probs[:, cls], binary),
+                          auprc_binary(probs[:, cls], binary))
     if not per_class:
         raise DataError(
             "macro metric: every class is degenerate in this evaluation set"
         )
-    value = float(np.mean(list(per_class.values())))
-    return MacroResult(value, per_class, skipped)
+    aurocs, auprcs = zip(*per_class.values())
+    return MacroResult(float(np.mean(aurocs)), float(np.mean(auprcs)),
+                       per_class, skipped)
 
 
 def pearson(a, b):

@@ -455,44 +455,28 @@ def backward(batch, params, acts):
     return grad
 
 
-def one_hot(labels, n_classes):
-    """One-hot rows for a label or an array of labels."""
-    labels = np.asarray(labels)
-    bad = labels[(labels < 0) | (labels >= n_classes)]
-    if bad.size:
-        raise ConfigError(
-            f"one_hot: label {bad.flat[0]} outside 0..{n_classes - 1}"
-        )
-    return (labels[..., None] == np.arange(n_classes)).astype(np.float64)
-
-
-def cross_entropy(probs, onehot_rows):
-    """Mean negative log-likelihood over a batch of probability rows.
+def cross_entropy(probs, labels):
+    """Mean negative log-likelihood of integer ``labels`` under (N, d)
+    probability rows.
 
     Probabilities are clamped at ``PROB_FLOOR`` before the log, so a
     confidently wrong prediction yields a large finite loss instead of an
     infinity.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    onehot_rows = np.asarray(onehot_rows, dtype=np.float64)
-    if onehot_rows.ndim != 2 or probs.shape[0] != onehot_rows.shape[0]:
+    labels = np.asarray(labels)
+    if (probs.ndim != 2 or labels.shape != probs.shape[:1]
+            or labels.dtype.kind not in "iu"):
         raise ConfigError(
-            f"cross_entropy: {probs.shape[0]} predictions vs label block "
-            f"of shape {onehot_rows.shape}"
+            f"cross_entropy: predictions of shape {probs.shape} vs labels "
+            f"of shape {labels.shape} and dtype {labels.dtype}"
         )
-    valid = (((onehot_rows == 0.0) | (onehot_rows == 1.0)).all(axis=1)
-             & (onehot_rows.sum(axis=1) == 1.0))
-    if not valid.all():
-        i = int(np.argmin(valid))
+    bad = labels[(labels < 0) | (labels >= probs.shape[1])]
+    if bad.size:
         raise ConfigError(
-            f"cross_entropy: row {i} is not one-hot: {onehot_rows[i].tolist()}"
+            f"cross_entropy: label {bad[0]} outside 0..{probs.shape[1] - 1}"
         )
-    if probs.shape != onehot_rows.shape:
-        raise ConfigError(
-            f"cross_entropy: {onehot_rows.shape[1]} classes but the "
-            f"predictions have shape {probs.shape}"
-        )
-    picked = probs[np.arange(probs.shape[0]), onehot_rows.argmax(axis=1)]
+    picked = probs[np.arange(probs.shape[0]), labels]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 

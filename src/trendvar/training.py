@@ -7,7 +7,7 @@ choice (fold assignment, init, shuffling) derives from the seed, making runs
 bit-reproducible.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .model import (
     backward,
     cross_entropy,
     forward,
-    one_hot,
     prepare,
 )
 
@@ -29,6 +28,11 @@ from .model import (
 # patients with 8 features and about 24 visits (x86-64 Linux, numpy 2.4
 # with OpenBLAS): 46.0 / 40.6 / 38.1 / 37.4 MiB at 256 / 128 / 64 / 32.
 PREDICT_BLOCK = 64
+
+# Adam's decay rates and offset: Kingma & Ba's (2015) defaults.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,10 +61,7 @@ class TrainConfig:
 class AdamState:
     """First/second moment vectors, laid out like ``ModelParams.flat``."""
 
-    def __init__(self, size, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, size):
         self.step_count = 0
         self.first = np.zeros(size)
         self.second = np.zeros(size)
@@ -80,7 +81,7 @@ def adam_step(params, grads, state, learning_rate):
         raise NumericError(f"non-finite gradient in {name}")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m = state.first
     v = state.second
     m *= b1
@@ -89,7 +90,7 @@ def adam_step(params, grads, state, learning_rate):
     v += (1.0 - b2) * grad * grad
     m_hat = m / (1.0 - b1 ** t)
     v_hat = v / (1.0 - b2 ** t)
-    params.flat -= learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    params.flat -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def train(batch, params, train_config):
@@ -98,6 +99,8 @@ def train(batch, params, train_config):
 
     ``params`` is updated in place.  ``losses[e]`` is epoch e's mean
     cross-entropy over all patients at the point each was visited.
+    Huge steps overflow silently: the finiteness checks after each epoch
+    and in ``adam_step`` report the divergence.
     """
     n = len(batch)
     if n == 0:
@@ -105,18 +108,17 @@ def train(batch, params, train_config):
     rng = np.random.default_rng(
         np.random.SeedSequence(train_config.seed, spawn_key=(1,)))
     state = AdamState(params.flat.size)
-    onehot = one_hot(batch.labels, params.config.n_classes)
     losses = np.empty(train_config.epochs)
     for epoch in range(train_config.epochs):
         order = rng.permutation(n)
         loss_total = 0.0
-        for start in range(0, n, train_config.batch_size):
-            index = order[start:start + train_config.batch_size]
-            part = batch.take(index)
-            acts = forward(part, params)
-            loss_total += cross_entropy(acts.probs, onehot[index]) * len(index)
-            adam_step(params, backward(part, params, acts), state,
-                      train_config.learning_rate)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, train_config.batch_size):
+                part = batch.take(order[start:start + train_config.batch_size])
+                acts = forward(part, params)
+                loss_total += cross_entropy(acts.probs, part.labels) * len(part)
+                adam_step(params, backward(part, params, acts), state,
+                          train_config.learning_rate)
         mean_loss = loss_total / n
         if not np.isfinite(mean_loss):
             raise NumericError(
@@ -146,9 +148,10 @@ def predict_probs(cohort, stats, params):
     Finite but huge parameters (a diverged fit) can overflow the forward
     pass: a non-finite probability is a numerical error, not a score.
     """
-    probs = np.concatenate([
-        forward(prepare_cohort(block, params.config), params).probs
-        for block in normalized_blocks(cohort, stats)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = np.concatenate([
+            forward(prepare_cohort(block, params.config), params).probs
+            for block in normalized_blocks(cohort, stats)])
     bad = ~np.isfinite(probs).all(axis=1)
     if bad.any():
         raise NumericError(
@@ -175,22 +178,20 @@ class FoldResult:
     epoch_log: np.ndarray
     probs: np.ndarray
     labels: np.ndarray
-    auroc: object
-    auprc: object
+    scores: object
 
 
 @dataclass
 class CVResult:
     folds: list
-    fold_indices: list
 
     @property
     def mean_auroc(self):
-        return float(np.mean([f.auroc.value for f in self.folds]))
+        return float(np.mean([f.scores.auroc for f in self.folds]))
 
     @property
     def mean_auprc(self):
-        return float(np.mean([f.auprc.value for f in self.folds]))
+        return float(np.mean([f.scores.auprc for f in self.folds]))
 
 
 def fold_assignment(n_patients, k, seed):
@@ -225,20 +226,15 @@ def run_fold(cohort, config, train_config, fold, test_indices, param_init=None):
         params = ModelParams.initialized(config, fold_seed_rng)
     else:
         params = param_init(config, fold_seed_rng)
-    fold_train_config = TrainConfig(
-        learning_rate=train_config.learning_rate,
-        batch_size=train_config.batch_size,
-        epochs=train_config.epochs,
-        seed=int(fold_seed_rng.integers(0, 2 ** 31 - 1)),
-    )
+    fold_train_config = replace(
+        train_config, seed=int(fold_seed_rng.integers(0, 2 ** 31 - 1)))
     epoch_log, _ = train(prepare_cohort(normalize(train_part, stats), config),
                          params, fold_train_config)
     probs = predict_probs(cohort.take(test_indices), stats, params)
     labels = cohort.labels[test_indices]
-    auroc = macro_one_vs_rest(probs, labels, "auroc")
-    auprc = macro_one_vs_rest(probs, labels, "auprc")
     return FoldResult(fold, np.asarray(test_indices), stats, params,
-                      epoch_log, probs, labels, auroc, auprc)
+                      epoch_log, probs, labels,
+                      macro_one_vs_rest(probs, labels))
 
 
 def cross_validate(cohort, k, config, train_config, param_init=None):
@@ -248,4 +244,4 @@ def cross_validate(cohort, k, config, train_config, param_init=None):
         run_fold(cohort, config, train_config, fold, folds[fold], param_init)
         for fold in range(k)
     ]
-    return CVResult(results, folds)
+    return CVResult(results)

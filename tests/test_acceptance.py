@@ -26,7 +26,6 @@ from trendvar.model import (
     backward,
     cross_entropy,
     forward,
-    one_hot,
     prepare,
 )
 from trendvar.training import (
@@ -216,10 +215,8 @@ def test_criterion_05_gradient_audit_all_configs():
                  for _ in range(2)]
         batch = prepare(np.stack([v for v, _ in drawn]),
                         np.stack([s for _, s in drawn]), [0, 2], config)
-        onehots = one_hot(batch.labels, 3)
-
         def loss_fn():
-            return cross_entropy(forward(batch, params).probs, onehots)
+            return cross_entropy(forward(batch, params).probs, batch.labels)
 
         grads = backward(batch, params, forward(batch, params))
         results[name] = finite_diff_check(
@@ -297,8 +294,8 @@ def learning_trial(seed):
                       seed=seed))
     probs = predict_probs(cohort.take(test_idx), stats, params)
     labels = cohort.labels[test_idx]
-    return (macro_one_vs_rest(probs, labels, "auroc").value,
-            macro_one_vs_rest(probs, labels, "auprc").value)
+    scores = macro_one_vs_rest(probs, labels)
+    return scores.auroc, scores.auprc
 
 
 def test_criterion_07_learning_on_separable_cohort():
@@ -339,7 +336,7 @@ def ablation_trial(seed, preset):
                       seed=seed))
     probs = predict_probs(cohort.take(test_idx), stats, params)
     labels = cohort.labels[test_idx]
-    return macro_one_vs_rest(probs, labels, "auroc").value
+    return macro_one_vs_rest(probs, labels).auroc
 
 
 def test_criterion_08_correlation_stage_ablation_ordering():

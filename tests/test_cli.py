@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -221,6 +222,15 @@ def test_exit_codes(tmp_path, workspace):
     assert run_cli("train", "--synth", "default", "--visits", "x.csv",
                    "--out", tmp_path / "b").returncode == 1
     assert run_cli("train", "--synth", "default").returncode == 1  # no --out
+    # The sweep sets every order itself: --symlet, flag or key, is unknown.
+    assert run_cli("sweep-symlets", "--synth", "default", "--symlet", "5",
+                   "--out", tmp_path / "g").returncode == 1
+    symlet_key = tmp_path / "symlet.conf"
+    symlet_key.write_text("symlet = 5\n")
+    proc = run_cli("sweep-symlets", "--synth", "default", "--settings",
+                   symlet_key, "--out", tmp_path / "h")
+    assert proc.returncode == 1
+    assert "unknown settings keys: symlet" in proc.stderr
     assert run_cli().returncode == 1  # no command
     proc = run_cli("nosuchcommand")
     assert proc.returncode == 1
@@ -295,6 +305,21 @@ def test_exit_codes(tmp_path, workspace):
                    "--epochs", "1", "--lr", "1e308", "--out", tmp_path / "f")
     assert proc.returncode == 3, proc.stderr
     assert "numerical error: non-finite class probabilities" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "trendvar.cli", "synth", *SMALL_SYNTH,
+             "--out", str(tmp_path / "cohort")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == "error: standard output was closed\n"
 
 
 # Valid settings lines that keep a run cheap, if one ever got through.

@@ -20,7 +20,6 @@ from trendvar.model import (
     backward,
     cross_entropy,
     forward,
-    one_hot,
     prepare,
 )
 
@@ -166,7 +165,7 @@ def test_gradient_through_attention_matches_finite_differences():
                     labels, config)
 
     def loss_fn():
-        return cross_entropy(forward(batch, params).probs, one_hot(labels, 3))
+        return cross_entropy(forward(batch, params).probs, labels)
 
     grads = backward(batch, params, forward(batch, params))
     err = finite_diff_check(loss_fn, [params.out_diff], [grads.out_diff],

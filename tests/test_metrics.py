@@ -165,14 +165,16 @@ def test_macro_average_over_three_present_classes():
         [0.3, 0.3, 0.4],
     ])
     labels = np.array([0, 1, 2, 0, 1, 2])
-    result = macro_one_vs_rest(probs, labels, "auroc")
+    result = macro_one_vs_rest(probs, labels)
     assert sorted(result.per_class) == [0, 1, 2]
     assert result.skipped == []
-    expected = np.mean([
-        auroc_binary(probs[:, c], (labels == c).astype(int))
-        for c in range(3)
-    ])
-    assert result.value == pytest.approx(expected, abs=1e-15)
+    for c in range(3):
+        binary = (labels == c).astype(int)
+        assert result.per_class[c] == (auroc_binary(probs[:, c], binary),
+                                       auprc_binary(probs[:, c], binary))
+    aurocs, auprcs = zip(*result.per_class.values())
+    assert result.auroc == pytest.approx(np.mean(aurocs), abs=1e-15)
+    assert result.auprc == pytest.approx(np.mean(auprcs), abs=1e-15)
 
 
 def test_macro_skips_absent_classes_but_reports_them():
@@ -180,27 +182,26 @@ def test_macro_skips_absent_classes_but_reports_them():
                       [0.3, 0.6, 0.1],
                       [0.4, 0.5, 0.1]])
     labels = np.array([0, 1, 0])  # class 2 never appears
-    result = macro_one_vs_rest(probs, labels, "auprc")
+    result = macro_one_vs_rest(probs, labels)
     assert result.skipped == [2]
     assert sorted(result.per_class) == [0, 1]
-    assert result.value == pytest.approx(
-        np.mean([result.per_class[0], result.per_class[1]]), abs=1e-15)
+    assert result.auprc == pytest.approx(
+        np.mean([result.per_class[0][1], result.per_class[1][1]]), abs=1e-15)
 
 
 def test_macro_fails_when_every_class_is_degenerate():
     probs = np.array([[0.6, 0.4], [0.3, 0.7]])
     labels = np.array([1, 1])
     with pytest.raises(DataError, match="every class is degenerate"):
-        macro_one_vs_rest(probs, labels, "auroc")
+        macro_one_vs_rest(probs, labels)
 
 
-def test_macro_rejects_unknown_metric_and_bad_shapes():
+def test_macro_rejects_bad_shapes():
     probs = np.array([[0.6, 0.4], [0.3, 0.7]])
-    labels = np.array([0, 1])
-    with pytest.raises(DataError, match="unknown metric"):
-        macro_one_vs_rest(probs, labels, "accuracy")
     with pytest.raises(DataError, match="do not line up"):
-        macro_one_vs_rest(probs, np.array([0, 1, 0]), "auroc")
+        macro_one_vs_rest(probs, np.array([0, 1, 0]))
+    with pytest.raises(DataError, match="do not line up"):
+        macro_one_vs_rest(probs[0], np.array([0]))
 
 
 # -- correlation ---------------------------------------------------------------

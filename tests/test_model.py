@@ -29,7 +29,6 @@ from trendvar.model import (
     forward,
     fuse_dynamic,
     load_checkpoint,
-    one_hot,
     parameter_count,
     predict,
     prepare,
@@ -116,43 +115,36 @@ def test_predict_rejects_attention_term_without_head():
 # -- loss -------------------------------------------------------------------
 
 def test_cross_entropy_worked_values():
-    certain = cross_entropy([[0.0, 1.0]], [[0.0, 1.0]])
+    certain = cross_entropy([[0.0, 1.0]], [1])
     assert certain == pytest.approx(0.0, abs=1e-12)
 
-    half = cross_entropy([[0.5, 0.5]], [[1.0, 0.0]])
+    half = cross_entropy([[0.5, 0.5]], [0])
     assert half == pytest.approx(math.log(2.0), abs=1e-12)
 
-    pair = cross_entropy([[0.5, 0.5], [0.25, 0.75]],
-                         [[1.0, 0.0], [1.0, 0.0]])
+    pair = cross_entropy([[0.5, 0.5], [0.25, 0.75]], [0, 0])
     expected = (math.log(2.0) + math.log(4.0)) / 2.0
     assert pair == pytest.approx(expected, abs=1e-12)
 
 
 def test_cross_entropy_clamps_zero_probability():
-    loss = cross_entropy([[1.0, 0.0]], [[0.0, 1.0]])
+    loss = cross_entropy([[1.0, 0.0]], [1])
     assert loss == pytest.approx(-math.log(1e-12), rel=1e-9)
     assert np.isfinite(loss)
 
 
 def test_cross_entropy_validates_rows():
-    with pytest.raises(ConfigError, match="not one-hot"):
-        cross_entropy([[0.5, 0.5]], [[0.5, 0.5]])
-    with pytest.raises(ConfigError, match="not one-hot"):
-        cross_entropy([[0.5, 0.5]], [[1.0, 1.0]])
-    with pytest.raises(ConfigError, match="label block"):
-        cross_entropy([[0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(ConfigError, match="classes"):
-        cross_entropy([[0.5, 0.5]], [[1.0, 0.0, 0.0]])
-
-
-def test_one_hot():
-    np.testing.assert_array_equal(one_hot(2, 4), [0.0, 0.0, 1.0, 0.0])
-    np.testing.assert_array_equal(one_hot([1, 0], 2), [[0.0, 1.0],
-                                                       [1.0, 0.0]])
-    with pytest.raises(ConfigError, match="outside"):
-        one_hot(4, 4)
-    with pytest.raises(ConfigError, match="outside"):
-        one_hot(-1, 4)
+    with pytest.raises(ConfigError, match="label 2 outside 0..1"):
+        cross_entropy([[0.5, 0.5]], [2])
+    with pytest.raises(ConfigError, match="label -1 outside 0..1"):
+        cross_entropy([[0.5, 0.5], [0.5, 0.5]], [0, -1])
+    with pytest.raises(ConfigError, match="labels of shape"):
+        cross_entropy([[0.5, 0.5]], [0, 1])
+    with pytest.raises(ConfigError, match="labels of shape"):
+        cross_entropy([[0.5, 0.5]], [[1, 0]])
+    with pytest.raises(ConfigError, match="dtype float64"):
+        cross_entropy([[0.5, 0.5]], [1.0])
+    with pytest.raises(ConfigError, match="predictions of shape"):
+        cross_entropy([0.5, 0.5], [0, 1])
 
 
 # -- configuration ----------------------------------------------------------
@@ -460,10 +452,8 @@ def test_shared_branch_gradients_match_finite_differences(preset):
     rng = np.random.default_rng(501)
     params = ModelParams.initialized(config, rng)
     batch, _, _ = make_batch(config, rng, n=3, labels=np.array([0, 2, 1]))
-    onehots = one_hot(batch.labels, 3)
-
     def loss_fn():
-        return cross_entropy(forward(batch, params).probs, onehots)
+        return cross_entropy(forward(batch, params).probs, batch.labels)
 
     grads = dict(
         backward(batch, params, forward(batch, params)).named_arrays())

@@ -372,8 +372,8 @@ def test_constant_predictor_scores_exactly_half_auroc():
                             param_init=zero_init)
     for fold in result.folds:
         np.testing.assert_allclose(fold.probs, 0.5, atol=1e-15)
-        assert fold.auroc.value == 0.5
-        assert 0.0 < fold.auprc.value < 1.0
+        assert fold.scores.auroc == 0.5
+        assert 0.0 < fold.scores.auprc < 1.0
     assert result.mean_auroc == 0.5
 
 
