@@ -151,7 +151,7 @@ def _parse_float(path, line_no, column, text):
         raise DataError(
             f"{path}:{line_no}: column {column}: not a number: {text!r}"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DataError(
             f"{path}:{line_no}: column {column}: non-finite value {text!r}"
         )

@@ -12,6 +12,11 @@ kernels are (..., 2 out rows, 2 in rows, width): output row 0 (top) and row 1
 (bottom) each draw on both input rows.  Its bias is (..., 2), one entry per
 output row.  Both broadcast against the leading axes of the stack, so one
 call covers a whole batch of patients and features.
+
+Each branch runs as one contraction, forward and backward, over a stack of
+its input windows: (..., 2·w, L), one row per (input row, tap) pair, the
+im2col unfolding of Chellapilla et al. (2006).  The windows are built per
+call, so they never cover more than the batch at hand.
 """
 
 import numpy as np
@@ -39,6 +44,17 @@ def combined_width(m, dilations, width):
     return sum(branch_length(m, d, width) for d in dilations)
 
 
+def _windows(stacked, dilation, width, out_len):
+    """Stack the input windows of every tap: (..., 2, m) -> (..., 2·w, L).
+
+    Row ``i * width + tap`` is input row i from column ``dilation * tap`` on,
+    the order of a kernel's (2, w) in-row/tap block flattened to 2·w.
+    """
+    starts = [dilation * k for k in range(width)]
+    windows = np.stack([stacked[..., s:s + out_len] for s in starts], axis=-2)
+    return windows.reshape(*stacked.shape[:-2], 2 * width, out_len)
+
+
 def conv_branch(stacked, kernels, bias, dilation, activate=True):
     """Run one dilated branch over (..., 2, m) stacks.
 
@@ -50,11 +66,9 @@ def conv_branch(stacked, kernels, bias, dilation, activate=True):
     stacked = np.asarray(stacked, dtype=np.float64)
     width = kernels.shape[-1]
     out_len = branch_length(stacked.shape[-1], dilation, width)
-    out = np.asarray(bias)[..., :, None]
-    for tap in range(width):
-        s = tap * dilation
-        segment = stacked[..., None, :, s:s + out_len]
-        out = out + (kernels[..., tap, None] * segment).sum(axis=-2)
+    taps = kernels.reshape(*kernels.shape[:-2], 2 * width)
+    out = (taps @ _windows(stacked, dilation, width, out_len)
+           + np.asarray(bias)[..., :, None])
     return np.tanh(out) if activate else out
 
 
@@ -89,9 +103,8 @@ def correlation_backward(lines, maps, grad_maps, dilations, width):
         out_len = branch_length(m, dilation, width)
         g = grad_pre[..., offset:offset + out_len]
         offset += out_len
-        for tap in range(width):
-            s = tap * dilation
-            d_kernels[:, bi, ..., tap] = np.einsum(
-                "njol,njil->joi", g, lines[..., s:s + out_len])
+        d_kernels[:, bi] = np.einsum(
+            "njol,njkl->jok", g,
+            _windows(lines, dilation, width, out_len)).reshape(c, 2, 2, width)
         d_bias[:, bi] = g.sum(axis=(0, -1))
     return d_kernels, d_bias

@@ -172,12 +172,10 @@ def prepare_cohort(cohort, config):
 @dataclass
 class FoldResult:
     fold: int
-    test_indices: np.ndarray
     stats: object
     params: ModelParams
     epoch_log: np.ndarray
     probs: np.ndarray
-    labels: np.ndarray
     scores: object
 
 
@@ -231,10 +229,8 @@ def run_fold(cohort, config, train_config, fold, test_indices, param_init=None):
     epoch_log, _ = train(prepare_cohort(normalize(train_part, stats), config),
                          params, fold_train_config)
     probs = predict_probs(cohort.take(test_indices), stats, params)
-    labels = cohort.labels[test_indices]
-    return FoldResult(fold, np.asarray(test_indices), stats, params,
-                      epoch_log, probs, labels,
-                      macro_one_vs_rest(probs, labels))
+    return FoldResult(fold, stats, params, epoch_log, probs,
+                      macro_one_vs_rest(probs, cohort.labels[test_indices]))
 
 
 def cross_validate(cohort, k, config, train_config, param_init=None):

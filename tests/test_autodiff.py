@@ -13,7 +13,11 @@ import pytest
 
 from gradcheck import finite_diff_check
 from trendvar.diff_attention import softmax
-from trendvar.dilated import conv_branch, correlation_backward
+from trendvar.dilated import (
+    conv_branch,
+    correlation_backward,
+    correlation_forward,
+)
 from trendvar.errors import ConfigError, DataError, ShapeMismatchError
 from trendvar.model import (
     ABLATION_PRESETS,
@@ -127,6 +131,48 @@ def test_concat_and_slice_roundtrip_grads():
         assert np.abs(part[0]).max() == 0.0
         for bi in range(3):
             assert (np.abs(part[1, bi]).max() > 0.0) == (bi == 1)
+
+
+def tap_by_tap_forward(lines, kernels, bias, dilations):
+    """``correlation_forward`` written out one tap at a time, so that it
+    shares no window layout with the code under test."""
+    width = kernels.shape[-1]
+    maps = []
+    for bi, d in enumerate(dilations):
+        out_len = lines.shape[-1] - d * (width - 1)
+        pre = bias[..., bi, :, None]
+        for tap in range(width):
+            pre = pre + np.einsum("...oi,...il->...ol",
+                                  kernels[..., bi, :, :, tap],
+                                  lines[..., d * tap:d * tap + out_len])
+        maps.append(np.tanh(pre))
+    return np.concatenate(maps, axis=-1)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+@pytest.mark.parametrize("dilations", [(0, 1, 2), (3, 4, 0)])
+def test_correlation_backward_matches_finite_differences(width, dilations):
+    # Every kernel and bias entry of every feature and branch is checked
+    # against central differences of sum(grad * forward maps).
+    rng = np.random.default_rng(10 * width + dilations[0])
+    m = max(dilations) * (width - 1) + 4
+    lines = rng.normal(size=(3, 2, 2, m))
+    kernels = rng.normal(size=(2, 3, 2, 2, width))
+    bias = rng.normal(size=(2, 3, 2))
+    maps = tap_by_tap_forward(lines, kernels, bias, dilations)
+    np.testing.assert_allclose(
+        correlation_forward(lines, kernels, bias, dilations), maps,
+        atol=1e-12)
+    grad = rng.normal(size=maps.shape)
+    d_kernels, d_bias = correlation_backward(lines, maps, grad, dilations,
+                                             width)
+
+    def loss():
+        return float(np.sum(grad * tap_by_tap_forward(lines, kernels, bias,
+                                                      dilations)))
+
+    assert finite_diff_check(loss, [kernels, bias], [d_kernels, d_bias],
+                             samples=kernels.size + bias.size) <= 1e-7
 
 
 def test_const_tensor_gets_no_gradient():

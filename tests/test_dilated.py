@@ -73,6 +73,30 @@ def test_matches_oracle_on_random_instances():
             out, oracle_conv(stacked, kt, kb, bias, dilation), atol=1e-12)
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+@pytest.mark.parametrize("dilation", [0, 1, 2, 3, 4])
+def test_batched_stacks_match_oracle_per_grid(width, dilation):
+    # One call over an (N, c, 2, m) stack equals the oracle on each (n, c)
+    # grid, with per-feature (c, 2, 2, w) and with shared (2, 2, w) kernels.
+    # At dilation 0 every tap reads the same column.
+    rng = np.random.default_rng(100 * width + dilation)
+    n, c = 3, 2
+    m = dilation * (width - 1) + 5
+    stacked = rng.normal(size=(n, c, 2, m))
+    per_feature = (rng.normal(size=(c, 2, 2, width)), rng.normal(size=(c, 2)))
+    shared = (rng.normal(size=(2, 2, width)), rng.normal(size=2))
+    for kernels, bias in (per_feature, shared):
+        out = conv_branch(stacked, kernels, bias, dilation, activate=False)
+        assert out.shape == (n, c, 2, m - dilation * (width - 1))
+        for i in range(n):
+            for j in range(c):
+                k = kernels[j] if kernels.ndim == 4 else kernels
+                b = bias[j] if bias.ndim == 2 else bias
+                np.testing.assert_allclose(
+                    out[i, j], oracle_conv(stacked[i, j], k[0], k[1], b,
+                                           dilation), atol=1e-12)
+
+
 def test_preactivation_linearity_in_input():
     rng = np.random.default_rng(9)
     d1 = rng.normal(size=(2, 8))

@@ -1,5 +1,7 @@
 """Optimizer, training loop and cross-validation tests."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -384,8 +386,14 @@ def test_cross_validate_respects_fold_assignment():
     expected = fold_assignment(15, 3, seed=8)
     assert len(result.folds) == 3
     for fold, exp in zip(result.folds, expected):
-        np.testing.assert_array_equal(fold.test_indices, exp)
-        assert fold.labels.shape[0] == len(exp)
+        # Train-only stats pin down which patients were held out.
+        outside = np.ones(15, bool)
+        outside[exp] = False
+        want = compute_stats(cohort.take(np.flatnonzero(outside)))
+        for field in fields(want):
+            np.testing.assert_array_equal(getattr(fold.stats, field.name),
+                                          getattr(want, field.name))
+        assert len(fold.probs) == len(exp)
 
 
 def test_fold_initializations_differ():
