@@ -473,7 +473,7 @@ def _run_cv(opts, cohort, config, train_config, out):
             for epoch, loss in enumerate(fold.epoch_log):
                 fh.write(f"{epoch},{_fmt(loss)}\n")
         save_checkpoint(os.path.join(out, f"fold{fold.fold}.ckpt"),
-                        fold.params, config, fold.stats)
+                        fold.params, fold.stats)
     rows.append(("mean", "macro", cv.mean_auroc, cv.mean_auprc))
     _write_metric_rows(os.path.join(out, "metrics.csv"), rows)
     summary = [
@@ -517,17 +517,16 @@ def cmd_sweep(opts):
     cohort = _load_cohort(opts)
     tmax = _resolve_tmax(opts, cohort)
     train_config = _train_config(opts)
+    configs = [_model_config(dict(opts, symlet=order), cohort, tmax)
+               for order in range(MIN_ORDER, MAX_ORDER + 1)]
     effective = dict(opts)
     effective["tmax"] = tmax
     effective["symlet"] = "2..20"
     _write_manifest(out, "sweep-symlets", effective)
     results = []
-    for order in range(MIN_ORDER, MAX_ORDER + 1):
-        inner = dict(opts)
-        inner["symlet"] = order
-        config = _model_config(inner, cohort, tmax)
+    for config in configs:
         cv = cross_validate(cohort, opts["folds"], config, train_config)
-        results.append((order, cv.mean_auroc, cv.mean_auprc))
+        results.append((config.order, cv.mean_auroc, cv.mean_auprc))
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write("order,mean_macro_auroc,mean_macro_auprc\n")
         for order, auroc, auprc in results:
@@ -563,7 +562,7 @@ def cmd_eval(opts):
         raise ConfigError("--checkpoint is required")
     bundle = load_checkpoint(opts["checkpoint"])
     cohort = _load_cohort(opts)
-    config = bundle.config
+    config = bundle.params.config
     if cohort.n_dynamic != config.n_dynamic \
             or cohort.n_static != config.n_static:
         raise ConfigError(
@@ -610,9 +609,10 @@ def _select_features(names, wanted):
 
 
 def cmd_decompose(opts):
-    from .wavelets import decompose_batch
+    from .wavelets import decompose_batch, symlet_filters
 
     out = _require_out(opts)
+    symlet_filters(opts["symlet"])  # an unknown order is a config error
     cohort = _load_cohort(opts, visits_only=True)
     names = cohort.dynamic_names
     chosen = _select_features(names, opts.get("feature"))
@@ -626,7 +626,7 @@ def cmd_decompose(opts):
         fh.write("patient_id,feature,kind,index,value\n")
         for patient, pid in enumerate(map(csv_field, cohort.ids)):
             lines = decompose_batch(cohort.visits(patient)[:, columns].T,
-                                    opts["symlet"])
+                                    opts["symlet"], chosen)
             m = lines.shape[-1]
             if m not in row_labels:
                 row_labels[m] = [f",{csv_field(name)},{kind},{i},"
@@ -643,8 +643,10 @@ def cmd_decompose(opts):
 
 def cmd_correlate(opts):
     from .metrics import trend_variation_report
+    from .wavelets import symlet_filters
 
     out = _require_out(opts)
+    symlet_filters(opts["symlet"])  # an unknown order is a config error
     cohort = _load_cohort(opts, visits_only=True)
     _write_manifest(out, "correlate", opts)
     rows = trend_variation_report(cohort.values, cohort.offsets,
@@ -677,7 +679,7 @@ def cmd_inspect_attention(opts):
     if not opts.get("checkpoint"):
         raise ConfigError("--checkpoint is required")
     bundle = load_checkpoint(opts["checkpoint"])
-    config = bundle.config
+    config = bundle.params.config
     if not config.flags.use_diff_attention:
         raise ConfigError(
             "difference attention is disabled in this checkpoint; nothing "

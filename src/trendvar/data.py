@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,16 +485,26 @@ def compute_stats(cohort):
     """Feature means/stds over all visit rows (and statics) of ``cohort``.
 
     Population std (ddof 0); constant features keep std 0 and are neutralised
-    in ``normalize``.
+    in ``normalize``.  Finite values whose mean or std overflows are a
+    ``NumericError`` that names the feature.
     """
     if not len(cohort):
         raise DataError("compute_stats: empty cohort")
-    return FeatureStats(
-        dynamic_mean=cohort.values.mean(axis=0),
-        dynamic_std=cohort.values.std(axis=0),
-        static_mean=cohort.static.mean(axis=0),
-        static_std=cohort.static.std(axis=0),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = FeatureStats(
+            dynamic_mean=cohort.values.mean(axis=0),
+            dynamic_std=cohort.values.std(axis=0),
+            static_mean=cohort.static.mean(axis=0),
+            static_std=cohort.static.std(axis=0),
+        )
+    # A non-finite mean makes the std non-finite too.
+    finite = np.isfinite(np.concatenate([stats.dynamic_std, stats.static_std]))
+    if not finite.all():
+        name = (cohort.dynamic_names + cohort.static_names)[np.argmin(finite)]
+        raise NumericError(
+            f"compute_stats: feature {name!r} has a non-finite mean or std: "
+            f"its values overflow")
+    return stats
 
 
 def _zscore(matrix, mean, std):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .wavelets import decompose_ragged
 
 
@@ -120,24 +120,6 @@ def macro_one_vs_rest(probs, labels):
                        per_class, skipped)
 
 
-def pearson(a, b):
-    """Pearson correlation; constant input is an explicit error, not NaN."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise DataError(
-            f"pearson: inputs {a.shape} and {b.shape} must be equal-length "
-            f"vectors"
-        )
-    if a.size < 2:
-        raise DataError(f"pearson: need at least 2 points, got {a.size}")
-    if np.all(a == a[0]) or np.all(b == b[0]):
-        raise DataError("pearson: correlation undefined for constant input")
-    ca = a - a.mean()
-    cb = b - b.mean()
-    return float(np.dot(ca, cb) / np.sqrt(np.dot(ca, ca) * np.dot(cb, cb)))
-
-
 @dataclass
 class FeatureCorrelation:
     feature: str
@@ -149,11 +131,12 @@ class FeatureCorrelation:
 
 def _pearson_rows(a, b):
     """Pearson r of each row pair of two (..., m) stacks, and which are
-    defined: a pair with a constant side is not, and its r reads 0."""
+    defined: a pair with a constant side is not, and its r reads 0.  Lines
+    whose squares overflow give a non-finite r, without a warning."""
     defined = ~((a == a[..., :1]).all(axis=-1) | (b == b[..., :1]).all(axis=-1))
-    ca = a - a.mean(axis=-1, keepdims=True)
-    cb = b - b.mean(axis=-1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ca = a - a.mean(axis=-1, keepdims=True)
+        cb = b - b.mean(axis=-1, keepdims=True)
         r = (ca * cb).sum(axis=-1) / np.sqrt(
             (ca * ca).sum(axis=-1) * (cb * cb).sum(axis=-1))
     return np.where(defined, r, 0.0), defined
@@ -171,7 +154,8 @@ def trend_variation_report(values, offsets, feature_names, order):
     patients, as in a ``Cohort``.  For every patient and feature, correlate
     the trend line with the variation line; report the mean |r| per
     feature, descending.  Patients whose lines are constant (or too short)
-    count as undefined rather than poisoning the mean.  Patients are
+    count as undefined rather than poisoning the mean; a defined r that is
+    not finite (values that overflow) is a ``NumericError``.  Patients are
     decomposed in groups of equal visit count; the sums over patients run
     in patient order.
     """
@@ -183,7 +167,8 @@ def trend_variation_report(values, offsets, feature_names, order):
     n_patients = offsets.shape[0] - 1
     r = np.zeros((n_patients, len(feature_names)))
     defined = np.zeros(r.shape, dtype=bool)
-    for indices, lines in decompose_ragged(values, offsets, order):
+    for indices, lines in decompose_ragged(values, offsets, order,
+                                             feature_names):
         if lines.shape[-1] >= 2:
             r[indices], defined[indices] = _pearson_rows(
                 lines[..., 0, :], lines[..., 1, :])
@@ -193,6 +178,13 @@ def trend_variation_report(values, offsets, feature_names, order):
         == np.minimum.reduceat(values, offsets[:-1])
     r[flat] = 0.0
     defined[flat] = False
+    if not np.isfinite(r).all():
+        patient, column = np.argwhere(~np.isfinite(r))[0]
+        raise NumericError(
+            f"trend_variation_report: non-finite correlation for feature "
+            f"{feature_names[column]!r} of patient {patient}: its values "
+            f"overflow the computation"
+        )
     # Undefined entries hold 0.0, so these running sums in patient order
     # equal the left-to-right sums over the defined ones.
     sums = _running_sum(r)

@@ -199,27 +199,19 @@ class ModelParams:
     (see ``_layout``), so an in-place update of the buffer is an update of
     every array and vice versa.  ``branch_kernels`` (sets, 3, 2, 2, width)
     and ``branch_bias`` (sets, 3, 2) view the correlation branches; one set
-    serves every feature when branches are shared.  ``flat`` wraps an
-    existing buffer of the right size instead of a zeroed new one, which is
-    how gradients share the parameters' layout.
+    serves every feature when branches are shared.  ``config`` is the model
+    the values belong to; a checkpoint stores it with them.
     """
 
-    def __init__(self, config, flat=None):
+    def __init__(self, config):
         self.config = config
         layout = _layout(config)
         sizes = [math.prod(shape) for _, shape, _ in layout]
-        if flat is None:
-            flat = np.zeros(sum(sizes))
-        elif flat.shape != (sum(sizes),):
-            raise ConfigError(
-                f"model params: buffer of shape {flat.shape}, the config "
-                f"needs {sum(sizes)} values"
-            )
-        self.flat = flat
+        self.flat = np.zeros(sum(sizes))
         self.branch_kernels = self.branch_bias = self.out_diff = None
         offset = 0
         for (name, shape, _), size in zip(layout, sizes):
-            view = flat[offset:offset + size].reshape(shape)
+            view = self.flat[offset:offset + size].reshape(shape)
             offset += size
             if name == "branches":
                 w = config.kernel_width
@@ -255,12 +247,6 @@ class ModelParams:
 
     def named_arrays(self):
         return [(name, value) for name, value, _ in self._entries()]
-
-    def arrays(self):
-        return [value for _, value, _ in self._entries()]
-
-    def copy(self):
-        return ModelParams(self.config, self.flat.copy())
 
 
 @dataclass(frozen=True)
@@ -547,27 +533,26 @@ class _Reader:
             )
 
 
+# The ablation flags in the order of their bits, from bit 0; bit 4 is
+# shared_branches.
+_FLAG_BITS = ("use_trend", "use_variation", "use_correlation",
+              "use_diff_attention")
+
+
 def _flag_byte(config):
-    bits = 0
-    if config.flags.use_trend:
-        bits |= 1
-    if config.flags.use_variation:
-        bits |= 2
-    if config.flags.use_correlation:
-        bits |= 4
-    if config.flags.use_diff_attention:
-        bits |= 8
-    if config.shared_branches:
-        bits |= 16
-    return bits
+    on = [getattr(config.flags, name) for name in _FLAG_BITS]
+    return sum(bool(value) << bit
+               for bit, value in enumerate(on + [config.shared_branches]))
 
 
-def save_checkpoint(path, params, config, stats=None):
-    """Serialize params + config (+ optional normalization stats) to disk.
+def save_checkpoint(path, params, stats=None):
+    """Serialize params with their config (+ optional normalization stats)
+    to disk.
 
     Storing the training-time normalization stats lets a later scoring run
     reproduce the exact preprocessing the weights were fitted under.
     """
+    config = params.config
     out = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
     out.append(struct.pack(
         "<9I", config.t_max, config.n_dynamic, config.n_static,
@@ -616,7 +601,6 @@ def _check_stats(stats, config, path):
 @dataclass
 class CheckpointBundle:
     params: ModelParams
-    config: ModelConfig
     stats: "object | None"
 
 
@@ -639,12 +623,8 @@ def load_checkpoint(path):
     t_max, n_dynamic, n_static, n_classes, order, kernel_width, d0, d1, d2 = \
         struct.unpack("<9I", reader.take(36))
     bits = reader.u8()
-    flags = AblationFlags(
-        use_trend=bool(bits & 1),
-        use_variation=bool(bits & 2),
-        use_correlation=bool(bits & 4),
-        use_diff_attention=bool(bits & 8),
-    )
+    flags = AblationFlags(**{name: bool(bits >> bit & 1)
+                             for bit, name in enumerate(_FLAG_BITS)})
     config = ModelConfig(
         t_max=t_max, n_dynamic=n_dynamic, n_static=n_static,
         n_classes=n_classes, order=order, kernel_width=kernel_width,
@@ -689,4 +669,4 @@ def load_checkpoint(path):
             )
         value[...] = data
     reader.done()
-    return CheckpointBundle(params, config, stats)
+    return CheckpointBundle(params, stats)

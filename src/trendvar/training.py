@@ -175,7 +175,6 @@ class FoldResult:
     stats: object
     params: ModelParams
     epoch_log: np.ndarray
-    probs: np.ndarray
     scores: object
 
 
@@ -206,7 +205,7 @@ def fold_assignment(n_patients, k, seed):
     return [np.sort(chunk) for chunk in np.array_split(permuted, k)]
 
 
-def run_fold(cohort, config, train_config, fold, test_indices, param_init=None):
+def run_fold(cohort, config, train_config, fold, test_indices):
     """Train on everything outside ``test_indices``, evaluate inside.
 
     Normalization stats come from the training patients only; the held-out
@@ -220,24 +219,21 @@ def run_fold(cohort, config, train_config, fold, test_indices, param_init=None):
     stats = compute_stats(train_part)
     fold_seed_rng = np.random.default_rng(
         np.random.SeedSequence(train_config.seed, spawn_key=(2, fold)))
-    if param_init is None:
-        params = ModelParams.initialized(config, fold_seed_rng)
-    else:
-        params = param_init(config, fold_seed_rng)
+    params = ModelParams.initialized(config, fold_seed_rng)
     fold_train_config = replace(
         train_config, seed=int(fold_seed_rng.integers(0, 2 ** 31 - 1)))
     epoch_log, _ = train(prepare_cohort(normalize(train_part, stats), config),
                          params, fold_train_config)
     probs = predict_probs(cohort.take(test_indices), stats, params)
-    return FoldResult(fold, stats, params, epoch_log, probs,
+    return FoldResult(fold, stats, params, epoch_log,
                       macro_one_vs_rest(probs, cohort.labels[test_indices]))
 
 
-def cross_validate(cohort, k, config, train_config, param_init=None):
+def cross_validate(cohort, k, config, train_config):
     """k-fold cross-validation over a raw (unpadded, unnormalized) cohort."""
     folds = fold_assignment(len(cohort), k, train_config.seed)
     results = [
-        run_fold(cohort, config, train_config, fold, folds[fold], param_init)
+        run_fold(cohort, config, train_config, fold, folds[fold])
         for fold in range(k)
     ]
     return CVResult(results)

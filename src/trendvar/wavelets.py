@@ -178,7 +178,24 @@ def analysis_matrix(order, length):
     return matrix
 
 
-def decompose_batch(series, order):
+def _check_finite(stack, message, names):
+    """Reject the first non-finite entry of a (..., c, k) stack with
+    ``message``, whose ``{}`` gets its coordinates: its index on the last
+    axis, its feature column (named from ``names`` when given) and its
+    stack entry."""
+    if np.isfinite(stack).all():
+        return
+    *lead, index = (int(i) for i in np.argwhere(~np.isfinite(stack))[0])
+    where = str(index)
+    if lead:
+        where += (f", feature {names[lead[-1]]!r}" if names
+                  else f", feature column {lead[-1]}")
+    if len(lead) > 1:
+        where += f" of stack entry {tuple(lead[:-1])}"
+    raise NumericError("decompose_batch: " + message.format(where))
+
+
+def decompose_batch(series, order, names=None):
     """Split a stack of equal-length series, shape (..., t), at once.
 
     Returns lines of shape (..., 2, m): ``[..., 0, :]`` is the trend line and
@@ -189,7 +206,9 @@ def decompose_batch(series, order):
     Non-finite samples are rejected up front with their coordinates,
     because a single NaN would silently smear across 2K coefficients; the
     axis before the visit axis is reported as the feature column, as in a
-    stack of transposed (c, t) visit matrices.
+    stack of transposed (c, t) visit matrices, or by its name in ``names``.
+    Finite samples so large that a coefficient overflows are rejected the
+    same way.
     """
     series = np.asarray(series, dtype=np.float64)
     if series.ndim < 1 or series.shape[-1] < 1:
@@ -197,29 +216,26 @@ def decompose_batch(series, order):
             f"decompose_batch: expected a (..., t) stack with t >= 1, got "
             f"shape {series.shape}"
         )
-    if not np.isfinite(series).all():
-        *lead, visit = (int(i) for i in np.argwhere(~np.isfinite(series))[0])
-        where = f"visit {visit}"
-        if lead:
-            where += f", feature column {lead[-1]}"
-        if len(lead) > 1:
-            where += f" of stack entry {tuple(lead[:-1])}"
-        raise NumericError(f"decompose_batch: non-finite value at {where}")
+    _check_finite(series, "non-finite value at visit {}", names)
     t = series.shape[-1]
     matrix = analysis_matrix(order, t)
     # einsum sums each output on its own, in a fixed order; a BLAS matmul
     # rounds a row differently depending on how many rows share the call.
-    lines = np.einsum("rt,kt->rk", series.reshape(-1, t), matrix)
+    lines = np.einsum("rt,kt->rk", series.reshape(-1, t),
+                      matrix).reshape(series.shape[:-1] + matrix.shape[:1])
+    _check_finite(lines, "non-finite coefficient {}: the values overflow "
+                  "the split", names)
     return lines.reshape(series.shape[:-1] + (2, matrix.shape[0] // 2))
 
 
-def decompose_ragged(values, offsets, order):
+def decompose_ragged(values, offsets, order, names=None):
     """Split ragged series, one ``decompose_batch`` per distinct length.
 
     ``values`` (R, c) holds the visit rows of every patient, patient ``i``
-    owning rows ``offsets[i]:offsets[i + 1]``.  Yields ``(indices, lines)``
-    per distinct visit count, in order of first appearance: ``lines[k]`` is
-    the (c, 2, m) split of the columns of patient ``indices[k]``.
+    owning rows ``offsets[i]:offsets[i + 1]``; ``names`` names its columns
+    in error messages.  Yields ``(indices, lines)`` per distinct visit
+    count, in order of first appearance: ``lines[k]`` is the (c, 2, m)
+    split of the columns of patient ``indices[k]``.
     """
     lengths = np.diff(offsets)
     _, first = np.unique(lengths, return_index=True)
@@ -228,4 +244,4 @@ def decompose_ragged(values, offsets, order):
         indices = np.flatnonzero(lengths == t)
         # Gathered straight into (patients, c, t): one copy of the group.
         rows = offsets[indices, None, None] + np.arange(t)
-        yield indices, decompose_batch(values[rows, columns], order)
+        yield indices, decompose_batch(values[rows, columns], order, names)

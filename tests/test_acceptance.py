@@ -220,7 +220,7 @@ def test_criterion_05_gradient_audit_all_configs():
 
         grads = backward(batch, params, forward(batch, params))
         results[name] = finite_diff_check(
-            loss_fn, params.arrays(), grads.arrays(), samples=100,
+            loss_fn, [params.flat], [grads.flat], samples=100,
             step=1e-5, rng=np.random.default_rng(7))
     elapsed = time.perf_counter() - start
     worst = max(results.values())

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -452,6 +453,65 @@ def test_oversized_sizes_are_config_errors_before_allocating(
     assert peak < 16 * 2 ** 20, peak
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["decompose", "--synth", "default", "--symlet", "1"], "symlet order 1"),
+    (["correlate", "--synth", "default", "--symlet", "0"], "symlet order 0"),
+    # Order 2 leaves 3 coefficients, and dilation 3 needs 4.
+    (["sweep-symlets", "--synth", "default", "--tmax", "3"],
+     "3 coefficient columns"),
+], ids=["decompose-symlet", "correlate-symlet", "sweep-tmax"])
+def test_invalid_orders_are_config_errors_before_the_manifest(
+        tmp_path, capsys, argv, named):
+    code = cli.main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def _write_overflow_cohort(root, values):
+    """Six patients of eight visits whose feature ``a`` takes ``values``
+    and whose feature ``b`` is ordinary."""
+    root.mkdir()
+    rows = [f"p{p},{v},{values[v]!r},{p + 0.1 * v * (p % 3)!r}"
+            for p in range(6) for v in range(8)]
+    (root / "visits.csv").write_text(
+        "patient_id,visit_index,a,b\n" + "\n".join(rows) + "\n")
+    (root / "static.csv").write_text(
+        "patient_id,s0\n" + "".join(f"p{p},{p % 2}\n" for p in range(6)))
+    (root / "labels.csv").write_text(
+        "patient_id,label\n" + "".join(f"p{p},{p % 2}\n" for p in range(6)))
+
+
+@pytest.mark.parametrize("command, values", [
+    # The std of a feature alternating +-1e308 overflows.
+    ("train", [1e308, -1e308] * 4),
+    # Its trend/variation lines are finite, their Pearson r is not.
+    ("correlate", [1e308, -1e308] * 4),
+    # Its trend coefficients overflow.
+    ("decompose", [1.6e308 + v * 0.0125e308 for v in range(8)]),
+], ids=["train", "correlate", "decompose"])
+def test_finite_data_that_overflows_is_a_numeric_error(
+        tmp_path, capsys, command, values):
+    data = tmp_path / "data"
+    _write_overflow_cohort(data, values)
+    argv = [command, "--visits", str(data / "visits.csv"), "--symlet", "2",
+            "--out", str(tmp_path / "out")]
+    if command == "train":
+        argv += ["--static", str(data / "static.csv"), "--labels",
+                 str(data / "labels.csv"), "--folds", "2", "--epochs", "1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert [line for line in err.splitlines()
+            if line.startswith("numerical error:") and "'a'" in line], err
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not list((tmp_path / "out").glob("*.ckpt"))
+
+
 def test_checkpoint_field_overflow_is_a_config_error_before_training(
         tmp_path, capsys):
     # The checkpoint stores each dilation rate as u32.
@@ -654,7 +714,7 @@ def test_eval_rows_do_not_depend_on_the_rest_of_the_file(tmp_path):
                              n_classes=3, order=14)
         ckpt = tmp_path / "t16.ckpt"
         save_checkpoint(ckpt, ModelParams.initialized(
-            config, np.random.default_rng(4)), config, compute_stats(cohort))
+            config, np.random.default_rng(4)), compute_stats(cohort))
 
         def scored(data, out):
             assert cli.main([
@@ -685,7 +745,7 @@ def test_every_output_row_has_its_headers_width(tmp_path, capsys):
                          order=2)
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, ModelParams.initialized(
-        config, np.random.default_rng(0)), config, compute_stats(cohort))
+        config, np.random.default_rng(0)), compute_stats(cohort))
     visits = ["--visits", str(data / "visits.csv")]
     outputs = [data / name for name in ("visits.csv", "static.csv",
                                         "labels.csv")]
@@ -743,7 +803,7 @@ def test_checkpoint_with_misshaped_stats_is_a_config_error(tmp_path,
     stats = replace(bundle.stats, dynamic_mean=np.zeros(5),
                     dynamic_std=np.ones(5))
     damaged = tmp_path / "damaged.ckpt"
-    save_checkpoint(damaged, bundle.params, bundle.config, stats)
+    save_checkpoint(damaged, bundle.params, stats)
     for command, flags in (("eval", data_flags(workspace)),
                            ("inspect-attention",
                             ["--visits", workspace["data"] / "visits.csv"])):
@@ -772,13 +832,12 @@ def test_checkpoint_with_a_flipped_tmax_bit_is_rejected_unallocated(
 def test_checkpoint_without_stats_uses_the_cohort_stats(tmp_path, workspace):
     bundle = load_checkpoint(workspace["train"] / "fold0.ckpt")
     bare = tmp_path / "bare.ckpt"
-    save_checkpoint(bare, bundle.params, bundle.config, None)
+    save_checkpoint(bare, bundle.params, None)
     own = tmp_path / "own.ckpt"
     d = workspace["data"]
     cohort = load_cohort(d / "visits.csv", d / "static.csv",
                          d / "labels.csv")
-    save_checkpoint(own, bundle.params, bundle.config,
-                    compute_stats(cohort))
+    save_checkpoint(own, bundle.params, compute_stats(cohort))
     note = "stats = evaluation cohort (checkpoint has none)\n"
     for command, flags, output in (
             ("eval", data_flags(workspace), "scored.csv"),
@@ -898,7 +957,8 @@ def test_inspect_attention_shows_what_the_model_saw(tmp_path, workspace):
     bundle = load_checkpoint(ckpt)
     cohort = load_cohort(d / "visits.csv", d / "static.csv",
                          d / "labels.csv")
-    batch = prepare_cohort(normalize(cohort, bundle.stats), bundle.config)
+    batch = prepare_cohort(normalize(cohort, bundle.stats),
+                           bundle.params.config)
     weights = diff_attention(batch.lines[:, :, 1]).weights
     expected = {(pid, name, str(i)): repr(w)
                 for pid, per_feature in zip(cohort.ids, weights.tolist())

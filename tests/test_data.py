@@ -26,7 +26,7 @@ from trendvar.data import (
     write_cohort,
 )
 from trendvar.cli import SYNTH_PRESETS
-from trendvar.errors import DataError
+from trendvar.errors import DataError, NumericError
 from synth_reference import reference_synth_generate, reference_write_cohort
 
 
@@ -641,6 +641,18 @@ def test_compute_stats_population_std():
     assert stats.static_mean[0] == pytest.approx(15.0)
     with pytest.raises(DataError, match="empty cohort"):
         compute_stats(cohort.take([]))
+
+
+def test_compute_stats_names_a_feature_that_overflows():
+    cohort = two_patient_cohort()
+    # A static mean that overflows, then a visit std that does.
+    for changed in (replace(cohort, static=np.array([[1.7e308], [1.7e308]])),
+                    replace(cohort, values=np.tile([[1e308], [-1e308]],
+                                                   (3, 1)))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="feature '[sx]'"):
+                compute_stats(changed)
 
 
 def test_normalize_matches_direct_zscore():

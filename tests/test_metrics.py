@@ -8,13 +8,13 @@ library's rank/streaming implementations.
 import numpy as np
 import pytest
 
+from pearson import pearson
 from trendvar.data import SynthSpec, synth_generate
 from trendvar.errors import DataError
 from trendvar.metrics import (
     auprc_binary,
     auroc_binary,
     macro_one_vs_rest,
-    pearson,
     trend_variation_report,
 )
 from trendvar.wavelets import decompose

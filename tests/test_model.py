@@ -258,7 +258,8 @@ def test_branch_sets_follow_sharing_flag():
 def test_params_copy_is_deep():
     config = small_config()
     params = ModelParams.initialized(config, np.random.default_rng(1))
-    clone = params.copy()
+    clone = ModelParams(config)
+    clone.flat[...] = params.flat
     clone.static_weight[0, 0] += 10.0
     assert params.static_weight[0, 0] != clone.static_weight[0, 0]
 
@@ -472,14 +473,14 @@ def test_shared_branch_gradients_match_finite_differences(preset):
 def roundtrip(tmp_path, config, stats=None):
     params = ModelParams.initialized(config, np.random.default_rng(5))
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, config, stats=stats)
+    save_checkpoint(path, params, stats=stats)
     return params, load_checkpoint(path), path
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     config = small_config()
     params, bundle, _ = roundtrip(tmp_path, config)
-    assert bundle.config == config
+    assert bundle.params.config == config
     assert bundle.stats is None
     for (name, src), (_, dst) in zip(params.named_arrays(),
                                      bundle.params.named_arrays()):
@@ -496,9 +497,9 @@ def test_checkpoint_preserves_flags_and_stats(tmp_path):
         static_std=np.array([1.0, 1.0, 3.0]),
     )
     _, bundle, _ = roundtrip(tmp_path, config, stats=stats)
-    assert bundle.config.flags == ABLATION_PRESETS["A3"]
-    assert bundle.config.order == 6
-    assert bundle.config.dilations == (0, 2, 3)
+    assert bundle.params.config.flags == ABLATION_PRESETS["A3"]
+    assert bundle.params.config.order == 6
+    assert bundle.params.config.dilations == (0, 2, 3)
     np.testing.assert_array_equal(bundle.stats.dynamic_mean,
                                   stats.dynamic_mean)
     np.testing.assert_array_equal(bundle.stats.static_std, stats.static_std)
@@ -538,7 +539,7 @@ def test_checkpoint_rejects_foreign_and_damaged_files(tmp_path):
             ("static_std", np.array([1.0, -1.0, 1.0]), "negative")):
         stats = FeatureStats(**{**good, field: bad})
         damaged = tmp_path / f"stats_{field}.ckpt"
-        save_checkpoint(damaged, ModelParams(config), config, stats=stats)
+        save_checkpoint(damaged, ModelParams(config), stats=stats)
         with pytest.raises(ConfigError,
                            match=f"corrupt checkpoint .*{message}"):
             load_checkpoint(damaged)
@@ -552,21 +553,18 @@ def test_parameter_count_matches_the_allocated_arrays(name, shared):
                           shared_branches=shared)
     params = ModelParams(config)
     assert parameter_count(config) == params.flat.size
-    assert all(np.shares_memory(a, params.flat) for a in params.arrays())
+    arrays = [a for _, a in params.named_arrays()]
+    assert all(np.shares_memory(a, params.flat) for a in arrays)
     # With the buffer holding its own indices, the named arrays read back
     # 0, 1, 2, ... in declaration order: they tile it with no gap and no
     # overlap.
     params.flat[...] = np.arange(params.flat.size)
     np.testing.assert_array_equal(
-        np.concatenate([a.ravel() for a in params.arrays()]),
+        np.concatenate([a.ravel() for a in arrays]),
         np.arange(params.flat.size))
     if params.branch_kernels is not None:
         assert np.shares_memory(params.branch_kernels, params.flat)
         assert np.shares_memory(params.branch_bias, params.flat)
-    buffer = np.zeros(params.flat.size)
-    assert ModelParams(config, buffer).flat is buffer
-    with pytest.raises(ConfigError, match="buffer"):
-        ModelParams(config, np.zeros(params.flat.size + 1))
 
 
 def _fuzz_checkpoint():
@@ -581,7 +579,7 @@ def _fuzz_checkpoint():
     params = ModelParams.initialized(config, np.random.default_rng(2))
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/fuzz.ckpt"
-        save_checkpoint(path, params, config, stats)
+        save_checkpoint(path, params, stats)
         with open(path, "rb") as fh:
             blob = fh.read()
     structural = list(range(50))  # magic, version, config, flags, has-stats
@@ -598,7 +596,7 @@ def _fuzz_checkpoint():
         array_header()
     structural.extend(range(offset, offset + 4))
     offset += 4
-    for _ in params.arrays():
+    for _ in params.named_arrays():
         array_header()
     assert offset == len(blob)
     return blob, structural

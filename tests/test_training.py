@@ -14,6 +14,7 @@ from trendvar.data import (
     synth_generate,
 )
 from trendvar.errors import ConfigError, DataError, NumericError
+from trendvar.metrics import macro_one_vs_rest
 from trendvar.model import ModelConfig, ModelParams, parameter_count
 from trendvar.training import (
     AdamState,
@@ -44,10 +45,6 @@ def toy_config(**over):
     return ModelConfig(**base)
 
 
-def zero_init(config, rng):
-    return ModelParams(config)
-
-
 # -- Adam -------------------------------------------------------------------
 
 def test_train_config_validation():
@@ -66,12 +63,14 @@ def test_adam_first_step_closed_form():
     config = toy_config()
     rng = np.random.default_rng(0)
     size = parameter_count(config)
-    params = ModelParams(config, rng.normal(size=size))
+    params = ModelParams(config)
+    params.flat[...] = rng.normal(size=size)
     theta = params.flat.copy()
     grad = rng.normal(size=size)
     state = AdamState(size)
-    adam_step(params, ModelParams(config, grad.copy()), state,
-              learning_rate=0.05)
+    grads = ModelParams(config)
+    grads.flat[...] = grad
+    adam_step(params, grads, state, learning_rate=0.05)
     expected = theta - 0.05 * grad / (np.abs(grad) + 1e-8)
     np.testing.assert_allclose(params.flat, expected, atol=1e-15)
     assert state.step_count == 1
@@ -166,7 +165,8 @@ def test_flat_adam_matches_the_per_array_loop_bitwise(shared):
         # gradients over eight orders of magnitude, some exactly zero
         grad = (rng.normal(size=size) * 10.0 ** rng.uniform(-6, 2, size=size)
                 * (rng.random(size) > 0.1))
-        grads = ModelParams(config, grad)
+        grads = ModelParams(config)
+        grads.flat[...] = grad
         adam_step(params, grads, state, learning_rate=0.003)
         ref_state.step(reference, dict(grads.named_arrays()), 0.003)
     for (name, value), (_, expected) in zip(params.named_arrays(), reference):
@@ -192,10 +192,10 @@ def test_zero_learning_rate_keeps_initial_parameters():
     cohort = toy_cohort()
     samples = prepare_cohort(cohort, config)
     params = ModelParams.initialized(config, np.random.default_rng(3))
-    before = [t.copy() for t in params.arrays()]
+    before = [t.copy() for _, t in params.named_arrays()]
     log, state = train(samples, params,
                        TrainConfig(learning_rate=0.0, epochs=3, batch_size=4))
-    for prev, value in zip(before, params.arrays()):
+    for prev, (_, value) in zip(before, params.named_arrays()):
         np.testing.assert_array_equal(prev, value)
     assert len(log) == 3
 
@@ -214,7 +214,7 @@ def test_training_is_bitwise_deterministic():
 
     p1, log1 = fit()
     p2, log2 = fit()
-    for a, b in zip(p1.arrays(), p2.arrays()):
+    for (_, a), (_, b) in zip(p1.named_arrays(), p2.named_arrays()):
         np.testing.assert_array_equal(a, b)
     assert log1.tolist() == log2.tolist()
 
@@ -234,7 +234,8 @@ def test_shuffle_seed_matters_for_small_batches():
     p_a = fit(1)
     p_b = fit(2)
     assert any(not np.array_equal(a, b)
-               for a, b in zip(p_a.arrays(), p_b.arrays()))
+               for (_, a), (_, b) in zip(p_a.named_arrays(),
+                                         p_b.named_arrays()))
 
 
 def test_step_count_tracks_batches():
@@ -366,14 +367,17 @@ def test_run_fold_normalizes_with_training_patients_only():
     assert abs(pooled.dynamic_mean[0] - train_only.dynamic_mean[0]) > 100
 
 
-def test_constant_predictor_scores_exactly_half_auroc():
+def test_constant_predictor_scores_exactly_half_auroc(monkeypatch):
     cohort = toy_cohort(n=16)
     config = toy_config()
+    # Every fold starts from all-zero parameters.
+    monkeypatch.setattr(ModelParams, "initialized",
+                        classmethod(lambda cls, config, rng: cls(config)))
     result = cross_validate(cohort, 2, config,
-                            TrainConfig(epochs=0, seed=3),
-                            param_init=zero_init)
-    for fold in result.folds:
-        np.testing.assert_allclose(fold.probs, 0.5, atol=1e-15)
+                            TrainConfig(epochs=0, seed=3))
+    for fold, test_idx in zip(result.folds, fold_assignment(16, 2, seed=3)):
+        probs = predict_probs(cohort.take(test_idx), fold.stats, fold.params)
+        np.testing.assert_allclose(probs, 0.5, atol=1e-15)
         assert fold.scores.auroc == 0.5
         assert 0.0 < fold.scores.auprc < 1.0
     assert result.mean_auroc == 0.5
@@ -393,7 +397,25 @@ def test_cross_validate_respects_fold_assignment():
         for field in fields(want):
             np.testing.assert_array_equal(getattr(fold.stats, field.name),
                                           getattr(want, field.name))
-        assert len(fold.probs) == len(exp)
+        probs = predict_probs(cohort.take(exp), fold.stats, fold.params)
+        assert len(probs) == len(exp)
+
+
+def test_fold_scores_are_what_eval_gives_its_checkpoint():
+    """A fold's scores are those of scoring its held-out patients with its
+    own stats and parameters, the path ``eval`` takes: train and eval
+    share one preprocessing path."""
+    # Noisy enough that no fold scores 1.0: other stats or parameters
+    # would move the scores.
+    cohort = toy_cohort(n=60, noise=2.0)
+    config = toy_config()
+    result = cross_validate(cohort, 3, config,
+                            TrainConfig(learning_rate=0.01, epochs=3,
+                                        batch_size=8, seed=8))
+    for fold, test_idx in zip(result.folds, fold_assignment(60, 3, seed=8)):
+        probs = predict_probs(cohort.take(test_idx), fold.stats, fold.params)
+        assert fold.scores == macro_one_vs_rest(probs,
+                                                cohort.labels[test_idx])
 
 
 def test_fold_initializations_differ():

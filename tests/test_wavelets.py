@@ -182,6 +182,14 @@ def test_decompose_batch_columns_and_errors():
         decompose_batch(np.zeros((3, 4)), 21)
 
 
+def test_decompose_batch_names_a_feature_whose_coefficients_overflow():
+    series = np.stack([np.arange(6.0), np.full(6, 1.7e308)])
+    with pytest.raises(NumericError, match="coefficient 0, feature 'b'"):
+        decompose_batch(series, 2, ("a", "b"))
+    with pytest.raises(NumericError, match=r"feature column 1 of .*\(2,\)"):
+        decompose_batch(np.stack([np.zeros_like(series)] * 2 + [series]), 2)
+
+
 def test_analysis_matrix_is_cached_and_read_only():
     matrix = analysis_matrix(5, 9)
     assert matrix is analysis_matrix(5, 9)
