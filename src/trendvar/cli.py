@@ -17,8 +17,11 @@ Exit codes: 0 success, 1 configuration problem, 2 data problem,
 # bytecode, compile) the model, training and metrics modules it never uses.
 import argparse
 import os
+import pickle
 import re
+import struct
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +32,7 @@ from .data import (
     csv_field,
     load_cohort,
     load_visit_table,
+    normalize,
     synth_generate,
     write_cohort,
 )
@@ -598,6 +602,147 @@ def cmd_eval(opts):
     )
 
 
+# Patients per block of ``_write_blocks``: what one worker renders and
+# sends at a time, and the preparation ``inspect-attention`` holds at once,
+# as ``training.PREDICT_BLOCK`` is for ``eval``.
+_ROW_BLOCK = 64
+
+# A block's frame on a worker's pipe: the payload's size, and whether the
+# payload is the pickled exception that stopped the worker, not rows.
+_FRAME = struct.Struct("=Q?")
+
+
+def _exit_on_sigterm(signum, frame):
+    # Unwinds ``_write_blocks``, which removes its temporary file and stops
+    # its workers on the way out.
+    raise SystemExit(128 + signum)
+
+
+def _serve(blocks, render, fd):
+    """A worker's loop: send each block's rows, or the exception that
+    rendering one raised, and stop at that one."""
+    with open(fd, "wb") as pipe:
+        for block in blocks:
+            try:
+                rows = [text.encode() for text in render(block)]
+            except Exception as exc:
+                payload = pickle.dumps(exc)
+                pipe.write(_FRAME.pack(len(payload), True) + payload)
+                return
+            pipe.write(_FRAME.pack(sum(map(len, rows)), False))
+            pipe.writelines(rows)
+            pipe.flush()
+
+
+def _fork_worker(blocks, render, pipes):
+    """Fork a worker that sends the rows of ``blocks``; returns its pid and
+    the read end of its pipe.  ``pipes`` are the other workers' read ends,
+    which the worker closes."""
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    # Until the worker has its own signal handling, a signal would run this
+    # process's Python handlers in it and unwind into the caller's code.
+    held = {signal.SIGINT, signal.SIGTERM}
+    signal.pthread_sigmask(signal.SIG_BLOCK, held)
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns that a fork of a process with threads may
+            # deadlock in the child.  The threads are OpenBLAS's pool, which
+            # its own pthread_atfork handler stops before a fork; a worker
+            # calls no BLAS product (the wavelet split, the preparation and
+            # the attention are einsums and elementwise) and leaves by
+            # os._exit, running no exit handler.
+            warnings.filterwarnings(
+                "ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                r"use of fork\(\) may lead to deadlocks in the child\.",
+                DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            try:
+                signal.signal(signal.SIGTERM, signal.SIG_DFL)
+                signal.pthread_sigmask(signal.SIG_UNBLOCK, held)
+                os.close(read_fd)
+                for pipe in pipes:
+                    pipe.close()
+                _serve(blocks, render, write_fd)
+            finally:
+                os._exit(0)
+    finally:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, held)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _copy_block(pipe, fh):
+    """Copy the next block's rows from a worker's pipe to ``fh``, or raise
+    the exception that rendering the block raised in the worker."""
+    lost = "a worker process ended before sending its rows"
+    head = pipe.read(_FRAME.size)
+    if len(head) < _FRAME.size:
+        raise TrendvarError(lost)
+    size, failed = _FRAME.unpack(head)
+    if failed:
+        raise pickle.loads(pipe.read(size))
+    while size:
+        chunk = pipe.read(min(size, 1 << 16))
+        if not chunk:
+            raise TrendvarError(lost)
+        fh.write(chunk)
+        size -= len(chunk)
+
+
+def _write_blocks(path, header, n_patients, render):
+    """Write ``header``, then the rows of each block of ``_ROW_BLOCK``
+    patients to ``path``: ``render(block)``, for a slice ``block`` of
+    ``range(n_patients)``, yields them as one string per patient.
+
+    The blocks are rendered on up to one process per CPU this process may
+    run on: block k by worker k mod n, where worker 0 is this process and
+    the others are forked children that hold one block at a time and send
+    it back through a pipe.  With one CPU or one block the same loop runs
+    serially, and the bytes written do not depend on the number of
+    workers.  A failing block raises what the serial loop would, the first
+    error in file order.  The rows go to a temporary file that replaces
+    ``path`` once all are written, so a failed or terminated run leaves
+    neither; no worker outlives the call.
+    """
+    import signal
+
+    blocks = [slice(start, start + _ROW_BLOCK)
+              for start in range(0, n_patients, _ROW_BLOCK)]
+    cpus = (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+    n = max(1, min(cpus, len(blocks)))
+    temporary = f"{path}.{os.getpid()}.tmp"
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    workers = []
+    try:
+        for k in range(1, n):
+            workers.append(_fork_worker(blocks[k::n], render,
+                                        [pipe for _, pipe in workers]))
+        with open(temporary, "wb") as fh:
+            fh.write(header.encode())
+            for k, block in enumerate(blocks):
+                if k % n:
+                    _copy_block(workers[k % n - 1][1], fh)
+                else:
+                    for text in render(block):
+                        fh.write(text.encode())
+        os.replace(temporary, path)
+    except BaseException:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+        raise
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGTERM)
+        for pid, _ in workers:
+            os.waitpid(pid, 0)
+        signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
+
+
 def _select_features(names, wanted):
     if wanted is None:
         return list(names)
@@ -609,10 +754,11 @@ def _select_features(names, wanted):
 
 
 def cmd_decompose(opts):
-    from .wavelets import decompose_batch, symlet_filters
+    from .wavelets import coefficient_count, decompose_batch, symlet_filters
 
     out = _require_out(opts)
-    symlet_filters(opts["symlet"])  # an unknown order is a config error
+    order = opts["symlet"]
+    symlet_filters(order)  # an unknown order is a config error
     cohort = _load_cohort(opts, visits_only=True)
     names = cohort.dynamic_names
     chosen = _select_features(names, opts.get("feature"))
@@ -620,24 +766,29 @@ def cmd_decompose(opts):
     first = names.index(chosen[0])
     columns = slice(first, first + len(chosen))
     row_labels = {}  # coefficient count -> ",feature,kind,index," per row
-    path = os.path.join(out, "decomposition.csv")
-    count = 0
-    with open(path, "w") as fh:
-        fh.write("patient_id,feature,kind,index,value\n")
-        for patient, pid in enumerate(map(csv_field, cohort.ids)):
-            lines = decompose_batch(cohort.visits(patient)[:, columns].T,
-                                    opts["symlet"], chosen)
+
+    def render(block):
+        for patient in range(len(cohort))[block]:
+            pid = cohort.ids[patient]
+            # One patient's (1, c, t) stack, so that an error names it.
+            lines = decompose_batch(cohort.visits(patient)[:, columns].T[None],
+                                    order, chosen, (pid,))
             m = lines.shape[-1]
             if m not in row_labels:
                 row_labels[m] = [f",{csv_field(name)},{kind},{i},"
                                  for name in chosen
                                  for kind in ("trend", "variation")
                                  for i in range(m)]
-            labels = row_labels[m]
-            fh.write("".join([
-                f"{pid}{label}{value!r}\n"
-                for label, value in zip(labels, lines.ravel().tolist())]))
-            count += len(labels)
+            field = csv_field(pid)
+            yield "".join([f"{field}{label}{value!r}\n"
+                           for label, value in zip(row_labels[m],
+                                                   lines.ravel().tolist())])
+
+    _write_blocks(os.path.join(out, "decomposition.csv"),
+                  "patient_id,feature,kind,index,value\n", len(cohort),
+                  render)
+    count = 2 * len(chosen) * sum(coefficient_count(t, order) for t in
+                                  np.diff(cohort.offsets).tolist())
     sys.stdout.write(f"wrote {count} coefficient rows\n")
 
 
@@ -650,7 +801,8 @@ def cmd_correlate(opts):
     cohort = _load_cohort(opts, visits_only=True)
     _write_manifest(out, "correlate", opts)
     rows = trend_variation_report(cohort.values, cohort.offsets,
-                                  cohort.dynamic_names, opts["symlet"])
+                                  cohort.dynamic_names, opts["symlet"],
+                                  cohort.ids)
     path = os.path.join(out, "correlation.csv")
     with open(path, "w") as fh:
         fh.write("rank,feature,mean_abs_correlation,mean_correlation,"
@@ -673,7 +825,7 @@ def cmd_correlate(opts):
 def cmd_inspect_attention(opts):
     from .diff_attention import diff_attention
     from .model import load_checkpoint
-    from .training import normalized_blocks, prepare_cohort
+    from .training import prepare_cohort
 
     out = _require_out(opts)
     if not opts.get("checkpoint"):
@@ -703,21 +855,24 @@ def cmd_inspect_attention(opts):
     columns = [names.index(name) for name in chosen]
     labels = [f",{csv_field(name)},{i}," for name in chosen
               for i in range(config.coeff_len - 1)]
-    path = os.path.join(out, "attention.csv")
-    with open(path, "w") as fh:
-        fh.write("patient_id,feature,position,delta,weight,weighted\n")
-        for block in normalized_blocks(cohort, stats):
-            variation = prepare_cohort(block, config).lines[:, columns, 1]
-            result = diff_attention(variation)
-            deltas = np.diff(variation, axis=-1)
-            for pid, delta, weight, weighted in zip(
-                    map(csv_field, block.ids), deltas, result.weights,
-                    result.weighted_diff):
-                fh.write("".join([
-                    f"{pid}{label}{d!r},{w!r},{x!r}\n"
-                    for label, d, w, x in zip(
-                        labels, delta.ravel().tolist(),
-                        weight.ravel().tolist(), weighted.ravel().tolist())]))
+
+    def render(block):
+        part = normalize(cohort.take(block), stats)
+        variation = prepare_cohort(part, config).lines[:, columns, 1]
+        result = diff_attention(variation)
+        deltas = np.diff(variation, axis=-1)
+        for pid, delta, weight, weighted in zip(
+                map(csv_field, part.ids), deltas, result.weights,
+                result.weighted_diff):
+            yield "".join([
+                f"{pid}{label}{d!r},{w!r},{x!r}\n"
+                for label, d, w, x in zip(
+                    labels, delta.ravel().tolist(), weight.ravel().tolist(),
+                    weighted.ravel().tolist())])
+
+    _write_blocks(os.path.join(out, "attention.csv"),
+                  "patient_id,feature,position,delta,weight,weighted\n",
+                  len(cohort), render)
     sys.stdout.write(f"wrote attention weights for {len(cohort)} patients\n")
 
 

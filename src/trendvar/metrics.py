@@ -147,7 +147,7 @@ def _running_sum(x):
     return np.cumsum(x, axis=0)[-1] if len(x) else np.zeros(x.shape[1:])
 
 
-def trend_variation_report(values, offsets, feature_names, order):
+def trend_variation_report(values, offsets, feature_names, order, ids=None):
     """Rank features by how strongly trend and variation co-move.
 
     ``values`` (R, c) and ``offsets`` (N + 1,) hold the visit rows of N
@@ -155,7 +155,8 @@ def trend_variation_report(values, offsets, feature_names, order):
     the trend line with the variation line; report the mean |r| per
     feature, descending.  Patients whose lines are constant (or too short)
     count as undefined rather than poisoning the mean; a defined r that is
-    not finite (values that overflow) is a ``NumericError``.  Patients are
+    not finite (values that overflow) is a ``NumericError`` that names the
+    patient by its id in ``ids``, or by its place without.  Patients are
     decomposed in groups of equal visit count; the sums over patients run
     in patient order.
     """
@@ -168,7 +169,7 @@ def trend_variation_report(values, offsets, feature_names, order):
     r = np.zeros((n_patients, len(feature_names)))
     defined = np.zeros(r.shape, dtype=bool)
     for indices, lines in decompose_ragged(values, offsets, order,
-                                             feature_names):
+                                             feature_names, ids):
         if lines.shape[-1] >= 2:
             r[indices], defined[indices] = _pearson_rows(
                 lines[..., 0, :], lines[..., 1, :])
@@ -179,10 +180,12 @@ def trend_variation_report(values, offsets, feature_names, order):
     r[flat] = 0.0
     defined[flat] = False
     if not np.isfinite(r).all():
-        patient, column = np.argwhere(~np.isfinite(r))[0]
+        patient, column = np.argwhere(~np.isfinite(r))[0].tolist()
+        if ids is not None:
+            patient = ids[patient]
         raise NumericError(
             f"trend_variation_report: non-finite correlation for feature "
-            f"{feature_names[column]!r} of patient {patient}: its values "
+            f"{feature_names[column]!r} of patient {patient!r}: its values "
             f"overflow the computation"
         )
     # Undefined entries hold 0.0, so these running sums in patient order

@@ -22,9 +22,9 @@ from .model import (
     prepare,
 )
 
-# Patients per block of ``normalized_blocks``, the scoring loop of ``eval``,
-# ``inspect-attention`` and the CV test folds: bounds the activation memory
-# of scoring a large cohort.  Chosen by peak RSS of ``eval`` on 1200
+# Patients per block of ``normalized_blocks``, the scoring loop of ``eval``
+# and the CV test folds: bounds the activation memory of scoring a large
+# cohort.  Chosen by peak RSS of ``eval`` on 1200
 # patients with 8 features and about 24 visits (x86-64 Linux, numpy 2.4
 # with OpenBLAS): 46.0 / 40.6 / 38.1 / 37.4 MiB at 256 / 128 / 64 / 32.
 PREDICT_BLOCK = 64

@@ -178,11 +178,11 @@ def analysis_matrix(order, length):
     return matrix
 
 
-def _check_finite(stack, message, names):
+def _check_finite(stack, message, names, patients):
     """Reject the first non-finite entry of a (..., c, k) stack with
     ``message``, whose ``{}`` gets its coordinates: its index on the last
     axis, its feature column (named from ``names`` when given) and its
-    stack entry."""
+    stack entry, or the entry's patient from ``patients``."""
     if np.isfinite(stack).all():
         return
     *lead, index = (int(i) for i in np.argwhere(~np.isfinite(stack))[0])
@@ -190,12 +190,14 @@ def _check_finite(stack, message, names):
     if lead:
         where += (f", feature {names[lead[-1]]!r}" if names
                   else f", feature column {lead[-1]}")
-    if len(lead) > 1:
+    if patients is not None:
+        where += f" of patient {patients[lead[0]]!r}"
+    elif len(lead) > 1:
         where += f" of stack entry {tuple(lead[:-1])}"
     raise NumericError("decompose_batch: " + message.format(where))
 
 
-def decompose_batch(series, order, names=None):
+def decompose_batch(series, order, names=None, patients=None):
     """Split a stack of equal-length series, shape (..., t), at once.
 
     Returns lines of shape (..., 2, m): ``[..., 0, :]`` is the trend line and
@@ -207,6 +209,7 @@ def decompose_batch(series, order, names=None):
     because a single NaN would silently smear across 2K coefficients; the
     axis before the visit axis is reported as the feature column, as in a
     stack of transposed (c, t) visit matrices, or by its name in ``names``.
+    In an (n, c, t) stack of patients, ``patients`` names its n entries.
     Finite samples so large that a coefficient overflows are rejected the
     same way.
     """
@@ -216,7 +219,7 @@ def decompose_batch(series, order, names=None):
             f"decompose_batch: expected a (..., t) stack with t >= 1, got "
             f"shape {series.shape}"
         )
-    _check_finite(series, "non-finite value at visit {}", names)
+    _check_finite(series, "non-finite value at visit {}", names, patients)
     t = series.shape[-1]
     matrix = analysis_matrix(order, t)
     # einsum sums each output on its own, in a fixed order; a BLAS matmul
@@ -224,16 +227,17 @@ def decompose_batch(series, order, names=None):
     lines = np.einsum("rt,kt->rk", series.reshape(-1, t),
                       matrix).reshape(series.shape[:-1] + matrix.shape[:1])
     _check_finite(lines, "non-finite coefficient {}: the values overflow "
-                  "the split", names)
+                  "the split", names, patients)
     return lines.reshape(series.shape[:-1] + (2, matrix.shape[0] // 2))
 
 
-def decompose_ragged(values, offsets, order, names=None):
+def decompose_ragged(values, offsets, order, names=None, ids=None):
     """Split ragged series, one ``decompose_batch`` per distinct length.
 
     ``values`` (R, c) holds the visit rows of every patient, patient ``i``
     owning rows ``offsets[i]:offsets[i + 1]``; ``names`` names its columns
-    in error messages.  Yields ``(indices, lines)`` per distinct visit
+    and ``ids`` its patients in error messages, which otherwise give a
+    patient's place.  Yields ``(indices, lines)`` per distinct visit
     count, in order of first appearance: ``lines[k]`` is the (c, 2, m)
     split of the columns of patient ``indices[k]``.
     """
@@ -244,4 +248,8 @@ def decompose_ragged(values, offsets, order, names=None):
         indices = np.flatnonzero(lengths == t)
         # Gathered straight into (patients, c, t): one copy of the group.
         rows = offsets[indices, None, None] + np.arange(t)
-        yield indices, decompose_batch(values[rows, columns], order, names)
+        patients = indices.tolist()
+        if ids is not None:
+            patients = [ids[i] for i in patients]
+        yield indices, decompose_batch(values[rows, columns], order, names,
+                                       patients)

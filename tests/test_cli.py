@@ -5,9 +5,11 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -27,6 +29,7 @@ from trendvar.data import (
     write_cohort,
 )
 from trendvar.diff_attention import diff_attention
+from trendvar.errors import TrendvarError
 from trendvar.model import (
     ModelConfig,
     ModelParams,
@@ -868,6 +871,162 @@ def test_diagnostics_rerun_is_byte_identical(tmp_path, workspace):
             run_ok(command, "--visits", visits, *flags, "--out", out)
         assert (first / output).read_bytes() == \
             (second / output).read_bytes(), command
+
+
+# -- the diagnostics' row writer -------------------------------------------------
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _cpus(monkeypatch, cpus):
+    """Make the writer see ``cpus`` (None: no ``sched_getaffinity``) and
+    return the list that each fork appends to.  Each fork warns in the
+    parent as Python 3.12 does in a process with threads, which OpenBLAS's
+    pool makes this one; the suite turns that warning into an error."""
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+            warnings.warn(f"This process (pid={os.getpid()}) is "
+                          f"multi-threaded, use of fork() may lead to "
+                          f"deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def test_diagnostic_rows_do_not_depend_on_the_cpu_count(tmp_path, capsys,
+                                                         monkeypatch):
+    # Four and a bit blocks of patients with ragged visit counts.
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--patients", str(4 * cli._ROW_BLOCK + 7),
+                     "--features", "3", "--static-features", "2",
+                     "--mean-visits", "9", "--seed", "8",
+                     "--out", str(data)]) == 0
+    config = ModelConfig(t_max=11, n_dynamic=3, n_static=2, n_classes=3,
+                         order=3)
+    ckpt = tmp_path / "t11.ckpt"
+    save_checkpoint(ckpt, ModelParams.initialized(
+        config, np.random.default_rng(2)))
+    visits = ["--visits", str(data / "visits.csv")]
+    runs = {
+        "decomposition.csv": [
+            ["decompose", *visits, "--symlet", "5"],
+            ["decompose", *visits, "--symlet", "2", "--feature", "dyn_1"]],
+        "attention.csv": [
+            ["inspect-attention", *visits, "--checkpoint", str(ckpt)],
+            ["inspect-attention", *visits, "--checkpoint", str(ckpt),
+             "--feature", "dyn_2"]],
+    }
+    written = {}
+    for cpus, workers in ((None, 1), ({0}, 1), ({0, 1, 2, 3}, 4)):
+        with monkeypatch.context() as patch:
+            forks = _cpus(patch, cpus)
+            for output, argvs in runs.items():
+                for k, argv in enumerate(argvs):
+                    out = tmp_path / f"{output}{k}_{workers}_{cpus is None}"
+                    assert cli.main([*argv, "--out", str(out)]) == 0
+                    assert sorted(os.listdir(out)) == \
+                        sorted(["manifest.txt", output])
+                    assert _no_child_left()
+                    written.setdefault((output, k), []).append(
+                        (out / output).read_bytes())
+        assert len(forks) == 4 * (workers - 1)
+    capsys.readouterr()
+    for key, contents in written.items():
+        assert contents[0].count(b"\n") > 4 * cli._ROW_BLOCK, key
+        assert contents[1:] == contents[:1] * 2, key
+
+
+@pytest.mark.parametrize("patient", [5, cli._ROW_BLOCK + 3,
+                                     3 * cli._ROW_BLOCK + 1],
+                         ids=["parent", "worker1", "worker3"])
+def test_an_overflow_in_any_block_names_its_patient_and_leaves_nothing(
+        tmp_path, capsys, monkeypatch, patient):
+    # Block k is rendered by worker k mod 4, worker 0 being this process.
+    # The values of the bad patient's feature ``a`` overflow its split.
+    rows = []
+    for p in range(4 * cli._ROW_BLOCK):
+        for v in range(5 + p % 4):
+            a = 1.6e308 + v * 0.0125e308 if p == patient else p + v
+            rows.append(f"q{p},{v},{a!r},{v * 0.5}\n")
+    visits = tmp_path / "visits.csv"
+    visits.write_text("patient_id,visit_index,a,b\n" + "".join(rows))
+    forks = _cpus(monkeypatch, {0, 1, 2, 3})
+    out = tmp_path / "out"
+    code = cli.main(["decompose", "--visits", str(visits), "--symlet", "2",
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("numerical error: decompose_batch: non-finite "
+                          f"coefficient 0, feature 'a' of patient "
+                          f"'q{patient}': the values overflow the split"), err
+    assert len(forks) == 3
+    assert os.listdir(out) == ["manifest.txt"]
+    assert _no_child_left()
+
+
+def test_correlate_names_the_patient_whose_split_overflows(tmp_path, capsys):
+    counts = (6, 5, 5, 6)
+    (tmp_path / "v.csv").write_text("patient_id,visit_index,a,b\n" + "".join(
+        f"p{p + 1},{v},{1.7e308 if p == 3 else v!r},{v * p}\n"
+        for p, t in enumerate(counts) for v in range(t)))
+    code = cli.main(["correlate", "--visits", str(tmp_path / "v.csv"),
+                     "--symlet", "2", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "feature 'a' of patient 'p4'" in err, err
+
+
+def test_sigterm_stops_every_worker_and_leaves_no_file(tmp_path,
+                                                       monkeypatch):
+    forks = _cpus(monkeypatch, {0, 1, 2})
+    parent = os.getpid()
+
+    def render(block):
+        # This process is sent SIGTERM in its own block; the workers wait.
+        if os.getpid() == parent:
+            os.kill(parent, signal.SIGTERM)
+        time.sleep(30)
+        yield "never\n"
+
+    before = signal.getsignal(signal.SIGTERM)
+    start = time.monotonic()
+    with pytest.raises(SystemExit) as stopped:
+        cli._write_blocks(str(tmp_path / "rows.csv"), "h\n",
+                          3 * cli._ROW_BLOCK, render)
+    assert stopped.value.code == 128 + signal.SIGTERM
+    assert time.monotonic() - start < 20
+    assert len(forks) == 2
+    assert os.listdir(tmp_path) == []
+    assert _no_child_left()
+    assert signal.getsignal(signal.SIGTERM) == before
+
+
+def test_a_worker_that_dies_is_a_named_error(tmp_path, monkeypatch):
+    _cpus(monkeypatch, {0, 1})
+    parent = os.getpid()
+
+    def render(block):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield "row\n"
+
+    with pytest.raises(TrendvarError, match="worker process ended"):
+        cli._write_blocks(str(tmp_path / "rows.csv"), "h\n",
+                          2 * cli._ROW_BLOCK, render)
+    assert os.listdir(tmp_path) == []
+    assert _no_child_left()
 
 
 # -- decompose / correlate ---------------------------------------------------------

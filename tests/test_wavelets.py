@@ -188,6 +188,9 @@ def test_decompose_batch_names_a_feature_whose_coefficients_overflow():
         decompose_batch(series, 2, ("a", "b"))
     with pytest.raises(NumericError, match=r"feature column 1 of .*\(2,\)"):
         decompose_batch(np.stack([np.zeros_like(series)] * 2 + [series]), 2)
+    with pytest.raises(NumericError, match="feature 'b' of patient 'z'"):
+        decompose_batch(np.stack([np.zeros_like(series)] * 2 + [series]), 2,
+                        ("a", "b"), ("x", "y", "z"))
 
 
 def test_analysis_matrix_is_cached_and_read_only():
@@ -252,6 +255,17 @@ def test_ragged_groups_by_length_in_first_seen_order():
             np.testing.assert_array_equal(
                 split, decompose_batch(series[i], 4))
     assert list(decompose_ragged(np.zeros((0, 3)), np.zeros(1, int), 4)) == []
+
+
+def test_ragged_errors_name_the_patient_not_its_place_in_a_group():
+    values = np.arange(22.0)[:, None]
+    values[-6:] = 1.7e308  # the fourth patient, second of the 6-visit group
+    offsets = np.cumsum([0, 6, 5, 5, 6])
+    with pytest.raises(NumericError, match="of patient 3:"):
+        list(decompose_ragged(values, offsets, 2))
+    with pytest.raises(NumericError, match="of patient 'p4':"):
+        list(decompose_ragged(values, offsets, 2, ids=("p1", "p2", "p3",
+                                                        "p4")))
 
 
 def test_single_visit_is_representable():
