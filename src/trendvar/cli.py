@@ -32,7 +32,6 @@ from .data import (
     csv_field,
     load_cohort,
     load_visit_table,
-    normalize,
     synth_generate,
     write_cohort,
 )
@@ -800,9 +799,7 @@ def cmd_correlate(opts):
     symlet_filters(opts["symlet"])  # an unknown order is a config error
     cohort = _load_cohort(opts, visits_only=True)
     _write_manifest(out, "correlate", opts)
-    rows = trend_variation_report(cohort.values, cohort.offsets,
-                                  cohort.dynamic_names, opts["symlet"],
-                                  cohort.ids)
+    rows = trend_variation_report(cohort, opts["symlet"])
     path = os.path.join(out, "correlation.csv")
     with open(path, "w") as fh:
         fh.write("rank,feature,mean_abs_correlation,mean_correlation,"
@@ -824,8 +821,7 @@ def cmd_correlate(opts):
 
 def cmd_inspect_attention(opts):
     from .diff_attention import diff_attention
-    from .model import load_checkpoint
-    from .training import prepare_cohort
+    from .model import load_checkpoint, prepare
 
     out = _require_out(opts)
     if not opts.get("checkpoint"):
@@ -857,8 +853,8 @@ def cmd_inspect_attention(opts):
               for i in range(config.coeff_len - 1)]
 
     def render(block):
-        part = normalize(cohort.take(block), stats)
-        variation = prepare_cohort(part, config).lines[:, columns, 1]
+        part = cohort.take(block)
+        variation = prepare(part, stats, config).lines[:, columns, 1]
         result = diff_attention(variation)
         deltas = np.diff(variation, axis=-1)
         for pid, delta, weight, weighted in zip(

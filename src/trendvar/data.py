@@ -2,9 +2,9 @@
 
 A cohort is three CSV files joined on patient id:
 
-  visits.csv  patient_id,visit_index,<feature columns>   one row per visit
-  static.csv  patient_id,<feature columns>               one row per patient
-  labels.csv  patient_id,label                           one row per patient
+  visits.csv  patient_id,visit_index,<features>  one row per visit
+  static.csv  patient_id,<features>              one row per patient
+  labels.csv  patient_id,label                   one row per patient
 
 Visit cells may be empty (missing measurement); they are forward-filled
 within the patient and any leading gap falls back to 0.0.  All error
@@ -134,7 +134,7 @@ def _undecodable_line(path):
 
 
 def _feature_names(path, header, start):
-    """The names of a header's feature columns, from column ``start`` on;
+    """The feature names of a header, from column ``start`` on;
     a repeated name raises on line 1."""
     seen = set()
     for name in header[start:]:
@@ -171,40 +171,35 @@ def load_visit_table(path):
     if len(header) < 3 or header[0] != "patient_id" or header[1] != "visit_index":
         raise DataError(
             f"{path}:1: header must start with patient_id,visit_index and "
-            f"carry at least one feature column, got {header}"
+            f"name at least one feature, got {header}"
         )
     names = _feature_names(path, header, 2)
-    parsed = _visit_tables_by_column(path, len(names))
-    if parsed is None:
-        parsed = _visit_tables_by_row(path, rows, names)
+    records = _visit_records(path, len(names))
+    if records is None:
+        records = _visit_tables_by_row(path, rows, names)
     rows.close()
-    ids, values, offsets = parsed
+    ids, values, offsets = _visit_tables(*records)
     return Cohort(ids, values, offsets, np.zeros((len(ids), 0)),
                   np.zeros(len(ids), dtype=np.int64), names, (), 1)
 
 
-def _visit_tables_by_column(path, c):
-    """The ids, visit rows and offsets of the patients from numpy's C
-    tokenizer, or None where the row walk must decide (see
-    ``_visit_records``).
+def _visit_tables(ids, codes, visit_index, values):
+    """The ids, visit rows and offsets of the patients from the records of
+    either pass (see ``_visit_records``).
 
-    The sort and the forward fill are skipped when their result would be
-    the identity: rows that come sorted by patient and visit_index, and a
-    table without a missing cell.
+    Rows are sorted by patient and visit_index, and each missing cell takes
+    the latest present cell of its patient above it, or 0.  The sort and
+    the fill are skipped when their result would be the identity: rows
+    that come sorted by patient and visit_index, and a table without a
+    missing cell.
     """
-    parsed = _visit_records(path, c)
-    if parsed is None:
-        return None
-    ids, table = parsed
-    codes, visit_index = table["code"], table["visit_index"]
     step = np.diff(codes)
     if ((step > 0) | ((step == 0) & (np.diff(visit_index) >= 0))).all():
-        values = np.ascontiguousarray(table["values"])
+        values = np.ascontiguousarray(values)
     else:
         # Stable: rows of one patient with equal visit_index keep file order.
-        values = table["values"][np.lexsort((visit_index, codes))]
+        values = values[np.lexsort((visit_index, codes))]
     counts = np.bincount(codes, minlength=len(ids))
-    del table, codes, visit_index
     offsets = np.concatenate([[0], np.cumsum(counts)])
     present = ~np.isnan(values)
     if present.all():
@@ -219,8 +214,9 @@ def _visit_tables_by_column(path, c):
 
 
 def _visit_records(path, c, cell=None):
-    r"""The ids in first-seen order and the (code, visit_index, values)
-    records of the rows below the header of visits.csv, or None.
+    r"""The ids in first-seen order and the codes (places in the ids),
+    visit_index and values of the rows below the header of visits.csv, a
+    missing cell NaN; or None where the row walk must decide.
 
     ``cell`` converts the feature cells; None parses them in C, and a file
     whose first failing cell is an empty feature cell is read again with
@@ -267,7 +263,8 @@ def _visit_records(path, c, cell=None):
             or (cell is None and not np.isfinite(table["values"]).all())
             or longest * (lines - len(table) + 1) > csv.field_size_limit()):
         return None
-    return tuple(first_seen), table
+    return (tuple(first_seen), table["code"], table["visit_index"],
+            table["values"])
 
 
 # How np.loadtxt reports an empty cell of a float64 field.
@@ -285,13 +282,16 @@ def _cell_or_nan(text):
 
 
 def _visit_tables_by_row(path, rows, names):
-    """The ids, visit rows and offsets of the patients, row by row, raising
-    the first problem by line.
+    """What ``_visit_records`` returns, read row by row, raising the first
+    problem by line.
 
-    ``rows`` yields ``(line_no, cells)`` after the header.
+    ``rows`` yields ``(line_no, cells)`` after the header.  The visit
+    indices stay Python ints, so one beyond int64, which the numpy pass
+    leaves to this walk, still sorts.
     """
     width = len(names) + 2
-    per_patient = {}
+    first_seen = {}
+    codes, visit_index, values = [], [], []
     for line_no, row in rows:
         if not row:
             continue
@@ -303,30 +303,18 @@ def _visit_tables_by_row(path, rows, names):
         if not pid:
             raise DataError(f"{path}:{line_no}: empty patient id")
         try:
-            visit_index = int(row[1])
+            visit_index.append(int(row[1]))
         except ValueError:
             raise DataError(
                 f"{path}:{line_no}: column visit_index: not an integer: "
                 f"{row[1]!r}"
             ) from None
-        values = []
-        for name, cell in zip(names, row[2:]):
-            if cell == "":
-                values.append(None)
-            else:
-                values.append(_parse_float(path, line_no, name, cell))
-        per_patient.setdefault(pid, []).append((visit_index, values))
-    offsets = np.cumsum([0] + [len(e) for e in per_patient.values()])
-    matrix = np.zeros((offsets[-1], len(names)))
-    for start, entries in zip(offsets.tolist(), per_patient.values()):
-        entries.sort(key=lambda e: e[0])
-        for j in range(len(names)):
-            last = 0.0
-            for i, (_, values) in enumerate(entries):
-                if values[j] is not None:
-                    last = values[j]
-                matrix[start + i, j] = last
-    return tuple(per_patient), matrix, offsets
+        values.extend(_parse_float(path, line_no, name, cell) if cell
+                      else np.nan for name, cell in zip(names, row[2:]))
+        codes.append(first_seen.setdefault(pid, len(first_seen)))
+    return (tuple(first_seen), np.array(codes, dtype=np.intp),
+            np.array(visit_index, dtype=object),
+            np.array(values).reshape(len(codes), len(names)))
 
 
 def _patient_rows(path, rows, width):
@@ -352,8 +340,8 @@ def _load_static_table(path):
     _, header = next(rows)
     if len(header) < 2 or header[0] != "patient_id":
         raise DataError(
-            f"{path}:1: header must start with patient_id and carry at "
-            f"least one feature column, got {header}"
+            f"{path}:1: header must start with patient_id and name at "
+            f"least one feature, got {header}"
         )
     names = _feature_names(path, header, 1)
     table = {

@@ -147,46 +147,39 @@ def _running_sum(x):
     return np.cumsum(x, axis=0)[-1] if len(x) else np.zeros(x.shape[1:])
 
 
-def trend_variation_report(values, offsets, feature_names, order, ids=None):
-    """Rank features by how strongly trend and variation co-move.
+def trend_variation_report(cohort, order):
+    """Rank the dynamic features of ``cohort`` by how strongly trend and
+    variation co-move.
 
-    ``values`` (R, c) and ``offsets`` (N + 1,) hold the visit rows of N
-    patients, as in a ``Cohort``.  For every patient and feature, correlate
-    the trend line with the variation line; report the mean |r| per
-    feature, descending.  Patients whose lines are constant (or too short)
-    count as undefined rather than poisoning the mean; a defined r that is
-    not finite (values that overflow) is a ``NumericError`` that names the
-    patient by its id in ``ids``, or by its place without.  Patients are
-    decomposed in groups of equal visit count; the sums over patients run
-    in patient order.
+    For every patient and feature, correlate the trend line with the
+    variation line; report the mean |r| per feature, descending.  Patients
+    whose lines are constant (or too short) count as undefined rather than
+    poisoning the mean; a defined r that is not finite (values that
+    overflow) is a ``NumericError`` that names the patient and feature.
+    Patients are decomposed in groups of equal visit count; the sums over
+    patients run in patient order.
     """
-    if values.shape[1] != len(feature_names):
-        raise DataError(
-            f"trend_variation_report: matrix has {values.shape[1]} "
-            f"columns for {len(feature_names)} features"
-        )
-    n_patients = offsets.shape[0] - 1
+    feature_names = cohort.dynamic_names
+    n_patients = len(cohort)
     r = np.zeros((n_patients, len(feature_names)))
     defined = np.zeros(r.shape, dtype=bool)
-    for indices, lines in decompose_ragged(values, offsets, order,
-                                             feature_names, ids):
+    for indices, lines in decompose_ragged(cohort, order):
         if lines.shape[-1] >= 2:
             r[indices], defined[indices] = _pearson_rows(
                 lines[..., 0, :], lines[..., 1, :])
     # A constant series has constant lines in exact arithmetic, but the
     # matrix product leaves them roundoff apart: test the series itself.
-    flat = np.maximum.reduceat(values, offsets[:-1]) \
-        == np.minimum.reduceat(values, offsets[:-1])
+    starts = cohort.offsets[:-1]
+    flat = np.maximum.reduceat(cohort.values, starts) \
+        == np.minimum.reduceat(cohort.values, starts)
     r[flat] = 0.0
     defined[flat] = False
     if not np.isfinite(r).all():
         patient, column = np.argwhere(~np.isfinite(r))[0].tolist()
-        if ids is not None:
-            patient = ids[patient]
         raise NumericError(
             f"trend_variation_report: non-finite correlation for feature "
-            f"{feature_names[column]!r} of patient {patient!r}: its values "
-            f"overflow the computation"
+            f"{feature_names[column]!r} of patient {cohort.ids[patient]!r}: "
+            f"its values overflow the computation"
         )
     # Undefined entries hold 0.0, so these running sums in patient order
     # equal the left-to-right sums over the defined ones.

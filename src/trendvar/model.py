@@ -9,9 +9,9 @@ A batch of N patients flows through as:
   variation lines -> difference attention -> pooled h_var   (optional)
   logits = W1 h_st + W2 h_dy [+ W3 h_var] + b -> softmax
 
-The decomposition and the attention stage have no trainable inputs, so
-``prepare`` runs them once per cohort.  ``forward`` and ``backward`` are one
-closed-form pass each over the whole batch.
+The z-scoring, the decomposition and the attention stage have no trainable
+inputs, so ``prepare`` runs them once per cohort.  ``forward`` and
+``backward`` are one closed-form pass each over the whole batch.
 
 Every stage can be switched off by ablation flags except the head itself;
 disabled stages contribute nothing (their weights do not even exist).
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import FeatureStats, normalize, pad_to_length
 from .diff_attention import diff_attention, pool_features, softmax
 from .dilated import (
     DEFAULT_DILATIONS,
@@ -135,11 +136,7 @@ class ModelConfig:
 
     @property
     def map_rows(self):
-        if self.flags.use_correlation:
-            return 2
-        if self.flags.use_trend and self.flags.use_variation:
-            return 2
-        return 1
+        return 2 if self.flags.use_trend and self.flags.use_variation else 1
 
     @property
     def map_cols(self):
@@ -277,42 +274,40 @@ class PreparedBatch:
         )
 
 
-def prepare(visits, static, labels, config):
-    """Decompose a padded, normalized cohort into a ``PreparedBatch``.
+def prepare(cohort, stats, config):
+    """A raw ``Cohort`` z-scored with ``stats``, padded to the model's
+    ``t_max`` and decomposed into a ``PreparedBatch``.
 
-    ``visits`` is (N, t_max, c), ``static`` (N, s) and ``labels`` (N,).
+    Training, scoring and ``inspect-attention`` all prepare through here,
+    so each sees a patient as the others do.  A split that overflows names
+    its patient and feature.
     """
-    visits = np.asarray(visits, dtype=np.float64)
-    static = np.asarray(static, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if visits.ndim != 3 or visits.shape[1:] != (config.t_max,
-                                                config.n_dynamic):
+    widths = (cohort.values.shape[1], cohort.static.shape[1])
+    if widths != (config.n_dynamic, config.n_static):
         raise ConfigError(
-            f"prepare: visits shape {visits.shape} does not match model "
-            f"(N, {config.t_max}, {config.n_dynamic})"
+            f"prepare: the cohort has {widths[0]} dynamic and {widths[1]} "
+            f"static features, the model {config.n_dynamic} and "
+            f"{config.n_static}"
         )
-    n = visits.shape[0]
-    if static.shape != (n, config.n_static):
-        raise ConfigError(
-            f"prepare: static shape {static.shape} does not match model "
-            f"({n}, {config.n_static})"
-        )
-    if labels.shape != (n,):
-        raise ConfigError(
-            f"prepare: {n} patients but labels of shape {labels.shape}"
-        )
-    if n and (labels.min() < 0 or labels.max() >= config.n_classes):
+    labels = cohort.labels
+    if len(cohort) and (labels.min() < 0 or labels.max() >= config.n_classes):
         raise ConfigError(
             f"prepare: labels outside 0..{config.n_classes - 1}"
         )
-    if not np.all(np.isfinite(static)):
-        raise NumericError("prepare: non-finite static feature")
-    lines = decompose_batch(np.swapaxes(visits, 1, 2), config.order)
+    cohort = normalize(cohort, stats)
+    finite = np.isfinite(cohort.static).all(axis=1)
+    if not finite.all():
+        raise NumericError(
+            f"prepare: non-finite static feature of patient "
+            f"{cohort.ids[np.argmin(finite)]!r}")
+    visits = pad_to_length(cohort, config.t_max)
+    lines = decompose_batch(np.swapaxes(visits, 1, 2), config.order,
+                            cohort.dynamic_names, cohort.ids)
     h_variation = None
     if config.flags.use_diff_attention:
         h_variation = pool_features(
             diff_attention(lines[:, :, 1]).weighted_diff)
-    return PreparedBatch(config, lines, static, labels, h_variation)
+    return PreparedBatch(config, lines, cohort.static, labels, h_variation)
 
 
 # The head's ``h @ W.T`` as an einsum, which sums each output on its own: a
@@ -642,7 +637,6 @@ def load_checkpoint(path):
         )
     stats = None
     if reader.u8():
-        from .data import FeatureStats
         stats = FeatureStats(
             dynamic_mean=reader.array(), dynamic_std=reader.array(),
             static_mean=reader.array(), static_std=reader.array(),

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import compute_stats, normalize, pad_to_length
+from .data import compute_stats
 from .errors import ConfigError, DataError, NumericError
 from .metrics import macro_one_vs_rest
 from .model import (
@@ -22,11 +22,11 @@ from .model import (
     prepare,
 )
 
-# Patients per block of ``normalized_blocks``, the scoring loop of ``eval``
-# and the CV test folds: bounds the activation memory of scoring a large
-# cohort.  Chosen by peak RSS of ``eval`` on 1200
-# patients with 8 features and about 24 visits (x86-64 Linux, numpy 2.4
-# with OpenBLAS): 46.0 / 40.6 / 38.1 / 37.4 MiB at 256 / 128 / 64 / 32.
+# Patients per block of ``predict_probs``, the scoring loop of ``eval`` and
+# the CV test folds: bounds the activation memory of scoring a large cohort.
+# Chosen by peak RSS of ``eval`` on 1200 patients with 8 features and about
+# 24 visits (x86-64 Linux, numpy 2.4 with OpenBLAS): 46.0 / 40.6 / 38.1 /
+# 37.4 MiB at 256 / 128 / 64 / 32.
 PREDICT_BLOCK = 64
 
 # Adam's decay rates and offset: Kingma & Ba's (2015) defaults.
@@ -133,25 +133,19 @@ def train(batch, params, train_config):
     return losses, state
 
 
-def normalized_blocks(cohort, stats):
-    """``cohort`` z-scored with ``stats``, in slices of ``PREDICT_BLOCK``
-    patients: scoring holds one slice's arrays at once."""
-    for start in range(0, len(cohort), PREDICT_BLOCK):
-        yield normalize(cohort.take(slice(start, start + PREDICT_BLOCK)),
-                        stats)
-
-
 def predict_probs(cohort, stats, params):
     """The (N, d) class probabilities of a raw cohort under ``params``,
-    prepared and forwarded one ``normalized_blocks`` block at a time.
+    prepared with ``stats`` and forwarded ``PREDICT_BLOCK`` patients at a
+    time.
 
     Finite but huge parameters (a diverged fit) can overflow the forward
     pass: a non-finite probability is a numerical error, not a score.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         probs = np.concatenate([
-            forward(prepare_cohort(block, params.config), params).probs
-            for block in normalized_blocks(cohort, stats)])
+            forward(prepare(cohort.take(slice(start, start + PREDICT_BLOCK)),
+                            stats, params.config), params).probs
+            for start in range(0, len(cohort), PREDICT_BLOCK)])
     bad = ~np.isfinite(probs).all(axis=1)
     if bad.any():
         raise NumericError(
@@ -160,13 +154,6 @@ def predict_probs(cohort, stats, params):
             f"the forward pass"
         )
     return probs
-
-
-def prepare_cohort(cohort, config):
-    """Prepared batch of every patient of a normalized cohort, padded to the
-    model's ``t_max``."""
-    return prepare(pad_to_length(cohort, config.t_max), cohort.static,
-                   cohort.labels, config)
 
 
 @dataclass
@@ -222,8 +209,8 @@ def run_fold(cohort, config, train_config, fold, test_indices):
     params = ModelParams.initialized(config, fold_seed_rng)
     fold_train_config = replace(
         train_config, seed=int(fold_seed_rng.integers(0, 2 ** 31 - 1)))
-    epoch_log, _ = train(prepare_cohort(normalize(train_part, stats), config),
-                         params, fold_train_config)
+    epoch_log, _ = train(prepare(train_part, stats, config), params,
+                         fold_train_config)
     probs = predict_probs(cohort.take(test_indices), stats, params)
     return FoldResult(fold, stats, params, epoch_log,
                       macro_one_vs_rest(probs, cohort.labels[test_indices]))

@@ -178,48 +178,38 @@ def analysis_matrix(order, length):
     return matrix
 
 
-def _check_finite(stack, message, names, patients):
-    """Reject the first non-finite entry of a (..., c, k) stack with
-    ``message``, whose ``{}`` gets its coordinates: its index on the last
-    axis, its feature column (named from ``names`` when given) and its
-    stack entry, or the entry's patient from ``patients``."""
+def _check_finite(stack, message, names, ids):
+    """Reject the first non-finite entry of an (n, c, k) stack with
+    ``message``, whose ``{}`` gets its place: its index on the last axis,
+    its feature from ``names`` and its patient from ``ids``."""
     if np.isfinite(stack).all():
         return
-    *lead, index = (int(i) for i in np.argwhere(~np.isfinite(stack))[0])
-    where = str(index)
-    if lead:
-        where += (f", feature {names[lead[-1]]!r}" if names
-                  else f", feature column {lead[-1]}")
-    if patients is not None:
-        where += f" of patient {patients[lead[0]]!r}"
-    elif len(lead) > 1:
-        where += f" of stack entry {tuple(lead[:-1])}"
-    raise NumericError("decompose_batch: " + message.format(where))
+    patient, feature, index = np.argwhere(~np.isfinite(stack))[0].tolist()
+    raise NumericError("decompose_batch: " + message.format(
+        f"{index}, feature {names[feature]!r} of patient {ids[patient]!r}"))
 
 
-def decompose_batch(series, order, names=None, patients=None):
-    """Split a stack of equal-length series, shape (..., t), at once.
+def decompose_batch(series, order, names, ids):
+    """Split an (n, c, t) stack of series at once: ``names`` names its c
+    features and ``ids`` its n patients.
 
-    Returns lines of shape (..., 2, m): ``[..., 0, :]`` is the trend line and
-    ``[..., 1, :]`` the variation line of each series, as ``decompose``
+    Returns lines of shape (n, c, 2, m): ``[..., 0, :]`` is the trend line
+    and ``[..., 1, :]`` the variation line of each series, as ``decompose``
     gives them up to roundoff, from one product with ``analysis_matrix``.
     Each series' lines are bit for bit the same whatever else is stacked
     with it.
-    Non-finite samples are rejected up front with their coordinates,
-    because a single NaN would silently smear across 2K coefficients; the
-    axis before the visit axis is reported as the feature column, as in a
-    stack of transposed (c, t) visit matrices, or by its name in ``names``.
-    In an (n, c, t) stack of patients, ``patients`` names its n entries.
-    Finite samples so large that a coefficient overflows are rejected the
-    same way.
+    Non-finite samples are rejected up front with their visit, feature and
+    patient, because a single NaN would silently smear across 2K
+    coefficients.  Finite samples so large that a coefficient overflows
+    are rejected the same way.
     """
     series = np.asarray(series, dtype=np.float64)
-    if series.ndim < 1 or series.shape[-1] < 1:
+    if series.ndim != 3 or series.shape[-1] < 1:
         raise ConfigError(
-            f"decompose_batch: expected a (..., t) stack with t >= 1, got "
+            f"decompose_batch: expected an (n, c, t) stack with t >= 1, got "
             f"shape {series.shape}"
         )
-    _check_finite(series, "non-finite value at visit {}", names, patients)
+    _check_finite(series, "non-finite value at visit {}", names, ids)
     t = series.shape[-1]
     matrix = analysis_matrix(order, t)
     # einsum sums each output on its own, in a fixed order; a BLAS matmul
@@ -227,29 +217,26 @@ def decompose_batch(series, order, names=None, patients=None):
     lines = np.einsum("rt,kt->rk", series.reshape(-1, t),
                       matrix).reshape(series.shape[:-1] + matrix.shape[:1])
     _check_finite(lines, "non-finite coefficient {}: the values overflow "
-                  "the split", names, patients)
+                  "the split", names, ids)
     return lines.reshape(series.shape[:-1] + (2, matrix.shape[0] // 2))
 
 
-def decompose_ragged(values, offsets, order, names=None, ids=None):
-    """Split ragged series, one ``decompose_batch`` per distinct length.
+def decompose_ragged(cohort, order):
+    """Split the visits of every patient of ``cohort``, one
+    ``decompose_batch`` per distinct visit count.
 
-    ``values`` (R, c) holds the visit rows of every patient, patient ``i``
-    owning rows ``offsets[i]:offsets[i + 1]``; ``names`` names its columns
-    and ``ids`` its patients in error messages, which otherwise give a
-    patient's place.  Yields ``(indices, lines)`` per distinct visit
-    count, in order of first appearance: ``lines[k]`` is the (c, 2, m)
-    split of the columns of patient ``indices[k]``.
+    Yields ``(indices, lines)`` per distinct visit count, in order of first
+    appearance: ``lines[k]`` is the (c, 2, m) split of the dynamic features
+    of patient ``indices[k]``.
     """
+    offsets = cohort.offsets
     lengths = np.diff(offsets)
     _, first = np.unique(lengths, return_index=True)
-    columns = np.arange(values.shape[1])[:, None]
+    columns = np.arange(cohort.n_dynamic)[:, None]
     for t in lengths[np.sort(first)].tolist():
         indices = np.flatnonzero(lengths == t)
         # Gathered straight into (patients, c, t): one copy of the group.
         rows = offsets[indices, None, None] + np.arange(t)
-        patients = indices.tolist()
-        if ids is not None:
-            patients = [ids[i] for i in patients]
-        yield indices, decompose_batch(values[rows, columns], order, names,
-                                       patients)
+        yield indices, decompose_batch(
+            cohort.values[rows, columns], order, cohort.dynamic_names,
+            [cohort.ids[i] for i in indices.tolist()])

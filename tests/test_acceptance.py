@@ -14,8 +14,9 @@ import time
 
 import numpy as np
 
+from cohorts import prepare_arrays
 from gradcheck import finite_diff_check
-from trendvar.data import SynthSpec, compute_stats, normalize, synth_generate
+from trendvar.data import SynthSpec, compute_stats, synth_generate
 from trendvar.diff_attention import diff_attention
 from trendvar.dilated import conv_branch
 from trendvar.metrics import auprc_binary, auroc_binary, macro_one_vs_rest
@@ -28,12 +29,7 @@ from trendvar.model import (
     forward,
     prepare,
 )
-from trendvar.training import (
-    TrainConfig,
-    predict_probs,
-    prepare_cohort,
-    train,
-)
+from trendvar.training import TrainConfig, predict_probs, train
 from trendvar.wavelets import (
     MAX_ORDER,
     MIN_ORDER,
@@ -213,8 +209,9 @@ def test_criterion_05_gradient_audit_all_configs():
         params = ModelParams.initialized(config, rng)
         drawn = [(rng.normal(size=(10, 2)), rng.normal(size=2))
                  for _ in range(2)]
-        batch = prepare(np.stack([v for v, _ in drawn]),
-                        np.stack([s for _, s in drawn]), [0, 2], config)
+        batch = prepare_arrays(np.stack([v for v, _ in drawn]),
+                               np.stack([s for _, s in drawn]), [0, 2],
+                               config)
         def loss_fn():
             return cross_entropy(forward(batch, params).probs, batch.labels)
 
@@ -288,8 +285,7 @@ def learning_trial(seed):
                          order=6)
     stats = compute_stats(cohort.take(train_idx))
     params = ModelParams.initialized(config, np.random.default_rng(seed + 1))
-    train(prepare_cohort(normalize(cohort.take(train_idx), stats), config),
-          params,
+    train(prepare(cohort.take(train_idx), stats, config), params,
           TrainConfig(learning_rate=1e-4, batch_size=64, epochs=50,
                       seed=seed))
     probs = predict_probs(cohort.take(test_idx), stats, params)
@@ -330,8 +326,7 @@ def ablation_trial(seed, preset):
                          order=6, flags=ABLATION_PRESETS[preset])
     stats = compute_stats(cohort.take(train_idx))
     params = ModelParams.initialized(config, np.random.default_rng(seed + 1))
-    train(prepare_cohort(normalize(cohort.take(train_idx), stats), config),
-          params,
+    train(prepare(cohort.take(train_idx), stats, config), params,
           TrainConfig(learning_rate=1e-3, batch_size=32, epochs=40,
                       seed=seed))
     probs = predict_probs(cohort.take(test_idx), stats, params)

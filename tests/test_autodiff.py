@@ -11,6 +11,7 @@ that uses the operation and the parameters whose gradient passes through it.
 import numpy as np
 import pytest
 
+from cohorts import prepare_arrays
 from gradcheck import finite_diff_check
 from trendvar.diff_attention import softmax
 from trendvar.dilated import (
@@ -26,14 +27,14 @@ from trendvar.model import (
     backward,
     cross_entropy,
     forward,
-    prepare,
 )
 
 
 def small_batch(config, rng, n=3):
     labels = rng.integers(0, config.n_classes, size=n)
-    return prepare(rng.normal(size=(n, config.t_max, config.n_dynamic)),
-                   rng.normal(size=(n, config.n_static)), labels, config)
+    return prepare_arrays(
+        rng.normal(size=(n, config.t_max, config.n_dynamic)),
+        rng.normal(size=(n, config.n_static)), labels, config)
 
 
 def loss_and_grads(batch, params):
@@ -80,7 +81,8 @@ def test_softmax_cross_entropy_gradient_closed_form():
                          order=2, flags=ABLATION_PRESETS["A4"])
     params = ModelParams(config)
     params.out_bias[...] = [0.2, -0.4, 1.1]
-    batch = prepare(np.zeros((2, 8, 2)), np.zeros((2, 2)), [1, 1], config)
+    batch = prepare_arrays(np.zeros((2, 8, 2)), np.zeros((2, 2)), [1, 1],
+                           config)
     _, grads = loss_and_grads(batch, params)
     z = params.out_bias
     p = np.exp(z - z.max())
@@ -217,8 +219,8 @@ def test_shape_mismatch_names_primitive_and_shapes():
     config = ModelConfig(t_max=8, n_dynamic=2, n_static=2, n_classes=2,
                          order=2)
     with pytest.raises(ConfigError,
-                       match=r"prepare: visits shape \(1, 7, 2\)"):
-        prepare(np.zeros((1, 7, 2)), np.zeros((1, 2)), [0], config)
+                       match="prepare: the cohort has 3 dynamic and 2 static"):
+        prepare_arrays(np.zeros((1, 8, 3)), np.zeros((1, 2)), [0], config)
 
     with pytest.raises(ShapeMismatchError, match="at least"):
         conv_branch(np.ones((2, 3)), np.ones((2, 2, 2)), np.ones(2), 5)

@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 
 from trendvar import cli
 from trendvar.data import (
+    FeatureStats,
     compute_stats,
     load_cohort,
-    normalize,
     synth_generate,
     write_cohort,
 )
@@ -35,9 +35,10 @@ from trendvar.model import (
     ModelParams,
     ablation_from_name,
     load_checkpoint,
+    prepare,
     save_checkpoint,
 )
-from trendvar.training import predict_probs, prepare_cohort
+from trendvar.training import predict_probs
 
 
 def run_cli(*args):
@@ -988,6 +989,42 @@ def test_correlate_names_the_patient_whose_split_overflows(tmp_path, capsys):
     assert "feature 'a' of patient 'p4'" in err, err
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "inspect-attention"])
+def test_every_command_names_the_patient_whose_split_overflows(
+        tmp_path, capsys, command):
+    # Feature a alternates -1, 1 (mean 0, std 1) but for patient q66, whose
+    # a of 1.7e308 stays finite under those stats and the checkpoint's,
+    # and overflows the split.  Seed 0 holds q66 out of fold 0, so train
+    # scores it with the stats of the others.
+    (tmp_path / "visits.csv").write_text(
+        "patient_id,visit_index,a,b\n" + "".join(
+            f"q{p},{v},{1.7e308 if p == 66 else (-1.0) ** (v + 1)!r},"
+            f"{v * 0.5!r}\n" for p in range(70) for v in range(4)))
+    (tmp_path / "static.csv").write_text(
+        "patient_id,s\n" + "".join(f"q{p},{p % 3}\n" for p in range(70)))
+    (tmp_path / "labels.csv").write_text(
+        "patient_id,label\n" + "".join(f"q{p},{p % 2}\n" for p in range(70)))
+    config = ModelConfig(t_max=4, n_dynamic=2, n_static=1, n_classes=2,
+                         order=4)
+    save_checkpoint(tmp_path / "m.ckpt",
+                    ModelParams.initialized(config, np.random.default_rng(0)),
+                    FeatureStats(np.zeros(2), np.ones(2), np.zeros(1),
+                                 np.ones(1)))
+    argv = [command, "--visits", str(tmp_path / "visits.csv"),
+            "--out", str(tmp_path / "out")]
+    if command != "inspect-attention":
+        argv += ["--static", str(tmp_path / "static.csv"),
+                 "--labels", str(tmp_path / "labels.csv")]
+    if command == "train":
+        argv += ["--symlet", "4", "--folds", "2", "--epochs", "1"]
+    else:
+        argv += ["--checkpoint", str(tmp_path / "m.ckpt")]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "feature 'a' of patient 'q66'" in err, err
+
+
 def test_sigterm_stops_every_worker_and_leaves_no_file(tmp_path,
                                                        monkeypatch):
     forks = _cpus(monkeypatch, {0, 1, 2})
@@ -1116,8 +1153,7 @@ def test_inspect_attention_shows_what_the_model_saw(tmp_path, workspace):
     bundle = load_checkpoint(ckpt)
     cohort = load_cohort(d / "visits.csv", d / "static.csv",
                          d / "labels.csv")
-    batch = prepare_cohort(normalize(cohort, bundle.stats),
-                           bundle.params.config)
+    batch = prepare(cohort, bundle.stats, bundle.params.config)
     weights = diff_attention(batch.lines[:, :, 1]).weights
     expected = {(pid, name, str(i)): repr(w)
                 for pid, per_feature in zip(cohort.ids, weights.tolist())
@@ -1163,9 +1199,9 @@ def test_sweep_covers_every_order(tmp_path, workspace):
 
 _CORE = ["trendvar", "trendvar.cli", "trendvar.data", "trendvar.errors"]
 _WAVELETS = ["trendvar._symlet_coeffs", "trendvar.wavelets"]
-_EVERY_MODULE = sorted(_CORE + _WAVELETS + [
-    "trendvar.diff_attention", "trendvar.dilated", "trendvar.metrics",
-    "trendvar.model", "trendvar.training"])
+_MODEL = sorted(_CORE + _WAVELETS + [
+    "trendvar.diff_attention", "trendvar.dilated", "trendvar.model"])
+_EVERY_MODULE = sorted(_MODEL + ["trendvar.metrics", "trendvar.training"])
 
 # Runs ``main`` as the console script does and reports, as its last line of
 # stderr, the trendvar modules loaded and whether numpy.ma is among them.
@@ -1192,7 +1228,7 @@ _IMPORT_CASES = [
       "{data}/static.csv", "--labels", "{data}/labels.csv",
       "--checkpoint", "{train}/fold0.ckpt"], _EVERY_MODULE),
     (["inspect-attention", "--visits", "{data}/visits.csv",
-      "--checkpoint", "{train}/fold0.ckpt"], _EVERY_MODULE),
+      "--checkpoint", "{train}/fold0.ckpt"], _MODEL),
     (["sweep-symlets", "--synth", "default", "--tmax", "8", "--folds", "2",
       "--epochs", "0"], _EVERY_MODULE),
 ]

@@ -5,6 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from cohorts import prepare_arrays
 from gradcheck import finite_diff_check
 from trendvar.diff_attention import (
     attention_weights,
@@ -20,7 +21,6 @@ from trendvar.model import (
     backward,
     cross_entropy,
     forward,
-    prepare,
 )
 
 
@@ -161,8 +161,8 @@ def test_gradient_through_attention_matches_finite_differences():
     rng = np.random.default_rng(12)
     params = ModelParams.initialized(config, rng)
     labels = np.array([0, 1, 2, 1])
-    batch = prepare(rng.normal(size=(4, 8, 2)), rng.normal(size=(4, 2)),
-                    labels, config)
+    batch = prepare_arrays(rng.normal(size=(4, 8, 2)),
+                           rng.normal(size=(4, 2)), labels, config)
 
     def loss_fn():
         return cross_entropy(forward(batch, params).probs, labels)

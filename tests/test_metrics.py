@@ -8,6 +8,7 @@ library's rank/streaming implementations.
 import numpy as np
 import pytest
 
+from cohorts import cohort_of
 from pearson import pearson
 from trendvar.data import SynthSpec, synth_generate
 from trendvar.errors import DataError
@@ -244,8 +245,7 @@ def test_report_ranks_coupled_feature_above_noise():
         mean_visits=14.0, seed=11,
     )
     cohort = synth_generate(spec)
-    rows = trend_variation_report(cohort.values, cohort.offsets,
-                                  cohort.dynamic_names, order=2)
+    rows = trend_variation_report(cohort, order=2)
     assert [r.feature for r in rows][0] == "dyn_0"
     assert rows[0].mean_abs_correlation > rows[1].mean_abs_correlation
     assert rows[0].n_defined == 12
@@ -256,8 +256,8 @@ def test_report_counts_undefined_patients():
     flat = np.column_stack([np.full(10, 2.0), np.linspace(0.0, 1.0, 10)])
     live = np.column_stack([np.sin(np.arange(10.0)),
                             np.linspace(1.0, 0.0, 10)])
-    rows = trend_variation_report(np.concatenate([flat, live]),
-                                  np.array([0, 10, 20]), ("a", "b"), order=2)
+    rows = trend_variation_report(cohort_of([flat, live], names=("a", "b")),
+                                  order=2)
     by_name = {r.feature: r for r in rows}
     assert by_name["a"].n_undefined == 1  # the constant column
     assert by_name["a"].n_defined == 1
@@ -272,9 +272,8 @@ def test_report_matches_a_per_patient_pearson_loop():
         if k % 5 == 0:
             matrix[:, 1] = 0.5  # a constant column: undefined
         tables[f"p{k}"] = matrix
-    offsets = np.cumsum([0] + [m.shape[0] for m in tables.values()])
-    rows = trend_variation_report(np.concatenate(list(tables.values())),
-                                  offsets, ("a", "b", "c"), order=3)
+    rows = trend_variation_report(
+        cohort_of(list(tables.values()), names=("a", "b", "c")), order=3)
     for j, row in enumerate(sorted(rows, key=lambda r: r.feature)):
         rs = []
         for matrix in tables.values():
@@ -288,9 +287,3 @@ def test_report_matches_a_per_patient_pearson_loop():
         assert row.mean_correlation == pytest.approx(np.mean(rs), abs=1e-12)
         assert row.mean_abs_correlation == pytest.approx(
             np.mean(np.abs(rs)), abs=1e-12)
-
-
-def test_report_rejects_column_mismatch():
-    with pytest.raises(DataError, match="3 columns for 2 features"):
-        trend_variation_report(np.zeros((5, 3)), np.array([0, 5]),
-                               ("x", "y"), order=2)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohorts import cohort_of, prepare_arrays, unit_stats
 from gradcheck import finite_diff_check
 from trendvar.data import FeatureStats
 from trendvar.errors import ConfigError, NumericError
@@ -48,7 +49,7 @@ def make_batch(config, rng, n=1, labels=None):
     static = rng.normal(size=(n, config.n_static))
     if labels is None:
         labels = np.zeros(n, dtype=np.int64)
-    return prepare(visits, static, labels, config), visits, static
+    return prepare_arrays(visits, static, labels, config), visits, static
 
 
 # -- head pieces ------------------------------------------------------------
@@ -267,15 +268,18 @@ def test_params_copy_is_deep():
 def test_prepare_sample_shape_checks():
     config = small_config()
     rng = np.random.default_rng(0)
-    with pytest.raises(ConfigError, match="visits shape"):
-        prepare(rng.normal(size=(1, 7, 2)), np.zeros((1, 3)), [0], config)
-    with pytest.raises(ConfigError, match="static shape"):
-        prepare(rng.normal(size=(1, 8, 2)), np.zeros((1, 4)), [0], config)
+    with pytest.raises(ConfigError, match="3 dynamic and 3 static"):
+        prepare_arrays(rng.normal(size=(1, 8, 3)), np.zeros((1, 3)), [0],
+                       config)
+    with pytest.raises(ConfigError, match="2 dynamic and 4 static"):
+        prepare(cohort_of(rng.normal(size=(1, 8, 2)), np.zeros((1, 4))),
+                unit_stats(2, 3), config)
     with pytest.raises(ConfigError, match="labels"):
-        prepare(rng.normal(size=(1, 8, 2)), np.zeros((1, 3)), [2], config)
+        prepare_arrays(rng.normal(size=(1, 8, 2)), np.zeros((1, 3)), [2],
+                       config)
     with pytest.raises(NumericError, match="non-finite static"):
-        prepare(rng.normal(size=(1, 8, 2)),
-                np.array([[0.0, np.nan, 1.0]]), [0], config)
+        prepare_arrays(rng.normal(size=(1, 8, 2)),
+                       np.array([[0.0, np.nan, 1.0]]), [0], config)
 
 
 # -- full forward pass ------------------------------------------------------
@@ -414,7 +418,7 @@ def test_trend_only_sees_level_but_variation_only_does_not():
     def probs_for(config, level):
         params = ModelParams.initialized(config, np.random.default_rng(9))
         visits = np.full((1, config.t_max, config.n_dynamic), level)
-        batch = prepare(visits, static, [0], config)
+        batch = prepare_arrays(visits, static, [0], config)
         return forward(batch, params).probs[0]
 
     trend_cfg = small_config(flags=ABLATION_PRESETS["A1"])

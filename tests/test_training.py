@@ -5,17 +5,17 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from cohorts import prepare_raw
 from trendvar import training
 from trendvar.data import (
     Cohort,
     SynthSpec,
     compute_stats,
-    normalize,
     synth_generate,
 )
 from trendvar.errors import ConfigError, DataError, NumericError
 from trendvar.metrics import macro_one_vs_rest
-from trendvar.model import ModelConfig, ModelParams, parameter_count
+from trendvar.model import ModelConfig, ModelParams, parameter_count, prepare
 from trendvar.training import (
     AdamState,
     TrainConfig,
@@ -23,7 +23,6 @@ from trendvar.training import (
     cross_validate,
     fold_assignment,
     predict_probs,
-    prepare_cohort,
     run_fold,
     train,
 )
@@ -182,7 +181,7 @@ def test_flat_adam_matches_the_per_array_loop_bitwise(shared):
 def test_train_rejects_empty_set():
     config = toy_config()
     params = ModelParams(config)
-    samples = prepare_cohort(toy_cohort(), config)
+    samples = prepare_raw(toy_cohort(), config)
     with pytest.raises(DataError, match="empty training set"):
         train(samples.take(slice(0, 0)), params, TrainConfig())
 
@@ -190,7 +189,7 @@ def test_train_rejects_empty_set():
 def test_zero_learning_rate_keeps_initial_parameters():
     config = toy_config()
     cohort = toy_cohort()
-    samples = prepare_cohort(cohort, config)
+    samples = prepare_raw(cohort, config)
     params = ModelParams.initialized(config, np.random.default_rng(3))
     before = [t.copy() for _, t in params.named_arrays()]
     log, state = train(samples, params,
@@ -203,7 +202,7 @@ def test_zero_learning_rate_keeps_initial_parameters():
 def test_training_is_bitwise_deterministic():
     config = toy_config()
     cohort = toy_cohort()
-    samples = prepare_cohort(cohort, config)
+    samples = prepare_raw(cohort, config)
 
     def fit():
         params = ModelParams.initialized(config, np.random.default_rng(5))
@@ -222,7 +221,7 @@ def test_training_is_bitwise_deterministic():
 def test_shuffle_seed_matters_for_small_batches():
     config = toy_config()
     cohort = toy_cohort()
-    samples = prepare_cohort(cohort, config)
+    samples = prepare_raw(cohort, config)
 
     def fit(seed):
         params = ModelParams.initialized(config, np.random.default_rng(5))
@@ -241,7 +240,7 @@ def test_shuffle_seed_matters_for_small_batches():
 def test_step_count_tracks_batches():
     config = toy_config()
     cohort = toy_cohort(n=10)
-    samples = prepare_cohort(cohort, config)
+    samples = prepare_raw(cohort, config)
     params = ModelParams.initialized(config, np.random.default_rng(0))
     _, state = train(samples, params,
                      TrainConfig(epochs=4, batch_size=64))
@@ -256,7 +255,7 @@ def test_loss_log_shape_and_learning_progress():
     config = toy_config()
     cohort = toy_cohort(n=12, noise=0.02)
     stats = compute_stats(cohort)
-    samples = prepare_cohort(normalize(cohort, stats), config)
+    samples = prepare(cohort, stats, config)
     params = ModelParams.initialized(config, np.random.default_rng(1))
     log, _ = train(samples, params,
                    TrainConfig(learning_rate=1e-2, epochs=30, batch_size=12))
@@ -276,7 +275,7 @@ def test_predict_probs_shape_and_simplex():
 
 def test_train_rejects_parameters_its_last_step_overflows(monkeypatch):
     config = toy_config()
-    samples = prepare_cohort(toy_cohort(n=10), config)
+    samples = prepare_raw(toy_cohort(n=10), config)
     params = ModelParams.initialized(config, np.random.default_rng(0))
     steps = []
 

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cohorts import cohort_of
+from trendvar.data import Cohort
 from trendvar.errors import ConfigError, NumericError
 from trendvar.wavelets import (
     MAX_ORDER,
@@ -160,34 +162,43 @@ def test_reconstruct_rejects_length_mismatch():
         reconstruct(pair, 3, 20)
 
 
+def split(series, order):
+    """``decompose_batch`` of an (n, c, t) stack, its features named
+    ``f0..`` and its patients ``p0..``."""
+    n, c, _ = np.shape(series)
+    return decompose_batch(series, order, [f"f{j}" for j in range(c)],
+                           [f"p{i}" for i in range(n)])
+
+
 def test_decompose_batch_columns_and_errors():
     # A (t, c) visit matrix goes in transposed, one series per feature.
     matrix = np.column_stack([np.arange(6.0), np.arange(6.0)])
-    lines = decompose_batch(matrix.T, 2)
-    assert lines.shape == (2, 2, coefficient_count(6, 2))
-    np.testing.assert_array_equal(lines[0], lines[1])
+    lines = split(matrix.T[None], 2)
+    assert lines.shape == (1, 2, 2, coefficient_count(6, 2))
+    np.testing.assert_array_equal(lines[0, 0], lines[0, 1])
 
     bad = matrix.copy()
     bad[3, 1] = np.nan
-    with pytest.raises(NumericError, match="visit 3.*column 1"):
-        decompose_batch(bad.T, 2)
-    with pytest.raises(NumericError, match=r"visit 3.*column 1.*\(4,\)"):
-        decompose_batch(np.stack([matrix.T] * 4 + [bad.T]), 2)
+    with pytest.raises(NumericError, match="visit 3, feature 'f1'"):
+        split(bad.T[None], 2)
+    with pytest.raises(NumericError,
+                       match="visit 3, feature 'f1' of patient 'p4'"):
+        split(np.stack([matrix.T] * 4 + [bad.T]), 2)
 
-    with pytest.raises(ConfigError, match=r"\(\.\.\., t\)"):
-        decompose_batch(np.float64(5.0), 2)
-    with pytest.raises(ConfigError, match=r"\(\.\.\., t\)"):
-        decompose_batch(np.zeros((3, 0)), 2)
+    with pytest.raises(ConfigError, match=r"\(n, c, t\)"):
+        decompose_batch(np.float64(5.0), 2, (), ())
+    with pytest.raises(ConfigError, match=r"\(n, c, t\)"):
+        decompose_batch(np.zeros((3, 4)), 2, ("a", "b", "c"), ("p",))
+    with pytest.raises(ConfigError, match=r"\(n, c, t\)"):
+        split(np.zeros((1, 3, 0)), 2)
     with pytest.raises(ConfigError, match="2..20"):
-        decompose_batch(np.zeros((3, 4)), 21)
+        split(np.zeros((1, 3, 4)), 21)
 
 
 def test_decompose_batch_names_a_feature_whose_coefficients_overflow():
     series = np.stack([np.arange(6.0), np.full(6, 1.7e308)])
     with pytest.raises(NumericError, match="coefficient 0, feature 'b'"):
-        decompose_batch(series, 2, ("a", "b"))
-    with pytest.raises(NumericError, match=r"feature column 1 of .*\(2,\)"):
-        decompose_batch(np.stack([np.zeros_like(series)] * 2 + [series]), 2)
+        decompose_batch(series[None], 2, ("a", "b"), ("x",))
     with pytest.raises(NumericError, match="feature 'b' of patient 'z'"):
         decompose_batch(np.stack([np.zeros_like(series)] * 2 + [series]), 2,
                         ("a", "b"), ("x", "y", "z"))
@@ -205,12 +216,12 @@ def test_analysis_matrix_is_cached_and_read_only():
 @settings(max_examples=60, deadline=None)
 @given(order=st.integers(MIN_ORDER, MAX_ORDER),
        length=st.integers(1, 64),
-       lead=st.lists(st.integers(0, 3), max_size=2),
+       lead=st.tuples(st.integers(0, 3), st.integers(0, 3)),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_batch_matches_per_series_decompose(order, length, lead, seed):
     series = np.random.default_rng(seed).normal(
         scale=10.0, size=(*lead, length))
-    lines = decompose_batch(series, order)
+    lines = split(series, order)
     m = coefficient_count(length, order)
     assert lines.shape == (*lead, 2, m)
     for index in np.ndindex(*lead):
@@ -237,35 +248,35 @@ _BLAS_SENSITIVE_LENGTHS = [16, 17, 18, 23, 24, 25, 26, 31, 32, 33, 34, 39]
        data=st.data())
 def test_batch_row_does_not_depend_on_the_rest_of_the_stack(
         order, length, rows, seed, data):
-    stack = np.random.default_rng(seed).normal(size=(rows, length))
+    stack = np.random.default_rng(seed).normal(size=(rows, 1, length))
     k = data.draw(st.integers(0, rows - 1))
-    np.testing.assert_array_equal(decompose_batch(stack[k], order),
-                                  decompose_batch(stack, order)[k])
+    np.testing.assert_array_equal(split(stack[k:k + 1], order)[0],
+                                  split(stack, order)[k])
 
 
 def test_ragged_groups_by_length_in_first_seen_order():
     rng = np.random.default_rng(8)
     series = [rng.normal(size=(3, t)) for t in (5, 7, 5, 1, 7)]
-    values = np.concatenate([s.T for s in series])
-    offsets = np.cumsum([0, 5, 7, 5, 1, 7])
-    groups = list(decompose_ragged(values, offsets, 4))
+    cohort = cohort_of([s.T for s in series])
+    groups = list(decompose_ragged(cohort, 4))
     assert [indices.tolist() for indices, _ in groups] == [[0, 2], [1, 4], [3]]
     for indices, lines in groups:
-        for i, split in zip(indices, lines):
+        for i, lines_i in zip(indices, lines):
             np.testing.assert_array_equal(
-                split, decompose_batch(series[i], 4))
-    assert list(decompose_ragged(np.zeros((0, 3)), np.zeros(1, int), 4)) == []
+                lines_i, split(series[i][None], 4)[0])
+    assert list(decompose_ragged(cohort.take(slice(0, 0)), 4)) == []
 
 
 def test_ragged_errors_name_the_patient_not_its_place_in_a_group():
     values = np.arange(22.0)[:, None]
     values[-6:] = 1.7e308  # the fourth patient, second of the 6-visit group
     offsets = np.cumsum([0, 6, 5, 5, 6])
-    with pytest.raises(NumericError, match="of patient 3:"):
-        list(decompose_ragged(values, offsets, 2))
+    cohort = Cohort.stack(
+        ("p1", "p2", "p3", "p4"),
+        [values[a:b] for a, b in zip(offsets[:-1], offsets[1:])],
+        np.zeros((4, 0)), np.zeros(4), ("a",), (), 1)
     with pytest.raises(NumericError, match="of patient 'p4':"):
-        list(decompose_ragged(values, offsets, 2, ids=("p1", "p2", "p3",
-                                                        "p4")))
+        list(decompose_ragged(cohort, 2))
 
 
 def test_single_visit_is_representable():
