@@ -17,9 +17,7 @@ Exit codes: 0 success, 1 configuration problem, 2 data problem,
 # bytecode, compile) the model, training and metrics modules it never uses.
 import argparse
 import os
-import pickle
 import re
-import struct
 import sys
 import warnings
 from dataclasses import replace
@@ -601,45 +599,35 @@ def cmd_eval(opts):
     )
 
 
-# Patients per block of ``_write_blocks``: what one worker renders and
-# sends at a time, and the preparation ``inspect-attention`` holds at once,
-# as ``training.PREDICT_BLOCK`` is for ``eval``.
+# Patients per block of ``_write_blocks``: what ``render`` is given at once,
+# and so the preparation ``inspect-attention`` holds at once, as
+# ``training.PREDICT_BLOCK`` is for ``eval``.
 _ROW_BLOCK = 64
-
-# A block's frame on a worker's pipe: the payload's size, and whether the
-# payload is the pickled exception that stopped the worker, not rows.
-_FRAME = struct.Struct("=Q?")
 
 
 def _exit_on_sigterm(signum, frame):
-    # Unwinds ``_write_blocks``, which removes its temporary file and stops
+    # Unwinds ``_write_blocks``, which removes its temporary files and stops
     # its workers on the way out.
     raise SystemExit(128 + signum)
 
 
-def _serve(blocks, render, fd):
-    """A worker's loop: send each block's rows, or the exception that
-    rendering one raised, and stop at that one."""
-    with open(fd, "wb") as pipe:
-        for block in blocks:
-            try:
-                rows = [text.encode() for text in render(block)]
-            except Exception as exc:
-                payload = pickle.dumps(exc)
-                pipe.write(_FRAME.pack(len(payload), True) + payload)
-                return
-            pipe.write(_FRAME.pack(sum(map(len, rows)), False))
-            pipe.writelines(rows)
-            pipe.flush()
+def _write_run(run, render, write, parent=None):
+    """Write the rows of each block of ``run`` with ``write``.  A worker
+    passes the pid of its ``parent`` and stops between blocks once that
+    process is gone."""
+    for block in run:
+        if parent is not None and os.getppid() != parent:
+            raise SystemExit(1)
+        for text in render(block):
+            write(text.encode())
 
 
-def _fork_worker(blocks, render, pipes):
-    """Fork a worker that sends the rows of ``blocks``; returns its pid and
-    the read end of its pipe.  ``pipes`` are the other workers' read ends,
-    which the worker closes."""
+def _fork_worker(run, render, part):
+    """Fork a worker that writes the rows of ``run`` to the file ``part``
+    and exits 0, or 1 on any exception; returns its pid."""
     import signal
 
-    read_fd, write_fd = os.pipe()
+    parent = os.getpid()
     # Until the worker has its own signal handling, a signal would run this
     # process's Python handlers in it and unwind into the caller's code.
     held = {signal.SIGINT, signal.SIGTERM}
@@ -661,34 +649,14 @@ def _fork_worker(blocks, render, pipes):
             try:
                 signal.signal(signal.SIGTERM, signal.SIG_DFL)
                 signal.pthread_sigmask(signal.SIG_UNBLOCK, held)
-                os.close(read_fd)
-                for pipe in pipes:
-                    pipe.close()
-                _serve(blocks, render, write_fd)
-            finally:
+                with open(part, "wb") as fh:
+                    _write_run(run, render, fh.write, parent)
                 os._exit(0)
+            finally:
+                os._exit(1)
     finally:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, held)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _copy_block(pipe, fh):
-    """Copy the next block's rows from a worker's pipe to ``fh``, or raise
-    the exception that rendering the block raised in the worker."""
-    lost = "a worker process ended before sending its rows"
-    head = pipe.read(_FRAME.size)
-    if len(head) < _FRAME.size:
-        raise TrendvarError(lost)
-    size, failed = _FRAME.unpack(head)
-    if failed:
-        raise pickle.loads(pipe.read(size))
-    while size:
-        chunk = pipe.read(min(size, 1 << 16))
-        if not chunk:
-            raise TrendvarError(lost)
-        fh.write(chunk)
-        size -= len(chunk)
+    return pid
 
 
 def _write_blocks(path, header, n_patients, render):
@@ -696,16 +664,17 @@ def _write_blocks(path, header, n_patients, render):
     patients to ``path``: ``render(block)``, for a slice ``block`` of
     ``range(n_patients)``, yields them as one string per patient.
 
-    The blocks are rendered on up to one process per CPU this process may
-    run on: block k by worker k mod n, where worker 0 is this process and
-    the others are forked children that hold one block at a time and send
-    it back through a pipe.  With one CPU or one block the same loop runs
-    serially, and the bytes written do not depend on the number of
-    workers.  A failing block raises what the serial loop would, the first
-    error in file order.  The rows go to a temporary file that replaces
-    ``path`` once all are written, so a failed or terminated run leaves
-    neither; no worker outlives the call.
+    The blocks are split into n runs of consecutive blocks, one per CPU
+    this process may run on (at most one per block).  This process writes
+    run 0 after the header; forked workers write the others to part files
+    beside it, which it appends in run order.  A run whose worker failed
+    is rendered again here, which raises the worker's error, the first in
+    file order; with one CPU or one block nothing is forked, and the bytes
+    written do not depend on n.  The rows go to a temporary file that
+    replaces ``path`` once all are written, so a failed or terminated run
+    leaves neither; no worker outlives the call.
     """
+    import shutil
     import signal
 
     blocks = [slice(start, start + _ROW_BLOCK)
@@ -713,32 +682,37 @@ def _write_blocks(path, header, n_patients, render):
     cpus = (len(os.sched_getaffinity(0))
             if hasattr(os, "sched_getaffinity") else 1)
     n = max(1, min(cpus, len(blocks)))
+    runs = [blocks[k * len(blocks) // n:(k + 1) * len(blocks) // n]
+            for k in range(n)]
     temporary = f"{path}.{os.getpid()}.tmp"
+    parts = [f"{temporary}{k}" for k in range(1, n)]
     previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     workers = []
     try:
-        for k in range(1, n):
-            workers.append(_fork_worker(blocks[k::n], render,
-                                        [pipe for _, pipe in workers]))
+        for run, part in zip(runs[1:], parts):
+            workers.append(_fork_worker(run, render, part))
         with open(temporary, "wb") as fh:
             fh.write(header.encode())
-            for k, block in enumerate(blocks):
-                if k % n:
-                    _copy_block(workers[k % n - 1][1], fh)
-                else:
-                    for text in render(block):
-                        fh.write(text.encode())
+            _write_run(runs[0], render, fh.write)
+            for run, part, pid in zip(runs[1:], parts, workers):
+                # WNOWAIT leaves the worker to be reaped below, with the
+                # others, whatever interrupts this loop.
+                status = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                if (status.si_code, status.si_status) != (os.CLD_EXITED, 0):
+                    _write_run(run, render, lambda rows: None)
+                    raise TrendvarError(
+                        "a worker process ended before writing its rows")
+                with open(part, "rb") as rows:
+                    shutil.copyfileobj(rows, fh)
         os.replace(temporary, path)
-    except BaseException:
-        if os.path.exists(temporary):
-            os.remove(temporary)
-        raise
     finally:
-        for pid, pipe in workers:
-            pipe.close()
+        for pid in workers:
             os.kill(pid, signal.SIGTERM)
-        for pid, _ in workers:
+        for pid in workers:
             os.waitpid(pid, 0)
+        for name in (temporary, *parts):
+            if os.path.exists(name):
+                os.remove(name)
         signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
 
 
@@ -769,7 +743,7 @@ def cmd_decompose(opts):
     def render(block):
         for patient in range(len(cohort))[block]:
             pid = cohort.ids[patient]
-            # One patient's (1, c, t) stack, so that an error names it.
+            # One patient's (1, c, t) stack, to keep its own visit count.
             lines = decompose_batch(cohort.visits(patient)[:, columns].T[None],
                                     order, chosen, (pid,))
             m = lines.shape[-1]
@@ -854,8 +828,10 @@ def cmd_inspect_attention(opts):
 
     def render(block):
         part = cohort.take(block)
-        variation = prepare(part, stats, config).lines[:, columns, 1]
-        result = diff_attention(variation)
+        # Overflow is checked for by prepare, which names its patient.
+        with np.errstate(over="ignore", invalid="ignore"):
+            variation = prepare(part, stats, config).lines[:, columns, 1]
+            result = diff_attention(variation)
         deltas = np.diff(variation, axis=-1)
         for pid, delta, weight, weighted in zip(
                 map(csv_field, part.ids), deltas, result.weights,

@@ -279,8 +279,8 @@ def prepare(cohort, stats, config):
     ``t_max`` and decomposed into a ``PreparedBatch``.
 
     Training, scoring and ``inspect-attention`` all prepare through here,
-    so each sees a patient as the others do.  A split that overflows names
-    its patient and feature.
+    so each sees a patient as the others do.  A split or attention scores
+    that overflow name their patient and feature.
     """
     widths = (cohort.values.shape[1], cohort.static.shape[1])
     if widths != (config.n_dynamic, config.n_static):
@@ -305,8 +305,18 @@ def prepare(cohort, stats, config):
                             cohort.dynamic_names, cohort.ids)
     h_variation = None
     if config.flags.use_diff_attention:
-        h_variation = pool_features(
-            diff_attention(lines[:, :, 1]).weighted_diff)
+        variation = lines[:, :, 1]
+        # The differences of finite but huge variation lines, or their
+        # squares, overflow the attention scores.
+        finite = np.isfinite(np.square(np.diff(variation))).all(axis=-1)
+        if not finite.all():
+            patient, feature = np.argwhere(~finite)[0].tolist()
+            raise NumericError(
+                f"prepare: non-finite attention scores, feature "
+                f"{cohort.dynamic_names[feature]!r} of patient "
+                f"{cohort.ids[patient]!r}: the differences of its variation "
+                f"line overflow")
+        h_variation = pool_features(diff_attention(variation).weighted_diff)
     return PreparedBatch(config, lines, cohort.static, labels, h_variation)
 
 

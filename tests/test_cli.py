@@ -949,17 +949,21 @@ def test_diagnostic_rows_do_not_depend_on_the_cpu_count(tmp_path, capsys,
         assert contents[1:] == contents[:1] * 2, key
 
 
-@pytest.mark.parametrize("patient", [5, cli._ROW_BLOCK + 3,
-                                     3 * cli._ROW_BLOCK + 1],
-                         ids=["parent", "worker1", "worker3"])
+@pytest.mark.parametrize("patients", [(5,), (cli._ROW_BLOCK + 3,),
+                                      (3 * cli._ROW_BLOCK + 1,),
+                                      (cli._ROW_BLOCK + 3,
+                                       3 * cli._ROW_BLOCK + 1)],
+                         ids=["parent", "worker1", "worker3", "workers1and3"])
 def test_an_overflow_in_any_block_names_its_patient_and_leaves_nothing(
-        tmp_path, capsys, monkeypatch, patient):
-    # Block k is rendered by worker k mod 4, worker 0 being this process.
-    # The values of the bad patient's feature ``a`` overflow its split.
+        tmp_path, capsys, monkeypatch, patients):
+    # Four blocks on four CPUs make four runs of one block each: run 0 is
+    # rendered by this process and run k by worker k.  The values of each
+    # bad patient's feature ``a`` overflow its split; the first in the file
+    # is the one named.
     rows = []
     for p in range(4 * cli._ROW_BLOCK):
         for v in range(5 + p % 4):
-            a = 1.6e308 + v * 0.0125e308 if p == patient else p + v
+            a = 1.6e308 + v * 0.0125e308 if p in patients else p + v
             rows.append(f"q{p},{v},{a!r},{v * 0.5}\n")
     visits = tmp_path / "visits.csv"
     visits.write_text("patient_id,visit_index,a,b\n" + "".join(rows))
@@ -969,9 +973,10 @@ def test_an_overflow_in_any_block_names_its_patient_and_leaves_nothing(
                      "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 3, err
-    assert err.startswith("numerical error: decompose_batch: non-finite "
+    assert err.startswith(f"numerical error: decompose_batch: non-finite "
                           f"coefficient 0, feature 'a' of patient "
-                          f"'q{patient}': the values overflow the split"), err
+                          f"'q{patients[0]}': the values overflow the "
+                          f"split"), err
     assert len(forks) == 3
     assert os.listdir(out) == ["manifest.txt"]
     assert _no_child_left()
@@ -989,27 +994,25 @@ def test_correlate_names_the_patient_whose_split_overflows(tmp_path, capsys):
     assert "feature 'a' of patient 'p4'" in err, err
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "inspect-attention"])
-def test_every_command_names_the_patient_whose_split_overflows(
-        tmp_path, capsys, command):
-    # Feature a alternates -1, 1 (mean 0, std 1) but for patient q66, whose
-    # a of 1.7e308 stays finite under those stats and the checkpoint's,
-    # and overflows the split.  Seed 0 holds q66 out of fold 0, so train
-    # scores it with the stats of the others.
+def _q_argv(tmp_path, command, dynamic_std, keep_q66=True):
+    """The argv of ``command`` on patients q0..q69: feature a alternates
+    -1, 1 (mean 0, std 1) but for patient q66, whose a is 1.7e308.  The
+    checkpoint's stats have mean 0 and the given ``dynamic_std``."""
+    patients = [p for p in range(70) if keep_q66 or p != 66]
     (tmp_path / "visits.csv").write_text(
         "patient_id,visit_index,a,b\n" + "".join(
             f"q{p},{v},{1.7e308 if p == 66 else (-1.0) ** (v + 1)!r},"
-            f"{v * 0.5!r}\n" for p in range(70) for v in range(4)))
+            f"{v * 0.5!r}\n" for p in patients for v in range(4)))
     (tmp_path / "static.csv").write_text(
-        "patient_id,s\n" + "".join(f"q{p},{p % 3}\n" for p in range(70)))
+        "patient_id,s\n" + "".join(f"q{p},{p % 3}\n" for p in patients))
     (tmp_path / "labels.csv").write_text(
-        "patient_id,label\n" + "".join(f"q{p},{p % 2}\n" for p in range(70)))
+        "patient_id,label\n" + "".join(f"q{p},{p % 2}\n" for p in patients))
     config = ModelConfig(t_max=4, n_dynamic=2, n_static=1, n_classes=2,
                          order=4)
     save_checkpoint(tmp_path / "m.ckpt",
                     ModelParams.initialized(config, np.random.default_rng(0)),
-                    FeatureStats(np.zeros(2), np.ones(2), np.zeros(1),
-                                 np.ones(1)))
+                    FeatureStats(np.zeros(2), np.array(dynamic_std),
+                                 np.zeros(1), np.ones(1)))
     argv = [command, "--visits", str(tmp_path / "visits.csv"),
             "--out", str(tmp_path / "out")]
     if command != "inspect-attention":
@@ -1019,10 +1022,38 @@ def test_every_command_names_the_patient_whose_split_overflows(
         argv += ["--symlet", "4", "--folds", "2", "--epochs", "1"]
     else:
         argv += ["--checkpoint", str(tmp_path / "m.ckpt")]
-    code = cli.main(argv)
+    return argv
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "inspect-attention"])
+def test_every_command_names_the_patient_whose_split_overflows(
+        tmp_path, capsys, command):
+    # q66's a of 1.7e308 stays finite under the stats of the others and
+    # the checkpoint's, and overflows the split.  Seed 0 holds q66 out of
+    # fold 0, so train scores it with the stats of the others.
+    code = cli.main(_q_argv(tmp_path, command, (1.0, 1.0)))
     err = capsys.readouterr().err
     assert code == 3, err
     assert "feature 'a' of patient 'q66'" in err, err
+
+
+@pytest.mark.parametrize("keep_q66", [False, True],
+                         ids=["without_q66", "with_q66"])
+@pytest.mark.parametrize("std", [1e-300, 1e-308])
+@pytest.mark.parametrize("command", ["eval", "inspect-attention"])
+def test_attention_scores_that_overflow_name_their_patient(
+        tmp_path, capsys, command, std, keep_q66):
+    # A std of 1e-300 z-scores a's -1, 1 to finite lines whose squared
+    # differences overflow, from patient q0 on; one of 1e-308 makes the
+    # differences themselves overflow.  q66's own z-score overflows too,
+    # in a later block.  The suite turns any numpy warning into an error.
+    code = cli.main(_q_argv(tmp_path, command, (std, 1.0), keep_q66))
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err == ("numerical error: prepare: non-finite attention scores, "
+                   "feature 'a' of patient 'q0': the differences of its "
+                   "variation line overflow\n"), err
+    assert os.listdir(tmp_path / "out") == ["manifest.txt"]
 
 
 def test_sigterm_stops_every_worker_and_leaves_no_file(tmp_path,
@@ -1063,6 +1094,42 @@ def test_a_worker_that_dies_is_a_named_error(tmp_path, monkeypatch):
         cli._write_blocks(str(tmp_path / "rows.csv"), "h\n",
                           2 * cli._ROW_BLOCK, render)
     assert os.listdir(tmp_path) == []
+    assert _no_child_left()
+
+
+def test_a_worker_stops_once_its_parent_is_gone(tmp_path, monkeypatch):
+    # A writer process with one worker, whose run of 200 slow blocks would
+    # take 20 s.  Every process holding the pipe's write end has exited
+    # once its read end sees EOF, zombie or not.
+    _cpus(monkeypatch, {0, 1})
+    read_fd, write_fd = os.pipe()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        writer = os.fork()
+    if writer == 0:
+        try:
+            os.close(read_fd)
+
+            def render(block):
+                if os.getpid() != writer_pid:
+                    os.write(write_fd, b"w")
+                time.sleep(0.1)
+                yield "row\n"
+
+            writer_pid = os.getpid()
+            cli._write_blocks(str(tmp_path / "rows.csv"), "h\n",
+                              400 * cli._ROW_BLOCK, render)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    with open(read_fd, "rb", buffering=0) as pipe:
+        assert pipe.read(1) == b"w"
+        os.kill(writer, signal.SIGKILL)
+        os.waitpid(writer, 0)
+        start = time.monotonic()
+        while pipe.read(1):
+            assert time.monotonic() - start < 5
+    assert time.monotonic() - start < 5
     assert _no_child_left()
 
 
