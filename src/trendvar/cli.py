@@ -30,6 +30,7 @@ from .data import (
     csv_field,
     load_cohort,
     load_visit_table,
+    open_output,
     synth_generate,
     write_cohort,
 )
@@ -312,7 +313,7 @@ def _write_manifest(out_dir, command, effective):
     except OSError as exc:
         raise ConfigError(
             f"cannot create output directory {out_dir}: {exc}") from None
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
+    with open_output(os.path.join(out_dir, "manifest.txt")) as fh:
         fh.write(text)
     sys.stdout.write(text)
 
@@ -413,7 +414,7 @@ def _train_config(opts):
 
 
 def _write_metric_rows(path, rows):
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write("fold,class,auroc,auprc\n")
         for fold, cls, auroc, auprc in rows:
             a = _fmt(auroc) if auroc is not None else ""
@@ -469,7 +470,8 @@ def _run_cv(opts, cohort, config, train_config, out):
     rows = []
     for fold in cv.folds:
         rows.extend(_metric_rows_for(fold.fold, fold.scores))
-        with open(os.path.join(out, f"epochs_fold{fold.fold}.csv"), "w") as fh:
+        epochs = os.path.join(out, f"epochs_fold{fold.fold}.csv")
+        with open_output(epochs) as fh:
             fh.write("epoch,mean_loss\n")
             for epoch, loss in enumerate(fold.epoch_log):
                 fh.write(f"{epoch},{_fmt(loss)}\n")
@@ -489,7 +491,7 @@ def _run_cv(opts, cohort, config, train_config, out):
             f"fold {fold.fold}: auroc = {_fmt(scores.auroc)} "
             f"auprc = {_fmt(scores.auprc)} skipped = {skipped}"
         )
-    with open(os.path.join(out, "summary.txt"), "w") as fh:
+    with open_output(os.path.join(out, "summary.txt")) as fh:
         fh.write("\n".join(summary) + "\n")
     sys.stdout.write(
         f"mean macro auroc = {_fmt(cv.mean_auroc)}\n"
@@ -528,12 +530,12 @@ def cmd_sweep(opts):
     for config in configs:
         cv = cross_validate(cohort, opts["folds"], config, train_config)
         results.append((config.order, cv.mean_auroc, cv.mean_auprc))
-    with open(os.path.join(out, "sweep.csv"), "w") as fh:
+    with open_output(os.path.join(out, "sweep.csv")) as fh:
         fh.write("order,mean_macro_auroc,mean_macro_auprc\n")
         for order, auroc, auprc in results:
             fh.write(f"{order},{_fmt(auroc)},{_fmt(auprc)}\n")
     best = max(results, key=lambda r: (r[1], -r[0]))
-    with open(os.path.join(out, "summary.txt"), "w") as fh:
+    with open_output(os.path.join(out, "summary.txt")) as fh:
         fh.write(f"best_order = {best[0]}\n")
         fh.write(f"best_mean_macro_auroc = {_fmt(best[1])}\n")
     sys.stdout.write(
@@ -581,7 +583,7 @@ def cmd_eval(opts):
     stats = _scoring_stats(bundle, cohort, effective)
     _write_manifest(out, "eval", effective)
     probs = predict_probs(cohort, stats, bundle.params)
-    with open(os.path.join(out, "scored.csv"), "w") as fh:
+    with open_output(os.path.join(out, "scored.csv")) as fh:
         header = ",".join(f"prob_{k}" for k in range(config.n_classes))
         fh.write(f"patient_id,label,{header}\n")
         for pid, label, row in zip(cohort.ids, cohort.labels.tolist(), probs):
@@ -590,7 +592,7 @@ def cmd_eval(opts):
     scores = macro_one_vs_rest(probs, cohort.labels)
     _write_metric_rows(os.path.join(out, "metrics.csv"),
                        _metric_rows_for(0, scores))
-    with open(os.path.join(out, "summary.txt"), "w") as fh:
+    with open_output(os.path.join(out, "summary.txt")) as fh:
         fh.write(f"macro_auroc = {_fmt(scores.auroc)}\n")
         fh.write(f"macro_auprc = {_fmt(scores.auprc)}\n")
     sys.stdout.write(
@@ -775,7 +777,7 @@ def cmd_correlate(opts):
     _write_manifest(out, "correlate", opts)
     rows = trend_variation_report(cohort, opts["symlet"])
     path = os.path.join(out, "correlation.csv")
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write("rank,feature,mean_abs_correlation,mean_correlation,"
                  "n_defined,n_undefined,top5\n")
         for rank, row in enumerate(rows, start=1):
@@ -860,6 +862,10 @@ _HANDLERS = {
 
 
 def main(argv=None):
+    # Like every output file, stdout is UTF-8 whatever the locale; an argv
+    # path decoded under the C locale goes back out as its own bytes.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

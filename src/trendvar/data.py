@@ -422,6 +422,16 @@ def csv_field(text):
     return text
 
 
+def open_output(path):
+    """``path`` opened to write UTF-8 text, whatever the locale.
+
+    A string decoded with surrogateescape, as an argv path is under the C
+    locale, is written back as its own bytes.
+    """
+    return open(path, "w", newline="", encoding="utf-8",
+                errors="surrogateescape")
+
+
 def write_cohort(cohort, directory):
     """Write visits/static/labels CSVs; returns the three paths.
 
@@ -433,19 +443,19 @@ def write_cohort(cohort, directory):
     static_path = os.path.join(directory, "static.csv")
     labels_path = os.path.join(directory, "labels.csv")
     ids = [csv_field(pid) for pid in cohort.ids]
-    with open(visits_path, "w", newline="") as fh:
+    with open_output(visits_path) as fh:
         fh.write(",".join(["patient_id", "visit_index",
                            *map(csv_field, cohort.dynamic_names)]) + "\n")
         for i, pid in enumerate(ids):
             fh.write("".join([
                 f"{pid},{visit},{','.join(map(repr, row))}\n"
                 for visit, row in enumerate(cohort.visits(i).tolist())]))
-    with open(static_path, "w", newline="") as fh:
+    with open_output(static_path) as fh:
         fh.write(",".join(["patient_id",
                            *map(csv_field, cohort.static_names)]) + "\n")
         for pid, row in zip(ids, cohort.static.tolist()):
             fh.write(f"{pid},{','.join(map(repr, row))}\n")
-    with open(labels_path, "w", newline="") as fh:
+    with open_output(labels_path) as fh:
         fh.write("patient_id,label\n")
         for pid, label in zip(ids, cohort.labels.tolist()):
             fh.write(f"{pid},{label}\n")

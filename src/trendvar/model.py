@@ -19,7 +19,7 @@ disabled stages contribute nothing (their weights do not even exist).
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -472,82 +472,28 @@ def cross_entropy(probs, labels):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint serialization (version 1, little-endian).
+# Checkpoint serialization (version 2, little-endian).
 #
-# magic | u32 version | config block | u8 has_stats [stats arrays]
-#   | u32 tensor count | tensors in declaration order
+# magic | u32 version | u32 x 9 config | u8 flag bits | u8 has_stats
+#   | float64 values
 #
-# The config block is: u32 x 9 (t_max, n_dynamic, n_static, n_classes,
-# order, kernel_width, three dilation rates) then u8 flag bits
-# (1 trend, 2 variation, 4 correlation, 8 attention, 16 shared branches).
-# Stats and tensors are stored as u32 ndim, u32 dims, float64 values.
+# The config is t_max, n_dynamic, n_static, n_classes, order, kernel_width
+# and the three dilation rates; the flag bits are the AblationFlags fields
+# in declaration order from bit 0 (1 trend, 2 variation, 4 correlation,
+# 8 attention), then 16 for shared branches.  The values are the stats
+# (dynamic mean, dynamic std, static mean, static std) when has_stats is 1,
+# then ``params.flat``.  The config fixes every shape, so no array carries
+# a header and the config alone gives the file's exact length.
 
 CHECKPOINT_MAGIC = b"TVARCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_HEADER = struct.Struct("<8sI9IBB")
 
 
-def _pack_array(out, arr):
-    # np.ascontiguousarray would promote 0-d to 1-d; tobytes() copies to C
-    # order on its own, so plain asarray preserves scalar shapes.
-    arr = np.asarray(arr, dtype=np.float64)
-    out.append(struct.pack("<I", arr.ndim))
-    for dim in arr.shape:
-        out.append(struct.pack("<I", dim))
-    out.append(arr.tobytes())
-
-
-class _Reader:
-    def __init__(self, blob, path):
-        self.blob = blob
-        self.path = path
-        self.offset = 0
-
-    def take(self, count):
-        if self.offset + count > len(self.blob):
-            raise ConfigError(f"corrupt checkpoint {self.path}: truncated")
-        piece = self.blob[self.offset:self.offset + count]
-        self.offset += count
-        return piece
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u8(self):
-        return struct.unpack("<B", self.take(1))[0]
-
-    def array(self):
-        ndim = self.u32()
-        if ndim > 4:
-            raise ConfigError(
-                f"corrupt checkpoint {self.path}: implausible rank {ndim}"
-            )
-        shape = tuple(self.u32() for _ in range(ndim))
-        count = math.prod(shape)
-        if count > 50_000_000:
-            raise ConfigError(
-                f"corrupt checkpoint {self.path}: implausible tensor size"
-            )
-        data = np.frombuffer(self.take(count * 8), dtype="<f8").reshape(shape)
-        return data.astype(np.float64)
-
-    def done(self):
-        if self.offset != len(self.blob):
-            raise ConfigError(
-                f"corrupt checkpoint {self.path}: "
-                f"{len(self.blob) - self.offset} trailing bytes"
-            )
-
-
-# The ablation flags in the order of their bits, from bit 0; bit 4 is
-# shared_branches.
-_FLAG_BITS = ("use_trend", "use_variation", "use_correlation",
-              "use_diff_attention")
-
-
-def _flag_byte(config):
-    on = [getattr(config.flags, name) for name in _FLAG_BITS]
-    return sum(bool(value) << bit
-               for bit, value in enumerate(on + [config.shared_branches]))
+def _stats_sizes(config):
+    """The length of each stats array a checkpoint stores, in file order."""
+    d, s = config.n_dynamic, config.n_static
+    return dict(dynamic_mean=d, dynamic_std=d, static_mean=s, static_std=s)
 
 
 def save_checkpoint(path, params, stats=None):
@@ -555,52 +501,28 @@ def save_checkpoint(path, params, stats=None):
     to disk.
 
     Storing the training-time normalization stats lets a later scoring run
-    reproduce the exact preprocessing the weights were fitted under.
+    reproduce the exact preprocessing the weights were fitted under.  Stats
+    whose shapes do not fit the config are a ``ConfigError``.
     """
     config = params.config
-    out = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
-    out.append(struct.pack(
-        "<9I", config.t_max, config.n_dynamic, config.n_static,
-        config.n_classes, config.order, config.kernel_width,
-        *config.dilations,
-    ))
-    out.append(struct.pack("<B", _flag_byte(config)))
-    if stats is None:
-        out.append(struct.pack("<B", 0))
-    else:
-        out.append(struct.pack("<B", 1))
-        for arr in (stats.dynamic_mean, stats.dynamic_std,
-                    stats.static_mean, stats.static_std):
-            _pack_array(out, arr)
-    arrays = params.named_arrays()
-    out.append(struct.pack("<I", len(arrays)))
-    for _, value in arrays:
-        _pack_array(out, value)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(out))
-
-
-def _check_stats(stats, config, path):
-    """Stored normalization stats must fit the stored model config."""
-    for name, size in (("dynamic_mean", config.n_dynamic),
-                       ("dynamic_std", config.n_dynamic),
-                       ("static_mean", config.n_static),
-                       ("static_std", config.n_static)):
-        value = getattr(stats, name)
+    sizes = _stats_sizes(config)
+    arrays = [] if stats is None else [
+        np.asarray(getattr(stats, name), dtype=np.float64) for name in sizes]
+    for (name, size), value in zip(sizes.items(), arrays):
         if value.shape != (size,):
             raise ConfigError(
-                f"corrupt checkpoint {path}: stats {name} has shape "
-                f"{value.shape}, expected ({size},)"
+                f"save_checkpoint: stats {name} has shape {value.shape}, "
+                f"the model needs ({size},)"
             )
-        if not np.all(np.isfinite(value)):
-            raise ConfigError(
-                f"corrupt checkpoint {path}: non-finite values in stats "
-                f"{name}"
-            )
-        if name.endswith("_std") and np.any(value < 0):
-            raise ConfigError(
-                f"corrupt checkpoint {path}: negative values in stats {name}"
-            )
+    on = [*astuple(config.flags), config.shared_branches]
+    flag_bits = sum(bool(value) << bit for bit, value in enumerate(on))
+    header = _HEADER.pack(
+        CHECKPOINT_MAGIC, CHECKPOINT_VERSION, config.t_max, config.n_dynamic,
+        config.n_static, config.n_classes, config.order, config.kernel_width,
+        *config.dilations, flag_bits, stats is not None)
+    values = np.concatenate([*arrays, params.flat]).astype("<f8")
+    with open(path, "wb") as fh:
+        fh.write(header + values.tobytes())
 
 
 @dataclass
@@ -615,62 +537,65 @@ def load_checkpoint(path):
             blob = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(blob) < len(CHECKPOINT_MAGIC) or \
-            blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+    if blob[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ConfigError(f"unrecognized checkpoint file: {path}")
-    reader = _Reader(blob, path)
-    reader.take(len(CHECKPOINT_MAGIC))
-    version = reader.u32()
+    if len(blob) < _HEADER.size:
+        raise ConfigError(f"corrupt checkpoint {path}: truncated")
+    (_, version, t_max, n_dynamic, n_static, n_classes, order, kernel_width,
+     d0, d1, d2, bits, has_stats) = _HEADER.unpack_from(blob)
     if version != CHECKPOINT_VERSION:
         raise ConfigError(
             f"unsupported checkpoint version {version} in {path}"
         )
-    t_max, n_dynamic, n_static, n_classes, order, kernel_width, d0, d1, d2 = \
-        struct.unpack("<9I", reader.take(36))
-    bits = reader.u8()
-    flags = AblationFlags(**{name: bool(bits >> bit & 1)
-                             for bit, name in enumerate(_FLAG_BITS)})
+    flags = AblationFlags(*(bool(bits >> bit & 1) for bit in range(4)))
     config = ModelConfig(
         t_max=t_max, n_dynamic=n_dynamic, n_static=n_static,
         n_classes=n_classes, order=order, kernel_width=kernel_width,
         dilations=(d0, d1, d2), flags=flags,
         shared_branches=bool(bits & 16),
     )
-    # Stats and tensors follow; a damaged config must not size an
-    # allocation larger than the file that carries it.
-    needed = 8 * parameter_count(config)
-    left = len(blob) - reader.offset
-    if needed > left:
+    if has_stats > 1:
         raise ConfigError(
-            f"corrupt checkpoint {path}: truncated or damaged config: its "
-            f"parameters need {needed} bytes, {left} are left"
+            f"corrupt checkpoint {path}: has_stats byte {has_stats}, "
+            f"expected 0 or 1"
         )
+    sizes = _stats_sizes(config) if has_stats else {}
+    n_stats = sum(sizes.values())
+    # Checked before anything is allocated: a damaged config must not size
+    # an allocation larger than the file that carries it.
+    expected = _HEADER.size + 8 * (n_stats + parameter_count(config))
+    if len(blob) < expected:
+        raise ConfigError(
+            f"corrupt checkpoint {path}: truncated or damaged config: it "
+            f"needs {expected} bytes, the file has {len(blob)}"
+        )
+    if len(blob) > expected:
+        raise ConfigError(
+            f"corrupt checkpoint {path}: {len(blob) - expected} trailing bytes"
+        )
+    values = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
     stats = None
-    if reader.u8():
-        stats = FeatureStats(
-            dynamic_mean=reader.array(), dynamic_std=reader.array(),
-            static_mean=reader.array(), static_std=reader.array(),
-        )
-        _check_stats(stats, config, path)
-    count = reader.u32()
+    if has_stats:
+        stats = FeatureStats(*np.split(values[:n_stats].astype(np.float64),
+                                       np.cumsum(list(sizes.values()))[:-1]))
+        for name in sizes:
+            value = getattr(stats, name)
+            if not np.isfinite(value).all():
+                raise ConfigError(
+                    f"corrupt checkpoint {path}: non-finite values in stats "
+                    f"{name}"
+                )
+            if name.endswith("_std") and (value < 0).any():
+                raise ConfigError(
+                    f"corrupt checkpoint {path}: negative values in stats "
+                    f"{name}"
+                )
     params = ModelParams(config)
-    expected = params.named_arrays()
-    if count != len(expected):
-        raise ConfigError(
-            f"corrupt checkpoint {path}: holds {count} tensors, model "
-            f"declares {len(expected)}"
+    params.flat[...] = values[n_stats:]
+    if not np.isfinite(params.flat).all():
+        name = next(name for name, value in params.named_arrays()
+                    if not np.isfinite(value).all())
+        raise NumericError(
+            f"corrupt checkpoint {path}: non-finite values in {name}"
         )
-    for name, value in expected:
-        data = reader.array()
-        if data.shape != value.shape:
-            raise ConfigError(
-                f"corrupt checkpoint {path}: tensor {name} has shape "
-                f"{data.shape}, expected {value.shape}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise NumericError(
-                f"corrupt checkpoint {path}: non-finite values in {name}"
-            )
-        value[...] = data
-    reader.done()
     return CheckpointBundle(params, stats)

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
@@ -803,11 +804,13 @@ def test_eval_rejects_foreign_checkpoint_files(tmp_path, workspace):
 
 def test_checkpoint_with_misshaped_stats_is_a_config_error(tmp_path,
                                                           workspace):
-    bundle = load_checkpoint(workspace["train"] / "fold0.ckpt")
-    stats = replace(bundle.stats, dynamic_mean=np.zeros(5),
-                    dynamic_std=np.ones(5))
+    blob = bytearray((workspace["train"] / "fold0.ckpt").read_bytes())
+    # Byte 49 is the has_stats flag: with it cleared, the stored stats no
+    # longer fit the length the config gives the file.
+    assert blob[49] == 1
+    blob[49] = 0
     damaged = tmp_path / "damaged.ckpt"
-    save_checkpoint(damaged, bundle.params, stats)
+    damaged.write_bytes(bytes(blob))
     for command, flags in (("eval", data_flags(workspace)),
                            ("inspect-attention",
                             ["--visits", workspace["data"] / "visits.csv"])):
@@ -816,6 +819,19 @@ def test_checkpoint_with_misshaped_stats_is_a_config_error(tmp_path,
         assert proc.returncode == 1, proc.stderr
         assert "corrupt checkpoint" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_version_1_checkpoint_is_refused(tmp_path, workspace):
+    # The version-1 layout: magic, version, the config and flag bytes, the
+    # stats flag and a u32 tensor count, here of a model without tensors.
+    old = tmp_path / "v1.ckpt"
+    old.write_bytes(b"TVARCKPT" + struct.pack("<I9IBBI", 1, 8, 2, 2, 2, 2,
+                                                2, 0, 1, 3, 15, 0, 0))
+    proc = run_cli("eval", *data_flags(workspace), "--checkpoint", old,
+                   "--out", tmp_path / "o")
+    assert proc.returncode == 1, proc.stderr
+    assert "unsupported checkpoint version 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_checkpoint_with_a_flipped_tmax_bit_is_rejected_unallocated(
@@ -858,6 +874,60 @@ def test_checkpoint_without_stats_uses_the_cohort_stats(tmp_path, workspace):
         # The fallback z-scores exactly as the cohort's own stats do.
         assert (fallback / output).read_bytes() == \
             (explicit / output).read_bytes(), command
+
+
+def test_outputs_are_utf8_under_the_c_locale(tmp_path, workspace):
+    # A cohort with a non-ASCII patient id and feature name, under a
+    # non-ASCII directory, run from two directories with the same relative
+    # paths: once under the C locale without UTF-8 mode, once in UTF-8 mode.
+    d = workspace["data"]
+    cohort = load_cohort(d / "visits.csv", d / "static.csv",
+                         d / "labels.csv")
+    cohort = replace(cohort, ids=("jürg",) + cohort.ids[1:],
+                     dynamic_names=("café",) + cohort.dynamic_names[1:])
+    write_cohort(cohort, tmp_path / "data_ü")
+    data = ["--visits", "../data_ü/visits.csv"]
+    runs = [
+        ("train", [*data, "--static", "../data_ü/static.csv", "--labels",
+                   "../data_ü/labels.csv", *TRAIN_ARGS]),
+        ("eval", [*data, "--static", "../data_ü/static.csv", "--labels",
+                  "../data_ü/labels.csv", "--checkpoint",
+                  "out_train_é/fold0.ckpt"]),
+        ("decompose", [*data, "--symlet", "2"]),
+        ("correlate", [*data, "--symlet", "2"]),
+        ("inspect-attention", [*data, "--checkpoint",
+                               "out_train_é/fold0.ckpt"]),
+    ]
+    source = os.path.dirname(os.path.dirname(cli.__file__))
+    stdout = {}
+    for mode in ("0", "1"):
+        cwd = tmp_path / f"utf8_{mode}"
+        cwd.mkdir()
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONUTF8=mode, PYTHONPATH=source)
+        for command, flags in runs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "trendvar.cli", command, *flags,
+                 "--out", f"out_{command}_é"],
+                cwd=cwd, env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+            assert b"Traceback" not in proc.stderr
+            stdout[mode, command] = proc.stdout
+    assert "café".encode() in stdout["0", "correlate"]
+    c_locale, utf8 = (tmp_path / f"utf8_{mode}" for mode in "01")
+    files = sorted(path.relative_to(utf8) for path in utf8.rglob("*")
+                   if path.is_file())
+    assert len(files) == 7 + 4 + 2 + 2 + 2
+    for name in files:
+        assert (c_locale / name).read_bytes() == \
+            (utf8 / name).read_bytes(), name
+    assert sorted(path.relative_to(c_locale) for path in c_locale.rglob("*")
+                  if path.is_file()) == files
+    for command, _ in runs:
+        assert stdout["0", command] == stdout["1", command], command
+        manifest = utf8 / f"out_{command}_é" / "manifest.txt"
+        assert f"out = out_{command}_é\n" in manifest.read_text("utf-8")
+    assert "jürg," in (utf8 / "out_eval_é" / "scored.csv").read_text("utf-8")
 
 
 def test_diagnostics_rerun_is_byte_identical(tmp_path, workspace):

@@ -6,8 +6,8 @@ head values.  The closed-form backward is audited by finite differences.
 """
 
 import math
-import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -533,12 +533,19 @@ def test_checkpoint_rejects_foreign_and_damaged_files(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_checkpoint(missing)
 
-    # well-formed files whose stats do not fit the model they carry
+    # stats whose shapes do not fit the model are refused when written
     good = dict(dynamic_mean=np.zeros(2), dynamic_std=np.ones(2),
                 static_mean=np.zeros(3), static_std=np.ones(3))
+    for field, bad in (("dynamic_mean", np.zeros(5)),
+                       ("static_std", np.ones((3, 1)))):
+        stats = FeatureStats(**{**good, field: bad})
+        misshaped = tmp_path / f"stats_{field}.ckpt"
+        with pytest.raises(ConfigError, match=f"stats {field} has shape"):
+            save_checkpoint(misshaped, ModelParams(config), stats=stats)
+        assert not misshaped.exists()
+
+    # well-formed files whose stats are not usable for z-scoring
     for field, bad, message in (
-            ("dynamic_mean", np.zeros(5), "shape"),
-            ("static_std", np.ones((3, 1)), "shape"),
             ("dynamic_std", np.array([1.0, np.nan]), "non-finite"),
             ("static_std", np.array([1.0, -1.0, 1.0]), "negative")):
         stats = FeatureStats(**{**good, field: bad})
@@ -547,6 +554,39 @@ def test_checkpoint_rejects_foreign_and_damaged_files(tmp_path):
         with pytest.raises(ConfigError,
                            match=f"corrupt checkpoint .*{message}"):
             load_checkpoint(damaged)
+
+
+def test_non_finite_parameters_are_named(tmp_path):
+    config = small_config()
+    params = ModelParams.initialized(config, np.random.default_rng(5))
+    params.out_dynamic[1, 2] = np.inf
+    path = tmp_path / "inf.ckpt"
+    save_checkpoint(path, params)
+    with pytest.raises(NumericError, match="non-finite values in out_dynamic"):
+        load_checkpoint(path)
+
+
+def test_has_stats_byte_other_than_0_or_1_is_a_config_error(tmp_path):
+    _, _, path = roundtrip(tmp_path, small_config())
+    blob = bytearray(path.read_bytes())
+    blob[49] = 2
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigError, match="has_stats byte 2"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", sorted(ABLATION_PRESETS))
+@pytest.mark.parametrize("shared", [False, True])
+def test_checkpoint_length_is_fixed_by_the_config(tmp_path, name, shared):
+    config = small_config(flags=ABLATION_PRESETS[name], order=3, t_max=11,
+                          dilations=(0, 2, 1), kernel_width=3,
+                          shared_branches=shared)
+    stats = FeatureStats(np.zeros(2), np.ones(2), np.zeros(3), np.ones(3))
+    for with_stats, n_stats in ((None, 0), (stats, 2 * (2 + 3))):
+        params, bundle, path = roundtrip(tmp_path, config, with_stats)
+        assert path.stat().st_size == \
+            50 + 8 * (n_stats + parameter_count(config))
+        np.testing.assert_array_equal(bundle.params.flat, params.flat)
 
 
 @pytest.mark.parametrize("name", sorted(ABLATION_PRESETS))
@@ -574,9 +614,8 @@ def test_parameter_count_matches_the_allocated_arrays(name, shared):
 def _fuzz_checkpoint():
     """A checkpoint with stats and every stage, and its structural bytes.
 
-    The structural bytes are the header, the config block, the stats flag,
-    the tensor count and every array header (rank and dimensions); the rest
-    is float64 data.
+    The structural bytes are the 50-byte header: magic, version, config,
+    flags and the stats flag; the rest is float64 data.
     """
     config = small_config(flags=ABLATION_PRESETS["A7"], order=2, t_max=6)
     stats = FeatureStats(np.zeros(2), np.ones(2), np.zeros(3), np.ones(3))
@@ -586,24 +625,8 @@ def _fuzz_checkpoint():
         save_checkpoint(path, params, stats)
         with open(path, "rb") as fh:
             blob = fh.read()
-    structural = list(range(50))  # magic, version, config, flags, has-stats
-    offset = 50
-
-    def array_header():
-        nonlocal offset
-        (ndim,) = struct.unpack_from("<I", blob, offset)
-        dims = struct.unpack_from(f"<{ndim}I", blob, offset + 4)
-        structural.extend(range(offset, offset + 4 + 4 * ndim))
-        offset += 4 + 4 * ndim + 8 * math.prod(dims)
-
-    for _ in range(4):
-        array_header()
-    structural.extend(range(offset, offset + 4))
-    offset += 4
-    for _ in params.named_arrays():
-        array_header()
-    assert offset == len(blob)
-    return blob, structural
+    assert len(blob) == 50 + 8 * (10 + params.flat.size)
+    return blob, list(range(50))
 
 
 _FUZZ_BLOB, _FUZZ_STRUCTURAL = _fuzz_checkpoint()
@@ -621,18 +644,31 @@ def test_every_truncation_is_a_config_error(tmp_path):
             _load_bytes(_FUZZ_BLOB[:length], tmp_path)
 
 
-@pytest.fixture(scope="module")
-def fuzz_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz")
+def test_every_appended_byte_count_is_a_config_error(tmp_path):
+    for extra in range(1, 17):
+        with pytest.raises(ConfigError, match=f"{extra} trailing bytes"):
+            _load_bytes(_FUZZ_BLOB + b"\x00" * extra, tmp_path)
 
 
-@settings(max_examples=300, deadline=None)
-@given(position=st.sampled_from(_FUZZ_STRUCTURAL), bit=st.integers(0, 7))
-def test_bit_flips_in_the_structure_load_or_raise_named_errors(
-        fuzz_dir, position, bit):
+def test_bit_flips_in_the_structure_load_or_raise_named_errors(tmp_path):
+    for position in _FUZZ_STRUCTURAL:
+        for bit in range(8):
+            damaged = bytearray(_FUZZ_BLOB)
+            damaged[position] ^= 1 << bit
+            try:
+                _load_bytes(bytes(damaged), tmp_path)
+            except (ConfigError, NumericError):
+                pass
+
+
+def test_a_huge_damaged_tmax_is_refused_before_allocation(tmp_path):
     damaged = bytearray(_FUZZ_BLOB)
-    damaged[position] ^= 1 << bit
+    damaged[15] ^= 0x80  # the high byte of t_max
+    tracemalloc.start()
     try:
-        _load_bytes(bytes(damaged), fuzz_dir)
-    except (ConfigError, NumericError):
-        pass
+        with pytest.raises(ConfigError, match="truncated or damaged config"):
+            _load_bytes(bytes(damaged), tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
