@@ -26,7 +26,6 @@ import numpy as np
 
 from .data import (
     SynthSpec,
-    compute_stats,
     csv_field,
     load_cohort,
     load_visit_table,
@@ -217,6 +216,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _argv_name(text):
+    """A name from argv as it was typed: under a non-UTF-8 locale argv
+    holds the surrogate escapes of its UTF-8 bytes (paths keep them)."""
+    return os.fsencode(text).decode("utf-8", "surrogateescape")
+
+
 def _build_parser():
     parser = _Parser(prog="trendvar", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -229,7 +234,8 @@ def _build_parser():
                     const="true", default=None, help=option.help)
             else:
                 cmd_parser.add_argument(
-                    option.flag, dest=option.dest, type=str, default=None,
+                    option.flag, dest=option.dest, default=None,
+                    type=_argv_name if option is _FEATURE_OPT else str,
                     help=option.help)
     return parser
 
@@ -543,18 +549,6 @@ def cmd_sweep(opts):
     )
 
 
-def _scoring_stats(bundle, cohort, effective):
-    """The stats the checkpoint's weights were trained under.
-
-    A checkpoint without them falls back to the cohort's own stats, and
-    ``effective`` gains a ``stats`` line for the manifest that says so.
-    """
-    if bundle.stats is not None:
-        return bundle.stats
-    effective["stats"] = "evaluation cohort (checkpoint has none)"
-    return compute_stats(cohort)
-
-
 def cmd_eval(opts):
     from .metrics import macro_one_vs_rest
     from .model import load_checkpoint
@@ -579,10 +573,8 @@ def cmd_eval(opts):
             f"{config.n_classes} classes, data labels reach "
             f"{cohort.n_classes - 1}"
         )
-    effective = dict(opts)
-    stats = _scoring_stats(bundle, cohort, effective)
-    _write_manifest(out, "eval", effective)
-    probs = predict_probs(cohort, stats, bundle.params)
+    _write_manifest(out, "eval", opts)
+    probs = predict_probs(cohort, bundle.stats, bundle.params)
     with open_output(os.path.join(out, "scored.csv")) as fh:
         header = ",".join(f"prob_{k}" for k in range(config.n_classes))
         fh.write(f"patient_id,label,{header}\n")
@@ -817,13 +809,13 @@ def cmd_inspect_attention(opts):
             f"{config.n_dynamic} dynamic features, data has {len(names)}"
         )
     chosen = _select_features(names, opts.get("feature"))
-    # The visits alone, with zero statics of the model's width, take the
-    # same z-scoring and preparation as eval.
-    cohort = replace(cohort,
-                     static=np.zeros((len(cohort), config.n_static)))
-    effective = dict(opts)
-    stats = _scoring_stats(bundle, cohort, effective)
-    _write_manifest(out, "inspect-attention", effective)
+    # The visits alone take the same z-scoring and preparation as eval.
+    # The attention never reads the statics; the checkpoint's static means
+    # z-score to exactly 0, so no stored stats can make them overflow.
+    stats = bundle.stats
+    cohort = replace(cohort, static=np.tile(stats.static_mean,
+                                            (len(cohort), 1)))
+    _write_manifest(out, "inspect-attention", opts)
     columns = [names.index(name) for name in chosen]
     labels = [f",{csv_field(name)},{i}," for name in chosen
               for i in range(config.coeff_len - 1)]

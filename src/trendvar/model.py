@@ -19,6 +19,7 @@ disabled stages contribute nothing (their weights do not even exist).
 
 import math
 import struct
+import zlib
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -472,22 +473,24 @@ def cross_entropy(probs, labels):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint serialization (version 2, little-endian).
+# Checkpoint serialization (version 3, little-endian).
 #
-# magic | u32 version | u32 x 9 config | u8 flag bits | u8 has_stats
-#   | float64 values
+# magic | u32 version | u32 x 9 config | u8 flag bits | float64 values
+#   | u32 CRC-32
 #
 # The config is t_max, n_dynamic, n_static, n_classes, order, kernel_width
 # and the three dilation rates; the flag bits are the AblationFlags fields
 # in declaration order from bit 0 (1 trend, 2 variation, 4 correlation,
-# 8 attention), then 16 for shared branches.  The values are the stats
-# (dynamic mean, dynamic std, static mean, static std) when has_stats is 1,
-# then ``params.flat``.  The config fixes every shape, so no array carries
-# a header and the config alone gives the file's exact length.
+# 8 attention), then 16 for shared branches.  The values are the training
+# stats (dynamic mean, dynamic std, static mean, static std), then
+# ``params.flat``.  The config fixes every shape, so no array carries a
+# header and the config alone gives the file's exact length.  The CRC-32
+# (``zlib.crc32``) covers every byte before it.
 
 CHECKPOINT_MAGIC = b"TVARCKPT"
-CHECKPOINT_VERSION = 2
-_HEADER = struct.Struct("<8sI9IBB")
+CHECKPOINT_VERSION = 3
+_HEADER = struct.Struct("<8sI9IB")
+_CRC = struct.Struct("<I")
 
 
 def _stats_sizes(config):
@@ -496,18 +499,18 @@ def _stats_sizes(config):
     return dict(dynamic_mean=d, dynamic_std=d, static_mean=s, static_std=s)
 
 
-def save_checkpoint(path, params, stats=None):
-    """Serialize params with their config (+ optional normalization stats)
-    to disk.
+def save_checkpoint(path, params, stats):
+    """Serialize params with their config and the normalization stats they
+    were trained under.
 
-    Storing the training-time normalization stats lets a later scoring run
-    reproduce the exact preprocessing the weights were fitted under.  Stats
-    whose shapes do not fit the config are a ``ConfigError``.
+    The stats let a later scoring run reproduce the exact preprocessing the
+    weights were fitted under.  Stats whose shapes do not fit the config
+    are a ``ConfigError``.
     """
     config = params.config
     sizes = _stats_sizes(config)
-    arrays = [] if stats is None else [
-        np.asarray(getattr(stats, name), dtype=np.float64) for name in sizes]
+    arrays = [np.asarray(getattr(stats, name), dtype=np.float64)
+              for name in sizes]
     for (name, size), value in zip(sizes.items(), arrays):
         if value.shape != (size,):
             raise ConfigError(
@@ -519,16 +522,17 @@ def save_checkpoint(path, params, stats=None):
     header = _HEADER.pack(
         CHECKPOINT_MAGIC, CHECKPOINT_VERSION, config.t_max, config.n_dynamic,
         config.n_static, config.n_classes, config.order, config.kernel_width,
-        *config.dilations, flag_bits, stats is not None)
+        *config.dilations, flag_bits)
     values = np.concatenate([*arrays, params.flat]).astype("<f8")
+    body = header + values.tobytes()
     with open(path, "wb") as fh:
-        fh.write(header + values.tobytes())
+        fh.write(body + _CRC.pack(zlib.crc32(body)))
 
 
 @dataclass
 class CheckpointBundle:
     params: ModelParams
-    stats: "object | None"
+    stats: FeatureStats
 
 
 def load_checkpoint(path):
@@ -542,10 +546,14 @@ def load_checkpoint(path):
     if len(blob) < _HEADER.size:
         raise ConfigError(f"corrupt checkpoint {path}: truncated")
     (_, version, t_max, n_dynamic, n_static, n_classes, order, kernel_width,
-     d0, d1, d2, bits, has_stats) = _HEADER.unpack_from(blob)
+     d0, d1, d2, bits) = _HEADER.unpack_from(blob)
     if version != CHECKPOINT_VERSION:
         raise ConfigError(
             f"unsupported checkpoint version {version} in {path}"
+        )
+    if bits >> 5:  # bits 0-4 are the flags
+        raise ConfigError(
+            f"corrupt checkpoint {path}: unknown flag bits {bits:#04x}"
         )
     flags = AblationFlags(*(bool(bits >> bit & 1) for bit in range(4)))
     config = ModelConfig(
@@ -554,16 +562,12 @@ def load_checkpoint(path):
         dilations=(d0, d1, d2), flags=flags,
         shared_branches=bool(bits & 16),
     )
-    if has_stats > 1:
-        raise ConfigError(
-            f"corrupt checkpoint {path}: has_stats byte {has_stats}, "
-            f"expected 0 or 1"
-        )
-    sizes = _stats_sizes(config) if has_stats else {}
+    sizes = _stats_sizes(config)
     n_stats = sum(sizes.values())
     # Checked before anything is allocated: a damaged config must not size
     # an allocation larger than the file that carries it.
-    expected = _HEADER.size + 8 * (n_stats + parameter_count(config))
+    expected = _HEADER.size + 8 * (n_stats + parameter_count(config)) \
+        + _CRC.size
     if len(blob) < expected:
         raise ConfigError(
             f"corrupt checkpoint {path}: truncated or damaged config: it "
@@ -573,23 +577,24 @@ def load_checkpoint(path):
         raise ConfigError(
             f"corrupt checkpoint {path}: {len(blob) - expected} trailing bytes"
         )
-    values = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    stats = None
-    if has_stats:
-        stats = FeatureStats(*np.split(values[:n_stats].astype(np.float64),
-                                       np.cumsum(list(sizes.values()))[:-1]))
-        for name in sizes:
-            value = getattr(stats, name)
-            if not np.isfinite(value).all():
-                raise ConfigError(
-                    f"corrupt checkpoint {path}: non-finite values in stats "
-                    f"{name}"
-                )
-            if name.endswith("_std") and (value < 0).any():
-                raise ConfigError(
-                    f"corrupt checkpoint {path}: negative values in stats "
-                    f"{name}"
-                )
+    body = memoryview(blob)[:-_CRC.size]
+    if zlib.crc32(body) != _CRC.unpack_from(blob, len(body))[0]:
+        raise ConfigError(f"corrupt checkpoint {path}: checksum mismatch")
+    values = np.frombuffer(body, dtype="<f8", offset=_HEADER.size)
+    stats = FeatureStats(*np.split(values[:n_stats].astype(np.float64),
+                                   np.cumsum(list(sizes.values()))[:-1]))
+    # A hand-built file can carry a valid checksum.
+    for name in sizes:
+        value = getattr(stats, name)
+        if not np.isfinite(value).all():
+            raise ConfigError(
+                f"corrupt checkpoint {path}: non-finite values in stats "
+                f"{name}"
+            )
+        if name.endswith("_std") and (value < 0).any():
+            raise ConfigError(
+                f"corrupt checkpoint {path}: negative values in stats {name}"
+            )
     params = ModelParams(config)
     params.flat[...] = values[n_stats:]
     if not np.isfinite(params.flat).all():

@@ -13,6 +13,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -804,13 +805,14 @@ def test_eval_rejects_foreign_checkpoint_files(tmp_path, workspace):
 
 def test_checkpoint_with_misshaped_stats_is_a_config_error(tmp_path,
                                                           workspace):
-    blob = bytearray((workspace["train"] / "fold0.ckpt").read_bytes())
-    # Byte 49 is the has_stats flag: with it cleared, the stored stats no
-    # longer fit the length the config gives the file.
-    assert blob[49] == 1
-    blob[49] = 0
+    blob = (workspace["train"] / "fold0.ckpt").read_bytes()
+    # The file without its last static std, under a valid checksum: the
+    # stored stats no longer fit the length the config gives the file.
+    config = load_checkpoint(workspace["train"] / "fold0.ckpt").params.config
+    end = 49 + 8 * 2 * (config.n_dynamic + config.n_static)
+    body = blob[:end - 8] + blob[end:-4]
     damaged = tmp_path / "damaged.ckpt"
-    damaged.write_bytes(bytes(blob))
+    damaged.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     for command, flags in (("eval", data_flags(workspace)),
                            ("inspect-attention",
                             ["--visits", workspace["data"] / "visits.csv"])):
@@ -819,6 +821,27 @@ def test_checkpoint_with_misshaped_stats_is_a_config_error(tmp_path,
         assert proc.returncode == 1, proc.stderr
         assert "corrupt checkpoint" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_version_2_checkpoint_is_refused(tmp_path, workspace):
+    # The version-2 layout: magic, version, the config, the flag byte and
+    # a has_stats byte, then the stats and the weights, with no checksum.
+    current = load_checkpoint(workspace["train"] / "fold0.ckpt")
+    config, stats = current.params.config, current.stats
+    old = tmp_path / "v2.ckpt"
+    old.write_bytes(
+        b"TVARCKPT" + struct.pack(
+            "<I9IBB", 2, config.t_max, config.n_dynamic, config.n_static,
+            config.n_classes, config.order, config.kernel_width,
+            *config.dilations, 15, 1)
+        + np.concatenate([stats.dynamic_mean, stats.dynamic_std,
+                          stats.static_mean, stats.static_std,
+                          current.params.flat]).astype("<f8").tobytes())
+    proc = run_cli("eval", *data_flags(workspace), "--checkpoint", old,
+                   "--out", tmp_path / "o")
+    assert proc.returncode == 1, proc.stderr
+    assert "unsupported checkpoint version 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_version_1_checkpoint_is_refused(tmp_path, workspace):
@@ -849,31 +872,37 @@ def test_checkpoint_with_a_flipped_tmax_bit_is_rejected_unallocated(
     assert "Traceback" not in proc.stderr
 
 
-def test_checkpoint_without_stats_uses_the_cohort_stats(tmp_path, workspace):
-    bundle = load_checkpoint(workspace["train"] / "fold0.ckpt")
-    bare = tmp_path / "bare.ckpt"
-    save_checkpoint(bare, bundle.params, None)
-    own = tmp_path / "own.ckpt"
-    d = workspace["data"]
-    cohort = load_cohort(d / "visits.csv", d / "static.csv",
-                         d / "labels.csv")
-    save_checkpoint(own, bundle.params, compute_stats(cohort))
-    note = "stats = evaluation cohort (checkpoint has none)\n"
-    for command, flags, output in (
-            ("eval", data_flags(workspace), "scored.csv"),
-            ("inspect-attention", ["--visits", d / "visits.csv"],
-             "attention.csv")):
-        fallback = tmp_path / f"{command}_bare"
-        proc = run_ok(command, *flags, "--checkpoint", bare,
-                      "--out", fallback)
-        assert note in read(fallback / "manifest.txt")
-        assert note in proc.stdout
-        explicit = tmp_path / f"{command}_own"
-        run_ok(command, *flags, "--checkpoint", own, "--out", explicit)
-        assert "stats =" not in read(explicit / "manifest.txt")
-        # The fallback z-scores exactly as the cohort's own stats do.
-        assert (fallback / output).read_bytes() == \
-            (explicit / output).read_bytes(), command
+def test_flipped_checkpoint_bits_are_refused(tmp_path, workspace):
+    blob = (workspace["train"] / "fold0.ckpt").read_bytes()
+    for name, position, bit in (("flags", 48, 0xe0),
+                                ("weights", len(blob) - 100, 0x10)):
+        damaged = bytearray(blob)
+        damaged[position] ^= bit
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(bytes(damaged))
+        proc = run_cli("eval", *data_flags(workspace), "--checkpoint", path,
+                       "--out", tmp_path / name)
+        assert proc.returncode == 1, proc.stderr
+        assert "corrupt checkpoint" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_inspect_attention_ignores_the_static_stats(tmp_path, workspace):
+    """The attention never reads statics: a checkpoint whose static stats
+    would overflow any z-scored static writes the same attention.csv."""
+    original = workspace["train"] / "fold0.ckpt"
+    bundle = load_checkpoint(original)
+    n = bundle.params.config.n_static
+    extreme = tmp_path / "extreme.ckpt"
+    save_checkpoint(extreme, bundle.params,
+                    replace(bundle.stats, static_mean=np.full(n, 1e300),
+                            static_std=np.full(n, 1e-10)))
+    visits = ["--visits", workspace["data"] / "visits.csv"]
+    for ckpt in (original, extreme):
+        run_ok("inspect-attention", *visits, "--checkpoint", ckpt,
+               "--out", tmp_path / ckpt.stem)
+    assert (tmp_path / "extreme" / "attention.csv").read_bytes() == \
+        (tmp_path / "fold0" / "attention.csv").read_bytes()
 
 
 def test_outputs_are_utf8_under_the_c_locale(tmp_path, workspace):
@@ -887,16 +916,21 @@ def test_outputs_are_utf8_under_the_c_locale(tmp_path, workspace):
                      dynamic_names=("café",) + cohort.dynamic_names[1:])
     write_cohort(cohort, tmp_path / "data_ü")
     data = ["--visits", "../data_ü/visits.csv"]
+    # (run name, command, flags); each run writes to out_<name>_é.
     runs = [
-        ("train", [*data, "--static", "../data_ü/static.csv", "--labels",
-                   "../data_ü/labels.csv", *TRAIN_ARGS]),
-        ("eval", [*data, "--static", "../data_ü/static.csv", "--labels",
-                  "../data_ü/labels.csv", "--checkpoint",
-                  "out_train_é/fold0.ckpt"]),
-        ("decompose", [*data, "--symlet", "2"]),
-        ("correlate", [*data, "--symlet", "2"]),
-        ("inspect-attention", [*data, "--checkpoint",
-                               "out_train_é/fold0.ckpt"]),
+        ("train", "train", [*data, "--static", "../data_ü/static.csv",
+                            "--labels", "../data_ü/labels.csv",
+                            *TRAIN_ARGS]),
+        ("eval", "eval", [*data, "--static", "../data_ü/static.csv",
+                          "--labels", "../data_ü/labels.csv",
+                          "--checkpoint", "out_train_é/fold0.ckpt"]),
+        ("decompose", "decompose", [*data, "--symlet", "2"]),
+        # A non-ASCII feature name in argv, not only in the data.
+        ("decompose_café", "decompose", [*data, "--symlet", "2",
+                                         "--feature", "café"]),
+        ("correlate", "correlate", [*data, "--symlet", "2"]),
+        ("inspect-attention", "inspect-attention",
+         [*data, "--checkpoint", "out_train_é/fold0.ckpt"]),
     ]
     source = os.path.dirname(os.path.dirname(cli.__file__))
     stdout = {}
@@ -905,28 +939,31 @@ def test_outputs_are_utf8_under_the_c_locale(tmp_path, workspace):
         cwd.mkdir()
         env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
                    PYTHONUTF8=mode, PYTHONPATH=source)
-        for command, flags in runs:
+        for name, command, flags in runs:
             proc = subprocess.run(
                 [sys.executable, "-m", "trendvar.cli", command, *flags,
-                 "--out", f"out_{command}_é"],
+                 "--out", f"out_{name}_é"],
                 cwd=cwd, env=env, capture_output=True)
             assert proc.returncode == 0, proc.stderr.decode(errors="replace")
             assert b"Traceback" not in proc.stderr
-            stdout[mode, command] = proc.stdout
+            stdout[mode, name] = proc.stdout
     assert "café".encode() in stdout["0", "correlate"]
     c_locale, utf8 = (tmp_path / f"utf8_{mode}" for mode in "01")
     files = sorted(path.relative_to(utf8) for path in utf8.rglob("*")
                    if path.is_file())
-    assert len(files) == 7 + 4 + 2 + 2 + 2
+    assert len(files) == 7 + 4 + 2 + 2 + 2 + 2
     for name in files:
         assert (c_locale / name).read_bytes() == \
             (utf8 / name).read_bytes(), name
     assert sorted(path.relative_to(c_locale) for path in c_locale.rglob("*")
                   if path.is_file()) == files
-    for command, _ in runs:
-        assert stdout["0", command] == stdout["1", command], command
-        manifest = utf8 / f"out_{command}_é" / "manifest.txt"
-        assert f"out = out_{command}_é\n" in manifest.read_text("utf-8")
+    for name, _, _ in runs:
+        assert stdout["0", name] == stdout["1", name], name
+        manifest = utf8 / f"out_{name}_é" / "manifest.txt"
+        assert f"out = out_{name}_é\n" in manifest.read_text("utf-8")
+    rows = (c_locale / "out_decompose_café_é" / "decomposition.csv") \
+        .read_text("utf-8").splitlines()[1:]
+    assert rows and {row.split(",")[1] for row in rows} == {"café"}
     assert "jürg," in (utf8 / "out_eval_é" / "scored.csv").read_text("utf-8")
 
 
@@ -988,7 +1025,8 @@ def test_diagnostic_rows_do_not_depend_on_the_cpu_count(tmp_path, capsys,
                          order=3)
     ckpt = tmp_path / "t11.ckpt"
     save_checkpoint(ckpt, ModelParams.initialized(
-        config, np.random.default_rng(2)))
+        config, np.random.default_rng(2)), compute_stats(load_cohort(
+            data / "visits.csv", data / "static.csv", data / "labels.csv")))
     visits = ["--visits", str(data / "visits.csv")]
     runs = {
         "decomposition.csv": [

@@ -474,21 +474,37 @@ def test_shared_branch_gradients_match_finite_differences(preset):
 
 # -- checkpoints ------------------------------------------------------------
 
+def random_stats(config, rng):
+    """Stats of the config's widths, with positive stds."""
+    d, s = config.n_dynamic, config.n_static
+    return FeatureStats(rng.normal(size=d), rng.uniform(0.1, 3.0, size=d),
+                        rng.normal(size=s), rng.uniform(0.1, 3.0, size=s))
+
+
 def roundtrip(tmp_path, config, stats=None):
-    params = ModelParams.initialized(config, np.random.default_rng(5))
+    """Save and load a model of ``config``, with random stats when none are
+    given."""
+    rng = np.random.default_rng(5)
+    params = ModelParams.initialized(config, rng)
+    if stats is None:
+        stats = random_stats(config, rng)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, stats=stats)
+    save_checkpoint(path, params, stats)
     return params, load_checkpoint(path), path
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     config = small_config()
-    params, bundle, _ = roundtrip(tmp_path, config)
+    stats = random_stats(config, np.random.default_rng(9))
+    params, bundle, _ = roundtrip(tmp_path, config, stats)
     assert bundle.params.config == config
-    assert bundle.stats is None
     for (name, src), (_, dst) in zip(params.named_arrays(),
                                      bundle.params.named_arrays()):
         np.testing.assert_array_equal(src, dst, err_msg=name)
+    for name in ("dynamic_mean", "dynamic_std", "static_mean", "static_std"):
+        loaded = getattr(bundle.stats, name)
+        assert loaded.dtype == np.float64
+        assert loaded.tobytes() == getattr(stats, name).tobytes(), name
 
 
 def test_checkpoint_preserves_flags_and_stats(tmp_path):
@@ -529,6 +545,11 @@ def test_checkpoint_rejects_foreign_and_damaged_files(tmp_path):
     with pytest.raises(ConfigError, match="trailing"):
         load_checkpoint(padded)
 
+    flipped = tmp_path / "flipped.ckpt"
+    flipped.write_bytes(blob[:-20] + bytes([blob[-20] ^ 0x10]) + blob[-19:])
+    with pytest.raises(ConfigError, match="checksum mismatch"):
+        load_checkpoint(flipped)
+
     missing = tmp_path / "nope.ckpt"
     with pytest.raises(ConfigError, match="cannot read"):
         load_checkpoint(missing)
@@ -561,18 +582,23 @@ def test_non_finite_parameters_are_named(tmp_path):
     params = ModelParams.initialized(config, np.random.default_rng(5))
     params.out_dynamic[1, 2] = np.inf
     path = tmp_path / "inf.ckpt"
-    save_checkpoint(path, params)
+    save_checkpoint(path, params, random_stats(config,
+                                               np.random.default_rng(6)))
     with pytest.raises(NumericError, match="non-finite values in out_dynamic"):
         load_checkpoint(path)
 
 
-def test_has_stats_byte_other_than_0_or_1_is_a_config_error(tmp_path):
+def test_unknown_flag_bits_are_a_config_error(tmp_path):
     _, _, path = roundtrip(tmp_path, small_config())
     blob = bytearray(path.read_bytes())
-    blob[49] = 2
-    path.write_bytes(bytes(blob))
-    with pytest.raises(ConfigError, match="has_stats byte 2"):
-        load_checkpoint(path)
+    assert blob[48] == 15  # A7, unshared
+    for high in (0x20, 0x40, 0x80, 0xe0):
+        damaged = bytearray(blob)
+        damaged[48] |= high
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(ConfigError,
+                           match=f"unknown flag bits {15 | high:#04x}"):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("name", sorted(ABLATION_PRESETS))
@@ -581,12 +607,10 @@ def test_checkpoint_length_is_fixed_by_the_config(tmp_path, name, shared):
     config = small_config(flags=ABLATION_PRESETS[name], order=3, t_max=11,
                           dilations=(0, 2, 1), kernel_width=3,
                           shared_branches=shared)
-    stats = FeatureStats(np.zeros(2), np.ones(2), np.zeros(3), np.ones(3))
-    for with_stats, n_stats in ((None, 0), (stats, 2 * (2 + 3))):
-        params, bundle, path = roundtrip(tmp_path, config, with_stats)
-        assert path.stat().st_size == \
-            50 + 8 * (n_stats + parameter_count(config))
-        np.testing.assert_array_equal(bundle.params.flat, params.flat)
+    params, bundle, path = roundtrip(tmp_path, config)
+    assert path.stat().st_size == \
+        53 + 8 * (2 * (2 + 3) + parameter_count(config))
+    np.testing.assert_array_equal(bundle.params.flat, params.flat)
 
 
 @pytest.mark.parametrize("name", sorted(ABLATION_PRESETS))
@@ -612,10 +636,10 @@ def test_parameter_count_matches_the_allocated_arrays(name, shared):
 
 
 def _fuzz_checkpoint():
-    """A checkpoint with stats and every stage, and its structural bytes.
+    """A checkpoint with every stage, and its structural bytes.
 
-    The structural bytes are the 50-byte header: magic, version, config,
-    flags and the stats flag; the rest is float64 data.
+    The structural bytes are the 49-byte header (magic, version, config and
+    flags) and the trailing CRC-32; between them is float64 data.
     """
     config = small_config(flags=ABLATION_PRESETS["A7"], order=2, t_max=6)
     stats = FeatureStats(np.zeros(2), np.ones(2), np.zeros(3), np.ones(3))
@@ -625,8 +649,8 @@ def _fuzz_checkpoint():
         save_checkpoint(path, params, stats)
         with open(path, "rb") as fh:
             blob = fh.read()
-    assert len(blob) == 50 + 8 * (10 + params.flat.size)
-    return blob, list(range(50))
+    assert len(blob) == 53 + 8 * (10 + params.flat.size)
+    return blob, [*range(49), *range(len(blob) - 4, len(blob))]
 
 
 _FUZZ_BLOB, _FUZZ_STRUCTURAL = _fuzz_checkpoint()
@@ -659,6 +683,15 @@ def test_bit_flips_in_the_structure_load_or_raise_named_errors(tmp_path):
                 _load_bytes(bytes(damaged), tmp_path)
             except (ConfigError, NumericError):
                 pass
+
+
+def test_every_single_bit_flip_is_a_named_error(tmp_path):
+    for position in range(len(_FUZZ_BLOB)):
+        for bit in range(8):
+            damaged = bytearray(_FUZZ_BLOB)
+            damaged[position] ^= 1 << bit
+            with pytest.raises((ConfigError, NumericError)):
+                _load_bytes(bytes(damaged), tmp_path)
 
 
 def test_a_huge_damaged_tmax_is_refused_before_allocation(tmp_path):
