@@ -376,8 +376,8 @@ def _resolve_tmax(opts, cohort):
         tmax = int(np.diff(cohort.offsets).max())
     if tmax < 1:
         raise ConfigError(f"--tmax must be >= 1, got {tmax}")
-    # The padded (N, tmax, c) batch, or the tmax x tmax identity the
-    # wavelet analysis matrix is built from.
+    # The padded (N, tmax, c) batch, or the wavelet analysis matrix, about
+    # tmax x tmax.
     _check_size(f"--tmax {tmax}",
                 8 * tmax * max(tmax, len(cohort) * cohort.n_dynamic))
     return tmax
@@ -822,13 +822,10 @@ def cmd_inspect_attention(opts):
 
     def render(block):
         part = cohort.take(block)
-        # Overflow is checked for by prepare, which names its patient.
-        with np.errstate(over="ignore", invalid="ignore"):
-            variation = prepare(part, stats, config).lines[:, columns, 1]
-            result = diff_attention(variation)
-        deltas = np.diff(variation, axis=-1)
+        variation = prepare(part, stats, config).lines[:, columns, 1]
+        result = diff_attention(variation, chosen, part.ids)
         for pid, delta, weight, weighted in zip(
-                map(csv_field, part.ids), deltas, result.weights,
+                map(csv_field, part.ids), result.diff, result.weights,
                 result.weighted_diff):
             yield "".join([
                 f"{pid}{label}{d!r},{w!r},{x!r}\n"

@@ -5,10 +5,8 @@ squared differences (scaled by 1/sqrt(m), m the length of R* itself) are
 softmax-normalised into attention weights.  The weighted differences
 highlight where a patient's short-term variation jumps.  There is nothing
 trainable here and R* is data, so the stage runs once per patient when a
-cohort is prepared and never needs a gradient.
-
-Every function works along the last axis, so one call covers a whole stack
-of lines, shape (..., m).
+cohort is prepared and never needs a gradient.  ``diff_attention`` is the
+whole stage, with all of its checks, for n patients' c variation lines.
 """
 
 from dataclasses import dataclass
@@ -21,6 +19,7 @@ from .errors import ConfigError, NumericError
 
 @dataclass
 class AttentionOutputs:
+    diff: np.ndarray
     weights: np.ndarray
     weighted_diff: np.ndarray
 
@@ -31,37 +30,34 @@ def softmax(scores):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def first_order_diff(values):
-    """Adjacent differences along the last axis: out[i] = x[i+1] - x[i]."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim < 1 or values.shape[-1] < 2:
-        raise ConfigError(
-            f"first_order_diff: need lines of length >= 2, got shape "
-            f"{values.shape}"
-        )
-    return values[..., 1:] - values[..., :-1]
+def diff_attention(variation, names, ids):
+    """Difference, attend and reweight an (n, c, m) stack of variation
+    lines: ``names`` names its c features and ``ids`` its n patients.
 
-
-def attention_weights(diff, dim):
-    """Softmax over squared differences scaled by 1/sqrt(dim).
-
-    ``dim`` is the length of the ORIGINAL coefficient line, one more than the
-    difference vector; the scaling tracks the line the differences came from.
+    ``diff`` holds the adjacent differences x[i+1] - x[i] of each line,
+    ``weights`` the softmax of their squares scaled by 1/sqrt(m), and
+    ``weighted_diff`` their product.  Differences whose scores are not
+    finite (lines so large that they overflow, or NaN) are rejected with
+    the first such feature and patient.
     """
-    if dim < 2:
-        raise ConfigError(f"attention_weights: dim must be >= 2, got {dim}")
-    if not np.all(np.isfinite(diff)):
-        raise NumericError(
-            "attention_weights: non-finite difference values"
+    variation = np.asarray(variation, dtype=np.float64)
+    if variation.ndim != 3 or variation.shape[-1] < 2:
+        raise ConfigError(
+            f"diff_attention: expected an (n, c, m) stack with m >= 2, got "
+            f"shape {variation.shape}"
         )
-    return softmax(diff * diff * (1.0 / sqrt(dim)))
-
-
-def diff_attention(values):
-    """Full stage for (..., m) lines: difference, attend, reweight."""
-    diff = first_order_diff(values)
-    weights = attention_weights(diff, diff.shape[-1] + 1)
-    return AttentionOutputs(weights, weights * diff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = variation[..., 1:] - variation[..., :-1]
+        scores = diff * diff * (1.0 / sqrt(variation.shape[-1]))
+    finite = np.isfinite(scores).all(axis=-1)
+    if not finite.all():
+        patient, feature = np.argwhere(~finite)[0].tolist()
+        raise NumericError(
+            f"diff_attention: non-finite attention scores, feature "
+            f"{names[feature]!r} of patient {ids[patient]!r}: the "
+            f"differences of its variation line overflow")
+    weights = softmax(scores)
+    return AttentionOutputs(diff, weights, weights * diff)
 
 
 def pool_features(weighted):

@@ -4,8 +4,8 @@ The two coefficient lines of one feature are stacked into a (2, m) grid and
 scanned by three dilated convolution branches (adjacent, short-range and
 long-range, dilation rates 0/1/3 by default).  Every output row mixes taps
 from BOTH input rows, so each branch sees trend and variation jointly rather
-than as separate channels.  Branch outputs are concatenated column-wise into
-one (2, Q) map per feature.
+than as separate channels.  The branches' affine maps are concatenated
+column-wise into one (2, Q) map per feature, and one tanh activates it.
 
 Everything here works on stacks of such grids, shape (..., 2, m).  A branch's
 kernels are (..., 2 out rows, 2 in rows, width): output row 0 (top) and row 1
@@ -55,34 +55,33 @@ def _windows(stacked, dilation, width, out_len):
     return windows.reshape(*stacked.shape[:-2], 2 * width, out_len)
 
 
-def conv_branch(stacked, kernels, bias, dilation, activate=True):
-    """Run one dilated branch over (..., 2, m) stacks.
+def conv_branch(stacked, kernels, bias, dilation):
+    """The affine map of one dilated branch over (..., 2, m) stacks.
 
     Output column j of row o is bias[o] + sum over input rows i and taps of
-    kernels[o, i, tap] * stacked[i, j + dilation * tap].  ``activate=False``
-    skips the tanh, exposing the affine map itself (used by linearity checks
-    and worked-value tests).
+    kernels[o, i, tap] * stacked[i, j + dilation * tap].
     """
     stacked = np.asarray(stacked, dtype=np.float64)
     width = kernels.shape[-1]
     out_len = branch_length(stacked.shape[-1], dilation, width)
     taps = kernels.reshape(*kernels.shape[:-2], 2 * width)
-    out = (taps @ _windows(stacked, dilation, width, out_len)
-           + np.asarray(bias)[..., :, None])
-    return np.tanh(out) if activate else out
+    return (taps @ _windows(stacked, dilation, width, out_len)
+            + np.asarray(bias)[..., :, None])
 
 
 def correlation_forward(lines, kernels, bias, dilations):
-    """Run the three branches on (..., 2, m) stacks and concatenate.
+    """Run the three branches on (..., 2, m) stacks, concatenate their
+    affine maps and activate the whole map with one tanh.
 
     ``kernels`` (..., 3, 2, 2, width) and ``bias`` (..., 3, 2) hold the
     three branches, as ``ModelParams.branch_kernels`` and ``branch_bias``
     do; branch b runs at rate ``dilations[b]``.  Output width is the sum of
     the per-branch widths.
     """
-    return np.concatenate(
+    maps = np.concatenate(
         [conv_branch(lines, kernels[..., bi, :, :, :], bias[..., bi, :], d)
          for bi, d in enumerate(dilations)], axis=-1)
+    return np.tanh(maps, out=maps)
 
 
 def correlation_backward(lines, maps, grad_maps, dilations, width):

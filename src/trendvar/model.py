@@ -306,18 +306,8 @@ def prepare(cohort, stats, config):
                             cohort.dynamic_names, cohort.ids)
     h_variation = None
     if config.flags.use_diff_attention:
-        variation = lines[:, :, 1]
-        # The differences of finite but huge variation lines, or their
-        # squares, overflow the attention scores.
-        finite = np.isfinite(np.square(np.diff(variation))).all(axis=-1)
-        if not finite.all():
-            patient, feature = np.argwhere(~finite)[0].tolist()
-            raise NumericError(
-                f"prepare: non-finite attention scores, feature "
-                f"{cohort.dynamic_names[feature]!r} of patient "
-                f"{cohort.ids[patient]!r}: the differences of its variation "
-                f"line overflow")
-        h_variation = pool_features(diff_attention(variation).weighted_diff)
+        h_variation = pool_features(diff_attention(
+            lines[:, :, 1], cohort.dynamic_names, cohort.ids).weighted_diff)
     return PreparedBatch(config, lines, cohort.static, labels, h_variation)
 
 

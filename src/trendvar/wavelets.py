@@ -4,10 +4,12 @@ Each dynamic feature's series is split once into a trend line (lowpass) and
 a variation line (highpass) with an orthonormal least-asymmetric filter pair.
 Boundaries use half-sample symmetric extension, so a length-t series yields
 floor((t + F - 1) / 2) coefficients per line, F = 2K being the filter length.
+The split is linear: for each (order, length) it is one cached matrix, built
+by adding every filter tap to the entry of the sample it reads after
+reflection (``analysis_matrix``).  One series (``decompose``) and whole
+stacks of series (``decompose_batch``) are split by one product with it.
 The split is exactly invertible: ``reconstruct`` returns the original samples
-to floating-point roundoff.  It is also linear, so for each (order, length)
-it is one cached matrix, and whole stacks of series are split with a single
-matrix product (``decompose_batch``).
+to floating-point roundoff.
 """
 
 from dataclasses import dataclass
@@ -110,34 +112,17 @@ def coefficient_count(length, order):
     return (length + 2 * order - 1) // 2
 
 
-def symmetric_extend(x, pad):
-    """Half-sample symmetric extension by ``pad`` samples on each side."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ConfigError(
-            f"symmetric_extend: expected a non-empty 1-D array, got shape {x.shape}"
-        )
-    if pad < 0:
-        raise ConfigError(f"symmetric_extend: negative pad {pad}")
-    if pad == 0:
-        return x.copy()
-    return np.pad(x, pad, mode="symmetric")
-
-
 def decompose(x, order):
-    """Split one series into its trend and variation coefficient lines."""
+    """Split one series into its trend and variation coefficient lines,
+    bit for bit as ``decompose_batch`` splits it in any stack."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ConfigError(
             f"decompose: expected a non-empty 1-D series, got shape {x.shape}"
         )
-    filters = symlet_filters(order)
-    ext = symmetric_extend(x, filters.length - 1)
-    # Correlate-then-decimate; keeping odd output indices pairs exactly with
-    # the upsampling grid used by reconstruct.
-    trend = np.convolve(ext, filters.lowpass, mode="valid")[1::2]
-    variation = np.convolve(ext, filters.highpass, mode="valid")[1::2]
-    return TrendVariationPair(trend, variation)
+    matrix = analysis_matrix(order, x.size)
+    return TrendVariationPair(*np.einsum("rt,kt->rk", x[None],
+                                         matrix).reshape(2, -1))
 
 
 def reconstruct(pair, order, length):
@@ -168,12 +153,23 @@ def analysis_matrix(order, length):
     """The split of every length-t series as one read-only (2m, t) matrix.
 
     Rows 0..m-1 produce the trend line and rows m..2m-1 the variation line.
-    The split is linear, so the matrix is built by decomposing the columns
-    of the identity: it is exactly the operator ``decompose`` applies.
+    Coefficient k of a line is the sum over taps j of filter[j] times
+    sample 2k + 1 - j, its index reflected into 0..t-1; each tap is added
+    to the entry of its reflected sample, in tap order.
     """
-    coefficient_count(length, order)  # rejects length < 1
-    pairs = [decompose(unit, order) for unit in np.eye(length)]
-    matrix = np.array([np.concatenate([p.trend, p.variation]) for p in pairs]).T
+    m = coefficient_count(length, order)  # rejects length < 1
+    filters = symlet_filters(order)
+    # Half-sample symmetric extension bounces with period 2t.
+    sample = (2 * np.arange(m)[:, None] + 1
+              - np.arange(filters.length)) % (2 * length)
+    sample = np.minimum(sample, 2 * length - 1 - sample)
+    coefficient = np.arange(m)[:, None]
+    # Built as (t, 2m) and transposed: einsum's order of summation follows
+    # this layout, and the bits of every split with it.
+    matrix = np.zeros((length, 2 * m))
+    np.add.at(matrix, (sample, coefficient), filters.lowpass)
+    np.add.at(matrix, (sample, coefficient + m), filters.highpass)
+    matrix = matrix.T
     matrix.flags.writeable = False
     return matrix
 
@@ -195,7 +191,7 @@ def decompose_batch(series, order, names, ids):
 
     Returns lines of shape (n, c, 2, m): ``[..., 0, :]`` is the trend line
     and ``[..., 1, :]`` the variation line of each series, as ``decompose``
-    gives them up to roundoff, from one product with ``analysis_matrix``.
+    gives them, from one product with ``analysis_matrix``.
     Each series' lines are bit for bit the same whatever else is stacked
     with it.
     Non-finite samples are rejected up front with their visit, feature and

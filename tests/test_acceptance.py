@@ -132,7 +132,7 @@ def test_criterion_03_convolution_oracle():
         kernel_bottom = rng.normal(size=(2, width))
         bias = rng.normal(size=2)
         out = conv_branch(stacked, np.stack([kernel_top, kernel_bottom]),
-                          bias, dilation, activate=False)
+                          bias, dilation)
         expected = conv_oracle(stacked, kernel_top, kernel_bottom, bias,
                                dilation)
         worst = max(worst, np.abs(out - expected).max())
@@ -232,6 +232,10 @@ def test_criterion_05_gradient_audit_all_configs():
 # -- 6: attention invariants ---------------------------------------------------------
 
 def test_criterion_06_attention_invariants():
+    def attend(values):
+        # One patient's one feature: a (1, 1, m) stack.
+        return diff_attention(values[None, None], ("x",), ("p",))
+
     start = time.perf_counter()
     rng = np.random.default_rng(66)
     worst_sum = 0.0
@@ -242,15 +246,15 @@ def test_criterion_06_attention_invariants():
         length = int(rng.integers(2, 17))
         scale = 10.0 ** rng.uniform(-2, 2)
         values = rng.normal(size=length) * scale
-        out = diff_attention(values)
+        out = attend(values)
         weights = out.weights
         worst_sum = max(worst_sum, abs(weights.sum() - 1.0))
         all_nonneg = all_nonneg and weights.min() >= 0.0
-        flipped = diff_attention(-values)
+        flipped = attend(-values)
         negation_exact = negation_exact and np.array_equal(
             weights, flipped.weights)
         shift = float(rng.uniform(-3, 3))
-        shifted = diff_attention(values + shift)
+        shifted = attend(values + shift)
         worst_shift = max(
             worst_shift,
             np.abs(shifted.weighted_diff

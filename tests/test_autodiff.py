@@ -98,8 +98,8 @@ WORKED_KERNELS = np.array([[[1.0, 0.0], [0.0, 1.0]],
 
 def test_dilated_conv_worked_values():
     d = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-    out1, out0 = (conv_branch(d, WORKED_KERNELS, np.zeros(2), rate,
-                              activate=False) for rate in (1, 0))
+    out1, out0 = (conv_branch(d, WORKED_KERNELS, np.zeros(2), rate)
+                  for rate in (1, 0))
     # dilation 1: top row j = D0[j] + D1[j+1]
     assert out1[0] == pytest.approx([7.0, 9.0, 11.0])
     assert out1[1] == pytest.approx([7.0, 9.0, 11.0])

@@ -1169,9 +1169,9 @@ def test_attention_scores_that_overflow_name_their_patient(
     code = cli.main(_q_argv(tmp_path, command, (std, 1.0), keep_q66))
     err = capsys.readouterr().err
     assert code == 3, err
-    assert err == ("numerical error: prepare: non-finite attention scores, "
-                   "feature 'a' of patient 'q0': the differences of its "
-                   "variation line overflow\n"), err
+    assert err == ("numerical error: diff_attention: non-finite attention "
+                   "scores, feature 'a' of patient 'q0': the differences of "
+                   "its variation line overflow\n"), err
     assert os.listdir(tmp_path / "out") == ["manifest.txt"]
 
 
@@ -1340,7 +1340,8 @@ def test_inspect_attention_shows_what_the_model_saw(tmp_path, workspace):
     cohort = load_cohort(d / "visits.csv", d / "static.csv",
                          d / "labels.csv")
     batch = prepare(cohort, bundle.stats, bundle.params.config)
-    weights = diff_attention(batch.lines[:, :, 1]).weights
+    weights = diff_attention(batch.lines[:, :, 1], cohort.dynamic_names,
+                             cohort.ids).weights
     expected = {(pid, name, str(i)): repr(w)
                 for pid, per_feature in zip(cohort.ids, weights.tolist())
                 for name, row in zip(cohort.dynamic_names, per_feature)

@@ -7,12 +7,7 @@ import pytest
 
 from cohorts import prepare_arrays
 from gradcheck import finite_diff_check
-from trendvar.diff_attention import (
-    attention_weights,
-    diff_attention,
-    first_order_diff,
-    pool_features,
-)
+from trendvar.diff_attention import diff_attention, pool_features
 from trendvar.errors import ConfigError, NumericError
 from trendvar.model import (
     ABLATION_PRESETS,
@@ -40,25 +35,35 @@ def oracle_attention(values):
         return ([float(a) for a in alpha], [float(w) for w in weighted])
 
 
+def attend(values):
+    """``diff_attention`` of one line, feature 'a' of patient 'p'."""
+    out = diff_attention(np.asarray(values, dtype=float)[None, None], ["a"],
+                         ["p"])
+    return out.diff[0, 0], out.weights[0, 0], out.weighted_diff[0, 0]
+
+
 def run_attention(values):
-    out = diff_attention(np.asarray(values, dtype=float))
-    return out.weights, out.weighted_diff
+    _, weights, weighted = attend(values)
+    return weights, weighted
 
 
 def test_first_order_diff_examples():
-    d = first_order_diff([1.0, 3.0, 2.0])
+    d = attend([1.0, 3.0, 2.0])[0]
     assert d == pytest.approx([2.0, -1.0])
-    d2 = first_order_diff([4.0, 4.0, 4.0, 4.0])
+    d2 = attend([4.0, 4.0, 4.0, 4.0])[0]
     assert np.abs(d2).max() == 0.0
-    d3 = first_order_diff([0.0, 5.0])
+    d3 = attend([0.0, 5.0])[0]
     assert d3 == pytest.approx([5.0])
-    rows = first_order_diff([[1.0, 3.0, 2.0], [0.0, 0.5, 2.0]])
-    np.testing.assert_array_equal(rows, [[2.0, -1.0], [0.5, 1.5]])
+    rows = diff_attention([[[1.0, 3.0, 2.0], [0.0, 0.5, 2.0]]], ["a", "b"],
+                          ["p"]).diff
+    np.testing.assert_array_equal(rows, [[[2.0, -1.0], [0.5, 1.5]]])
 
 
 def test_first_order_diff_needs_two_points():
-    with pytest.raises(ConfigError, match=">= 2"):
-        first_order_diff([1.0])
+    with pytest.raises(ConfigError, match="m >= 2"):
+        attend([1.0])
+    with pytest.raises(ConfigError, match=r"\(n, c, m\)"):
+        diff_attention(np.zeros((2, 3)), ["a", "b"], ["p"])
 
 
 def test_worked_example_against_oracle():
@@ -148,8 +153,14 @@ def test_sign_of_weighted_output_matches_differences():
 
 
 def test_attention_weights_reject_nonfinite():
-    with pytest.raises(NumericError, match="non-finite"):
-        attention_weights(np.array([1.0, np.nan]), 3)
+    with pytest.raises(NumericError, match="^diff_attention: non-finite "
+                       "attention scores, feature 'a' of patient 'p': "):
+        attend([1.0, np.nan, 2.0])
+    lines = np.zeros((3, 2, 4))
+    lines[1, 1, 2] = np.nan
+    lines[2, 0, 0] = 1e300
+    with pytest.raises(NumericError, match="feature 'b' of patient 'q1'"):
+        diff_attention(lines, ["a", "b"], ["q0", "q1", "q2"])
 
 
 def test_gradient_through_attention_matches_finite_differences():

@@ -37,7 +37,7 @@ def test_worked_example_dilation_one():
     stacked = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
     branch = _branch([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
                      [0.0, 0.0], 1)
-    out = conv_branch(stacked, *branch, activate=False)
+    out = conv_branch(stacked, *branch)
     assert out[0] == pytest.approx([7.0, 9.0, 11.0])
 
 
@@ -45,15 +45,15 @@ def test_worked_example_dilation_zero_keeps_width():
     stacked = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
     branch = _branch([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]],
                      [0.0, 0.0], 0)
-    out = conv_branch(stacked, *branch, activate=False)
+    out = conv_branch(stacked, *branch)
     assert out.shape == (2, 4)
     assert out[0] == pytest.approx([6.0, 8.0, 10.0, 12.0])
 
 
 def test_zero_kernels_zero_bias_give_zeros_after_tanh():
     stacked = np.random.default_rng(0).normal(size=(2, 9))
-    branch = _branch(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2), 1)
-    out = conv_branch(stacked, *branch, activate=True)
+    out = correlation_forward(stacked, np.zeros((3, 2, 2, 2)),
+                              np.zeros((3, 2)), (0, 1, 3))
     assert np.abs(out).max() == 0.0
 
 
@@ -67,8 +67,7 @@ def test_matches_oracle_on_random_instances():
         kt = rng.normal(size=(2, width))
         kb = rng.normal(size=(2, width))
         bias = rng.normal(size=2)
-        out = conv_branch(stacked, *_branch(kt, kb, bias, dilation),
-                          activate=False)
+        out = conv_branch(stacked, *_branch(kt, kb, bias, dilation))
         np.testing.assert_allclose(
             out, oracle_conv(stacked, kt, kb, bias, dilation), atol=1e-12)
 
@@ -86,7 +85,7 @@ def test_batched_stacks_match_oracle_per_grid(width, dilation):
     per_feature = (rng.normal(size=(c, 2, 2, width)), rng.normal(size=(c, 2)))
     shared = (rng.normal(size=(2, 2, width)), rng.normal(size=2))
     for kernels, bias in (per_feature, shared):
-        out = conv_branch(stacked, kernels, bias, dilation, activate=False)
+        out = conv_branch(stacked, kernels, bias, dilation)
         assert out.shape == (n, c, 2, m - dilation * (width - 1))
         for i in range(n):
             for j in range(c):
@@ -105,7 +104,7 @@ def test_preactivation_linearity_in_input():
                      np.zeros(2), 2)
 
     def run(data):
-        return conv_branch(data, *branch, activate=False)
+        return conv_branch(data, *branch)
 
     np.testing.assert_allclose(
         run(2.0 * d1 + d2), 2.0 * run(d1) + run(d2), atol=1e-12)
@@ -117,7 +116,7 @@ def test_cross_row_kernels_see_both_lines():
     bottom_only = np.vstack([np.zeros(6), rng.normal(size=6)])
     branch = _branch(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
                      np.zeros(2), 1)
-    out = conv_branch(bottom_only, *branch, activate=False)
+    out = conv_branch(bottom_only, *branch)
     assert np.abs(out).max() > 0.1
 
 
@@ -133,7 +132,7 @@ def test_correlation_forward_concatenates_branch_maps():
             (0, 1, 3), (slice(0, 22), slice(22, 43), slice(43, 62)))):
         np.testing.assert_array_equal(
             combined[:, cols],
-            conv_branch(stacked, kernels[bi], bias[bi], rate))
+            np.tanh(conv_branch(stacked, kernels[bi], bias[bi], rate)))
 
 
 def test_correlation_forward_is_deterministic():
@@ -150,7 +149,7 @@ def test_single_output_column_boundary():
     # m exactly equals the receptive field: one output column survives.
     stacked = np.arange(8.0).reshape(1, -1).repeat(2, axis=0)
     branch = _branch(np.ones((2, 2)), np.ones((2, 2)), np.zeros(2), 7)
-    out = conv_branch(stacked, *branch, activate=False)
+    out = conv_branch(stacked, *branch)
     assert out.shape == (2, 1)
 
 

@@ -18,7 +18,7 @@ from trendvar.metrics import (
     macro_one_vs_rest,
     trend_variation_report,
 )
-from trendvar.wavelets import decompose
+from wavelet_oracle import oracle_lines
 
 
 def auroc_by_pairs(scores, labels):
@@ -277,9 +277,8 @@ def test_report_matches_a_per_patient_pearson_loop():
     for j, row in enumerate(sorted(rows, key=lambda r: r.feature)):
         rs = []
         for matrix in tables.values():
-            pair = decompose(matrix[:, j], 3)
             try:
-                rs.append(pearson(pair.trend, pair.variation))
+                rs.append(pearson(*oracle_lines(matrix[:, j], 3)))
             except DataError:
                 pass
         assert row.n_defined == len(rs)

@@ -35,7 +35,7 @@ from trendvar.model import (
     prepare,
     save_checkpoint,
 )
-from trendvar.wavelets import decompose
+from wavelet_oracle import oracle_lines
 
 
 def small_config(**over):
@@ -256,7 +256,7 @@ def test_branch_sets_follow_sharing_flag():
                    for name, _ in no_corr.named_arrays())
 
 
-def test_params_copy_is_deep():
+def test_params_of_a_copied_buffer_are_independent():
     config = small_config()
     params = ModelParams.initialized(config, np.random.default_rng(1))
     clone = ModelParams(config)
@@ -265,7 +265,7 @@ def test_params_copy_is_deep():
     assert params.static_weight[0, 0] != clone.static_weight[0, 0]
 
 
-def test_prepare_sample_shape_checks():
+def test_prepare_shape_checks():
     config = small_config()
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError, match="3 dynamic and 3 static"):
@@ -293,8 +293,7 @@ def numpy_correlation_maps(visits, params, config):
     """
     maps = []
     for j in range(config.n_dynamic):
-        pair = decompose(visits[:, j], config.order)
-        lines = (pair.trend, pair.variation)
+        lines = oracle_lines(visits[:, j], config.order)
         blocks = []
         kernel_set = 0 if config.shared_branches else j
         for kernels, bias, dilation in zip(params.branch_kernels[kernel_set],
@@ -324,13 +323,13 @@ def numpy_forward_plain(visits, static, params, config):
     else:
         maps = []
         for j in range(config.n_dynamic):
-            pair = decompose(visits[:, j], config.order)
+            trend, variation = oracle_lines(visits[:, j], config.order)
             if flags.use_trend and flags.use_variation:
-                maps.append(np.vstack([pair.trend, pair.variation]))
+                maps.append(np.vstack([trend, variation]))
             elif flags.use_trend:
-                maps.append(pair.trend[None, :])
+                maps.append(trend[None, :])
             else:
-                maps.append(pair.variation[None, :])
+                maps.append(variation[None, :])
     fused = np.hstack(maps)
     h_dy = np.tanh(params.mix_weight @ fused + params.mix_bias)
     h_st = np.tanh(params.static_weight @ static + params.static_bias)
@@ -339,7 +338,7 @@ def numpy_forward_plain(visits, static, params, config):
     if flags.use_diff_attention:
         pooled = np.zeros(config.coeff_len - 1)
         for j in range(config.n_dynamic):
-            line = decompose(visits[:, j], config.order).variation
+            line = oracle_lines(visits[:, j], config.order)[1]
             delta = np.diff(line)
             scores = delta * delta / math.sqrt(line.shape[0])
             e = np.exp(scores - scores.max())

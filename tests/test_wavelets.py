@@ -1,9 +1,8 @@
-"""Wavelet stage tests.
+"""Wavelet stage tests, against the loop oracle of ``wavelet_oracle``."""
 
-The naive oracle below re-derives the whole analysis path (index reflection,
-correlation, decimation) with explicit loops and no numpy convolution, so a
-bug in the fast path cannot hide behind a matching bug in the test.
-"""
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohorts import cohort_of
+from trendvar import wavelets
 from trendvar.data import Cohort
 from trendvar.errors import ConfigError, NumericError
 from trendvar.wavelets import (
@@ -24,30 +24,10 @@ from trendvar.wavelets import (
     decompose_ragged,
     reconstruct,
     symlet_filters,
-    symmetric_extend,
 )
+from wavelet_oracle import oracle_line
 
 ALL_ORDERS = range(MIN_ORDER, MAX_ORDER + 1)
-
-
-def _reflect(i, t):
-    # half-sample symmetric extension bounces with period 2t
-    i %= 2 * t
-    return i if i < t else 2 * t - 1 - i
-
-
-def oracle_line(x, filt):
-    """Trend or variation line by direct summation over reflected indices."""
-    t = len(x)
-    f = len(filt)
-    out = []
-    for i in range((t + f - 1) // 2):
-        n = 2 * i + 1
-        acc = 0.0
-        for k in range(f):
-            acc += x[_reflect(n + k - (f - 1), t)] * filt[f - 1 - k]
-        out.append(acc)
-    return np.array(out)
 
 
 @pytest.mark.parametrize("order", ALL_ORDERS)
@@ -74,15 +54,6 @@ def test_unsupported_order_names_the_range():
     for bad in (1, 0, 21, 40):
         with pytest.raises(ConfigError, match="2..20"):
             symlet_filters(bad)
-
-
-def test_symmetric_extend_examples():
-    assert symmetric_extend([1.0, 2.0, 3.0], 2).tolist() == \
-        [2.0, 1.0, 1.0, 2.0, 3.0, 3.0, 2.0]
-    assert symmetric_extend([7.0], 3).tolist() == [7.0] * 7
-    assert symmetric_extend([4.0, 9.0], 0).tolist() == [4.0, 9.0]
-    with pytest.raises(ConfigError, match="non-empty"):
-        symmetric_extend([], 1)
 
 
 def test_constant_series_worked_example():
@@ -226,10 +197,8 @@ def test_batch_matches_per_series_decompose(order, length, lead, seed):
     assert lines.shape == (*lead, 2, m)
     for index in np.ndindex(*lead):
         pair = decompose(series[index], order)
-        np.testing.assert_allclose(lines[index][0], pair.trend,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(lines[index][1], pair.variation,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(lines[index][0], pair.trend)
+        np.testing.assert_array_equal(lines[index][1], pair.variation)
         back = reconstruct(TrendVariationPair(*lines[index]), order, length)
         np.testing.assert_allclose(back, series[index], rtol=0, atol=1e-10)
 
@@ -284,3 +253,38 @@ def test_single_visit_is_representable():
     assert pair.trend.size == coefficient_count(1, 14)
     back = reconstruct(pair, 14, 1)
     assert back == pytest.approx([2.5], abs=1e-10)
+    with pytest.raises(ConfigError, match="non-empty"):
+        decompose([], 14)
+
+
+# Prints a hash of the split at every order and length 1..40, then a hash of
+# a dot product and a convolution, which move with the BLAS kernel.
+_HASHES = """
+import hashlib
+import numpy as np
+from trendvar.wavelets import MAX_ORDER, MIN_ORDER, analysis_matrix
+split = hashlib.sha256()
+for order in range(MIN_ORDER, MAX_ORDER + 1):
+    for t in range(1, 41):
+        split.update(analysis_matrix(order, t).tobytes())
+a, b = np.random.default_rng(0).normal(size=(2, 1000))
+blas = hashlib.sha256(np.dot(a, b).tobytes()
+                      + np.convolve(a, b[:50]).tobytes())
+print(split.hexdigest(), blas.hexdigest())
+"""
+
+
+def test_split_does_not_depend_on_the_blas_kernel(capsys):
+    exec(_HASHES, {})
+    here = capsys.readouterr().out.split()
+    source = os.path.dirname(os.path.dirname(wavelets.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HASHES], capture_output=True, text=True,
+        env=dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+                 PYTHONPATH=source))
+    assert proc.returncode == 0, proc.stderr
+    prescott = proc.stdout.split()
+    if prescott[1] == here[1]:
+        pytest.skip("OPENBLAS_CORETYPE=Prescott changed no BLAS result: the "
+                    "variable acts only on a DYNAMIC_ARCH OpenBLAS")
+    assert prescott[0] == here[0]
