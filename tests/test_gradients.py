@@ -177,7 +177,7 @@ def test_correlation_backward_matches_finite_differences(width, dilations):
                              samples=kernels.size + bias.size) <= 1e-7
 
 
-def test_const_tensor_gets_no_gradient():
+def test_gradients_cover_the_parameters_not_the_data():
     # Gradients cover exactly the parameters; the data is left untouched.
     config = ModelConfig(t_max=8, n_dynamic=2, n_static=2, n_classes=2,
                          order=2)
@@ -193,7 +193,7 @@ def test_const_tensor_gets_no_gradient():
         np.testing.assert_array_equal(old, new)
 
 
-def test_unreachable_leaf_gets_zero_gradient():
+def test_a_cut_off_parameter_gets_zero_gradient():
     # A zero head block cuts the static embedding off from the loss.
     config = ModelConfig(t_max=8, n_dynamic=2, n_static=2, n_classes=2,
                          order=2)
@@ -206,7 +206,7 @@ def test_unreachable_leaf_gets_zero_gradient():
     assert np.abs(grads["out_static"]).max() > 0.0
 
 
-def test_backward_on_empty_tape_rejected():
+def test_backward_of_an_empty_batch_is_rejected():
     config = ModelConfig(t_max=8, n_dynamic=2, n_static=2, n_classes=2,
                          order=2)
     params = ModelParams(config)
@@ -215,7 +215,7 @@ def test_backward_on_empty_tape_rejected():
         backward(empty, params, forward(empty, params))
 
 
-def test_shape_mismatch_names_primitive_and_shapes():
+def test_misshaped_inputs_name_the_stage_and_shapes():
     config = ModelConfig(t_max=8, n_dynamic=2, n_static=2, n_classes=2,
                          order=2)
     with pytest.raises(ConfigError,
@@ -317,7 +317,7 @@ def test_adjoint_linearity(op_id):
 
 
 @pytest.mark.parametrize("op_id", sorted(OPERATIONS))
-def test_primitive_gradients_match_finite_differences(op_id):
+def test_operation_gradients_match_finite_differences(op_id):
     """20 random configurations per operation, 1e-4 relative tolerance."""
     rng = np.random.default_rng(sum(map(ord, op_id)) + 1)
     worst = 0.0
