@@ -528,25 +528,14 @@ def cmd_sweep(opts):
 
 def cmd_eval(opts):
     from .metrics import macro_one_vs_rest
+    from .model import check_fit
     from .training import predict_probs
 
     out = opts["out"]
     bundle = _load_checkpoint(opts)
     cohort = _load_cohort(opts)
     config = bundle.params.config
-    if cohort.n_dynamic != config.n_dynamic \
-            or cohort.n_static != config.n_static:
-        raise ConfigError(
-            f"checkpoint/data dimension mismatch: model expects "
-            f"{config.n_dynamic} dynamic and {config.n_static} static "
-            f"features, data has {cohort.n_dynamic} and {cohort.n_static}"
-        )
-    if cohort.n_classes > config.n_classes:
-        raise ConfigError(
-            f"checkpoint/data dimension mismatch: model predicts "
-            f"{config.n_classes} classes, data labels reach "
-            f"{cohort.n_classes - 1}"
-        )
+    check_fit(cohort, config)
     _write_manifest(out, "eval", opts)
     probs = predict_probs(cohort, bundle.stats, bundle.params)
     with open_output(os.path.join(out, "scored.csv")) as fh:
@@ -754,7 +743,7 @@ def cmd_correlate(opts):
 
 def cmd_inspect_attention(opts):
     from .diff_attention import diff_attention
-    from .model import prepare
+    from .model import check_fit, prepare
 
     bundle = _load_checkpoint(opts)
     config = bundle.params.config
@@ -763,20 +752,16 @@ def cmd_inspect_attention(opts):
             "difference attention is disabled in this checkpoint; nothing "
             "to inspect"
         )
-    cohort = _load_cohort(opts, visits_only=True)
-    names = cohort.dynamic_names
-    if len(names) != config.n_dynamic:
-        raise ConfigError(
-            f"checkpoint/data dimension mismatch: model expects "
-            f"{config.n_dynamic} dynamic features, data has {len(names)}"
-        )
-    chosen = _select_features(names, opts.get("feature"))
     # The visits alone take the same z-scoring and preparation as eval.
     # The attention never reads the statics; the checkpoint's static means
     # z-score to exactly 0, so no stored stats can make them overflow.
     stats = bundle.stats
+    cohort = _load_cohort(opts, visits_only=True)
     cohort = replace(cohort, static=np.tile(stats.static_mean,
                                             (len(cohort), 1)))
+    check_fit(cohort, config)
+    names = cohort.dynamic_names
+    chosen = _select_features(names, opts.get("feature"))
     _write_manifest(opts["out"], "inspect-attention", opts)
     columns = [names.index(name) for name in chosen]
     labels = [f",{csv_field(name)},{i}," for name in chosen

@@ -275,26 +275,38 @@ class PreparedBatch:
         )
 
 
+def check_fit(cohort, config):
+    """Refuse a ``Cohort`` whose feature widths or labels do not fit the
+    model of ``config``.
+
+    This is the one place that compares data with a model: ``prepare``,
+    ``eval`` and ``inspect-attention`` all check through here.
+    """
+    widths = (cohort.values.shape[1], cohort.static.shape[1])
+    if widths != (config.n_dynamic, config.n_static):
+        raise ConfigError(
+            f"dimension mismatch: model expects {config.n_dynamic} dynamic "
+            f"and {config.n_static} static features, data has {widths[0]} "
+            f"and {widths[1]}"
+        )
+    labels = cohort.labels
+    if len(cohort) and (labels.min() < 0 or labels.max() >= config.n_classes):
+        raise ConfigError(
+            f"dimension mismatch: model predicts {config.n_classes} classes, "
+            f"data labels span {labels.min()}..{labels.max()}"
+        )
+
+
 def prepare(cohort, stats, config):
     """A raw ``Cohort`` z-scored with ``stats``, padded to the model's
     ``t_max`` and decomposed into a ``PreparedBatch``.
 
     Training, scoring and ``inspect-attention`` all prepare through here,
-    so each sees a patient as the others do.  A split or attention scores
+    so each sees a patient as the others do.  A cohort that does not fit
+    ``config`` is refused by ``check_fit``; a split or attention scores
     that overflow name their patient and feature.
     """
-    widths = (cohort.values.shape[1], cohort.static.shape[1])
-    if widths != (config.n_dynamic, config.n_static):
-        raise ConfigError(
-            f"prepare: the cohort has {widths[0]} dynamic and {widths[1]} "
-            f"static features, the model {config.n_dynamic} and "
-            f"{config.n_static}"
-        )
-    labels = cohort.labels
-    if len(cohort) and (labels.min() < 0 or labels.max() >= config.n_classes):
-        raise ConfigError(
-            f"prepare: labels outside 0..{config.n_classes - 1}"
-        )
+    check_fit(cohort, config)
     cohort = normalize(cohort, stats)
     finite = np.isfinite(cohort.static).all(axis=1)
     if not finite.all():
@@ -308,7 +320,8 @@ def prepare(cohort, stats, config):
     if config.flags.use_diff_attention:
         h_variation = pool_features(diff_attention(
             lines[:, :, 1], cohort.dynamic_names, cohort.ids).weighted_diff)
-    return PreparedBatch(config, lines, cohort.static, labels, h_variation)
+    return PreparedBatch(config, lines, cohort.static, cohort.labels,
+                         h_variation)
 
 
 # The head's ``h @ W.T`` as an einsum, which sums each output on its own: a

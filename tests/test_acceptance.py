@@ -15,7 +15,9 @@ import time
 import numpy as np
 
 from cohorts import prepare_arrays
+from conv_oracle import oracle_conv
 from gradcheck import finite_diff_check
+from metric_oracle import auprc_by_thresholds, auroc_by_pairs
 from trendvar.data import SynthSpec, compute_stats, synth_generate
 from trendvar.diff_attention import diff_attention
 from trendvar.dilated import conv_branch
@@ -103,21 +105,6 @@ def test_criterion_02_perfect_reconstruction():
 
 # -- 3: dilated convolution oracle ----------------------------------------------
 
-def conv_oracle(stacked, kernel_top, kernel_bottom, bias, dilation):
-    width = kernel_top.shape[1]
-    m = stacked.shape[1]
-    out_len = m - dilation * (width - 1)
-    out = np.empty((2, out_len))
-    for p, kernel in enumerate((kernel_top, kernel_bottom)):
-        for j in range(out_len):
-            total = bias[p]
-            for k in range(2):
-                for tap in range(width):
-                    total += stacked[k, j + dilation * tap] * kernel[k, tap]
-            out[p, j] = total
-    return out
-
-
 def test_criterion_03_convolution_oracle():
     start = time.perf_counter()
     rng = np.random.default_rng(77)
@@ -133,7 +120,7 @@ def test_criterion_03_convolution_oracle():
         bias = rng.normal(size=2)
         out = conv_branch(stacked, np.stack([kernel_top, kernel_bottom]),
                           bias, dilation)
-        expected = conv_oracle(stacked, kernel_top, kernel_bottom, bias,
+        expected = oracle_conv(stacked, kernel_top, kernel_bottom, bias,
                                dilation)
         worst = max(worst, np.abs(out - expected).max())
     elapsed = time.perf_counter() - start
@@ -145,29 +132,6 @@ def test_criterion_03_convolution_oracle():
 
 
 # -- 4: metric oracles -----------------------------------------------------------
-
-def auroc_oracle(scores, labels):
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    total = 0.0
-    for p in pos:
-        for q in neg:
-            total += 1.0 if p > q else (0.5 if p == q else 0.0)
-    return total / (pos.size * neg.size)
-
-
-def auprc_oracle(scores, labels):
-    n_pos = int(labels.sum())
-    area = 0.0
-    prev_recall = 0.0
-    for threshold in sorted(set(scores.tolist()), reverse=True):
-        mask = scores >= threshold
-        tp = int(labels[mask].sum())
-        recall = tp / n_pos
-        area += (recall - prev_recall) * (tp / int(mask.sum()))
-        prev_recall = recall
-    return area
-
 
 def test_criterion_04_metric_oracles():
     start = time.perf_counter()
@@ -184,9 +148,9 @@ def test_criterion_04_metric_oracles():
         if case % 2 == 0:
             scores = np.round(scores, 1)  # force ties
         worst = max(worst, abs(auroc_binary(scores, labels)
-                               - auroc_oracle(scores, labels)))
+                               - auroc_by_pairs(scores, labels)))
         worst = max(worst, abs(auprc_binary(scores, labels)
-                               - auprc_oracle(scores, labels)))
+                               - auprc_by_thresholds(scores, labels)))
     elapsed = time.perf_counter() - start
     ok = worked == 0.75 and worst <= 1e-12 and elapsed < 2.0
     report(4, "ranking metrics vs enumeration oracles", ok,

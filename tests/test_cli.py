@@ -816,6 +816,36 @@ def test_eval_rejects_mismatched_data(tmp_path, workspace):
     assert "4" in proc.stderr
 
 
+def test_data_that_does_not_fit_the_model_is_refused_before_the_manifest(
+        tmp_path, capsys, workspace):
+    # A 2-class model of 3 dynamic and 3 static features, the widths of the
+    # threeclass preset, and the workspace's model of 2 and 2.
+    wide, narrow = tmp_path / "wide", workspace["train"] / "fold0.ckpt"
+    wide_data = ["--visits", wide / "visits.csv", "--static",
+                 wide / "static.csv", "--labels", wide / "labels.csv"]
+    assert cli.main(["synth", *SMALL_SYNTH, "--features", "3",
+                     "--static-features", "3", "--out", str(wide)]) == 0
+    assert cli.main([*map(str, ["train", *wide_data, *TRAIN_ARGS,
+                                "--out", wide / "train"])]) == 0
+    widths = "model expects 2 dynamic and 2 static features, data has 3 and "
+    labels = "model predicts 2 classes, data labels span 0..2"
+    for argv, message in (
+            (["eval", *wide_data, "--checkpoint", narrow], widths + "3"),
+            # The visits alone, with the checkpoint's static stand-in.
+            (["inspect-attention", "--visits", wide / "visits.csv",
+              "--checkpoint", narrow], widths + "2"),
+            (["eval", "--synth", "threeclass",
+              "--checkpoint", wide / "train" / "fold0.ckpt"], labels),
+            (["inspect-attention", "--synth", "threeclass",
+              "--checkpoint", wide / "train" / "fold0.ckpt"], labels)):
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert cli.main([*map(str, argv), "--out", str(out)]) == 1, argv
+        assert capsys.readouterr().err == \
+            f"configuration error: dimension mismatch: {message}\n"
+        assert not out.exists(), argv
+
+
 def test_eval_rejects_foreign_checkpoint_files(tmp_path, workspace):
     junk = tmp_path / "junk.ckpt"
     junk.write_bytes(b"not a checkpoint at all")

@@ -3,28 +3,13 @@
 import numpy as np
 import pytest
 
+from conv_oracle import oracle_conv
 from trendvar.dilated import (
     combined_width,
     conv_branch,
     correlation_forward,
 )
 from trendvar.errors import ConfigError, ShapeMismatchError
-
-
-def oracle_conv(stacked, kernel_top, kernel_bottom, bias, dilation):
-    """Definitionally faithful re-implementation: four explicit loops."""
-    _, m = stacked.shape
-    width = kernel_top.shape[1]
-    out_len = m - dilation * (width - 1)
-    out = np.zeros((2, out_len))
-    for row, kernel in enumerate((kernel_top, kernel_bottom)):
-        for j in range(out_len):
-            acc = bias[row]
-            for k in range(2):
-                for tap in range(width):
-                    acc += stacked[k, j + dilation * tap] * kernel[k, tap]
-            out[row, j] = acc
-    return out
 
 
 def _branch(kt, kb, bias, dilation):

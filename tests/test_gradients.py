@@ -218,8 +218,8 @@ def test_backward_of_an_empty_batch_is_rejected():
 def test_misshaped_inputs_name_the_stage_and_shapes():
     config = ModelConfig(t_max=8, n_dynamic=2, n_static=2, n_classes=2,
                          order=2)
-    with pytest.raises(ConfigError,
-                       match="prepare: the cohort has 3 dynamic and 2 static"):
+    with pytest.raises(ConfigError, match="dimension mismatch: model expects "
+                       "2 dynamic and 2 static features, data has 3 and 2"):
         prepare_arrays(np.zeros((1, 8, 3)), np.zeros((1, 2)), [0], config)
 
     with pytest.raises(ShapeMismatchError, match="at least"):

@@ -1,14 +1,10 @@
-"""Metric tests.
-
-AUROC is cross-checked against literal pairwise counting and AUPRC against
-mask-based threshold enumeration; neither oracle shares code with the
-library's rank/streaming implementations.
-"""
+"""Metric tests, against the enumeration oracles of ``metric_oracle``."""
 
 import numpy as np
 import pytest
 
 from cohorts import cohort_of
+from metric_oracle import auprc_by_thresholds, auroc_by_pairs
 from pearson import pearson
 from trendvar.data import SynthSpec, synth_generate
 from trendvar.errors import DataError
@@ -19,33 +15,6 @@ from trendvar.metrics import (
     trend_variation_report,
 )
 from wavelet_oracle import oracle_lines
-
-
-def auroc_by_pairs(scores, labels):
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    total = 0.0
-    for p in pos:
-        for q in neg:
-            if p > q:
-                total += 1.0
-            elif p == q:
-                total += 0.5
-    return total / (pos.size * neg.size)
-
-
-def auprc_by_thresholds(scores, labels):
-    n_pos = int(labels.sum())
-    area = 0.0
-    prev_recall = 0.0
-    for threshold in sorted(set(scores.tolist()), reverse=True):
-        mask = scores >= threshold
-        tp = int(labels[mask].sum())
-        recall = tp / n_pos
-        precision = tp / int(mask.sum())
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-    return area
 
 
 def random_binary_instance(rng, force_ties):

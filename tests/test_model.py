@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohorts import cohort_of, prepare_arrays, unit_stats
+from conv_oracle import oracle_conv
 from gradcheck import finite_diff_check
 from trendvar.data import FeatureStats
 from trendvar.errors import ConfigError, NumericError
@@ -268,10 +269,10 @@ def test_params_of_a_copied_buffer_are_independent():
 def test_prepare_shape_checks():
     config = small_config()
     rng = np.random.default_rng(0)
-    with pytest.raises(ConfigError, match="3 dynamic and 3 static"):
+    with pytest.raises(ConfigError, match="data has 3 and 3"):
         prepare_arrays(rng.normal(size=(1, 8, 3)), np.zeros((1, 3)), [0],
                        config)
-    with pytest.raises(ConfigError, match="2 dynamic and 4 static"):
+    with pytest.raises(ConfigError, match="data has 2 and 4"):
         prepare(cohort_of(rng.normal(size=(1, 8, 2)), np.zeros((1, 4))),
                 unit_stats(2, 3), config)
     with pytest.raises(ConfigError, match="labels"):
@@ -299,18 +300,9 @@ def numpy_correlation_maps(visits, params, config):
         for kernels, bias, dilation in zip(params.branch_kernels[kernel_set],
                                            params.branch_bias[kernel_set],
                                            config.dilations):
-            width = kernels.shape[-1]
-            out_len = lines[0].shape[0] - dilation * (width - 1)
-            block = np.zeros((2, out_len))
-            for o, kernel in enumerate(kernels):
-                for q in range(out_len):
-                    acc = bias[o]
-                    for i in range(2):
-                        for tap in range(width):
-                            acc += kernel[i, tap] \
-                                * lines[i][q + dilation * tap]
-                    block[o, q] = math.tanh(acc)
-            blocks.append(block)
+            block = oracle_conv(np.array(lines), kernels[0], kernels[1],
+                                bias, dilation)
+            blocks.append([[math.tanh(x) for x in row] for row in block])
         maps.append(np.hstack(blocks))
     return maps
 
