@@ -341,7 +341,11 @@ def _load_cohort(opts, visits_only=False):
             f"missing {', '.join(missing)} (or use --synth <preset>)"
         )
     if visits_only:
-        return load_visit_table(opts["visits"])
+        # As for a labels.csv without rows: no command has work to do.
+        cohort = load_visit_table(opts["visits"])
+        if not len(cohort):
+            raise DataError(f"{opts['visits']}: no patients")
+        return cohort
     return load_cohort(opts["visits"], opts["static"], opts["labels"])
 
 

@@ -1363,6 +1363,21 @@ def test_decompose_unknown_feature(tmp_path, workspace):
     assert "dyn_0" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["decompose", "correlate",
+                                     "inspect-attention"])
+def test_a_visits_file_without_patients_is_a_data_error(
+        tmp_path, capsys, workspace, command):
+    visits = tmp_path / "visits.csv"
+    visits.write_text("patient_id,visit_index,dyn_0,dyn_1\n")
+    model = ["--checkpoint", str(workspace["train"] / "fold0.ckpt")] \
+        if command == "inspect-attention" else []
+    out = tmp_path / "o"
+    assert cli.main([command, "--visits", str(visits), *model,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: {visits}: no patients\n"
+    assert not out.exists()
+
+
 def test_correlate_ranks_features(tmp_path, workspace):
     out = tmp_path / "corr"
     proc = run_ok("correlate", "--visits", workspace["data"] / "visits.csv",
