@@ -1,8 +1,9 @@
 """Gradient tests for the closed-form engine: worked values, additivity over
 patients and finite differences.
 
-The worked values up top pin conventions (what the mean loss, the clamp and
-the dilated taps mean) so a refactor cannot silently change them.  The
+The worked values up top pin conventions (what the mean loss and the clamp
+mean) so a refactor cannot silently change them; the dilated taps' worked
+values and their adjoint's checks are in ``test_autodiff.py``.  The
 sweeps at the bottom are the real audit.  They are keyed by the elementary
 operations the fixed graph is built from; each key selects a configuration
 that uses the operation and the parameters whose gradient passes through it.
@@ -14,11 +15,7 @@ import pytest
 from cohorts import prepare_arrays
 from gradcheck import finite_diff_check
 from trendvar.diff_attention import softmax
-from trendvar.dilated import (
-    conv_branch,
-    correlation_backward,
-    correlation_forward,
-)
+from trendvar.dilated import conv_branch
 from trendvar.errors import ConfigError, DataError, ShapeMismatchError
 from trendvar.model import (
     ABLATION_PRESETS,
@@ -89,92 +86,6 @@ def test_softmax_cross_entropy_gradient_closed_form():
     p /= p.sum()
     expected = p - np.array([0.0, 1.0, 0.0])
     assert grads["out_bias"] == pytest.approx(expected, abs=1e-12)
-
-
-# kernel_top and kernel_bottom of every worked branch.
-WORKED_KERNELS = np.array([[[1.0, 0.0], [0.0, 1.0]],
-                           [[0.0, 1.0], [1.0, 0.0]]])
-
-
-def test_dilated_conv_worked_values():
-    d = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-    out1, out0 = (conv_branch(d, WORKED_KERNELS, np.zeros(2), rate)
-                  for rate in (1, 0))
-    # dilation 1: top row j = D0[j] + D1[j+1]
-    assert out1[0] == pytest.approx([7.0, 9.0, 11.0])
-    assert out1[1] == pytest.approx([7.0, 9.0, 11.0])
-    # dilation 0: both taps on one column
-    assert out0[0] == pytest.approx([6.0, 8.0, 10.0, 12.0])
-    assert out0.shape == (2, 4)
-    # adjoint: a unit gradient on the dilation-1 map (pre-activation, as
-    # maps of zeros make tanh' = 1) sums each input row over the taps'
-    # windows: kernel[o, i, tap] gets sum(D_i[tap:tap + 3])
-    grad = np.zeros((1, 1, 2, 11))
-    grad[..., :3] = 1.0
-    d_kernels, d_bias = correlation_backward(
-        d[None, None], np.zeros_like(grad), grad, (1, 0, 0), 2)
-    d_top, d_bottom = d_kernels[0, 0]
-    np.testing.assert_array_equal(d_top, [[6.0, 9.0], [18.0, 21.0]])
-    np.testing.assert_array_equal(d_bottom, [[6.0, 9.0], [18.0, 21.0]])
-    np.testing.assert_array_equal(d_bias[0, 0], [3.0, 3.0])
-    for part in (d_kernels[:, 1:], d_bias[:, 1:]):
-        assert np.abs(part).max() == 0.0
-
-
-def test_concat_and_slice_roundtrip_grads():
-    # A gradient on one column block of the concatenated map reaches only
-    # the branch and the feature that produced that block.
-    rng = np.random.default_rng(2)
-    lines = rng.normal(size=(3, 2, 2, 6))
-    grad = np.zeros((3, 2, 2, 6 + 5 + 3))
-    grad[:, 1, :, 6:11] = rng.normal(size=(3, 2, 5))
-    for part in correlation_backward(lines, np.zeros_like(grad), grad,
-                                     (0, 1, 3), 2):
-        assert np.abs(part[0]).max() == 0.0
-        for bi in range(3):
-            assert (np.abs(part[1, bi]).max() > 0.0) == (bi == 1)
-
-
-def tap_by_tap_forward(lines, kernels, bias, dilations):
-    """``correlation_forward`` written out one tap at a time, so that it
-    shares no window layout with the code under test."""
-    width = kernels.shape[-1]
-    maps = []
-    for bi, d in enumerate(dilations):
-        out_len = lines.shape[-1] - d * (width - 1)
-        pre = bias[..., bi, :, None]
-        for tap in range(width):
-            pre = pre + np.einsum("...oi,...il->...ol",
-                                  kernels[..., bi, :, :, tap],
-                                  lines[..., d * tap:d * tap + out_len])
-        maps.append(np.tanh(pre))
-    return np.concatenate(maps, axis=-1)
-
-
-@pytest.mark.parametrize("width", [1, 2, 3, 4])
-@pytest.mark.parametrize("dilations", [(0, 1, 2), (3, 4, 0)])
-def test_correlation_backward_matches_finite_differences(width, dilations):
-    # Every kernel and bias entry of every feature and branch is checked
-    # against central differences of sum(grad * forward maps).
-    rng = np.random.default_rng(10 * width + dilations[0])
-    m = max(dilations) * (width - 1) + 4
-    lines = rng.normal(size=(3, 2, 2, m))
-    kernels = rng.normal(size=(2, 3, 2, 2, width))
-    bias = rng.normal(size=(2, 3, 2))
-    maps = tap_by_tap_forward(lines, kernels, bias, dilations)
-    np.testing.assert_allclose(
-        correlation_forward(lines, kernels, bias, dilations), maps,
-        atol=1e-12)
-    grad = rng.normal(size=maps.shape)
-    d_kernels, d_bias = correlation_backward(lines, maps, grad, dilations,
-                                             width)
-
-    def loss():
-        return float(np.sum(grad * tap_by_tap_forward(lines, kernels, bias,
-                                                      dilations)))
-
-    assert finite_diff_check(loss, [kernels, bias], [d_kernels, d_bias],
-                             samples=kernels.size + bias.size) <= 1e-7
 
 
 def test_gradients_cover_the_parameters_not_the_data():
