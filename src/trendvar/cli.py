@@ -682,7 +682,7 @@ def _select_features(names, wanted):
 
 
 def cmd_decompose(opts):
-    from .wavelets import coefficient_count, decompose_batch, symlet_filters
+    from .wavelets import coefficient_count, decompose_ragged, symlet_filters
 
     order = opts["symlet"]
     symlet_filters(order)  # an unknown order is a config error
@@ -691,15 +691,17 @@ def cmd_decompose(opts):
     chosen = _select_features(names, opts.get("feature"))
     _write_manifest(opts["out"], "decompose", opts)
     first = names.index(chosen[0])
-    columns = slice(first, first + len(chosen))
+    cohort = replace(cohort, dynamic_names=tuple(chosen),
+                     values=cohort.values[:, first:first + len(chosen)])
     row_labels = {}  # coefficient count -> ",feature,kind,index," per row
 
     def render(block):
-        for patient in range(len(cohort))[block]:
-            pid = cohort.ids[patient]
-            # One patient's (1, c, t) stack, to keep its own visit count.
-            lines = decompose_batch(cohort.visits(patient)[:, columns].T[None],
-                                    order, chosen, (pid,))
+        part = cohort.take(block)
+        split = {}  # patient -> its (c, 2, m) lines, by visit-length group
+        for indices, lines in decompose_ragged(part, order):
+            split.update(zip(indices.tolist(), lines))
+        for patient, pid in enumerate(part.ids):
+            lines = split[patient]
             m = lines.shape[-1]
             if m not in row_labels:
                 row_labels[m] = [f",{csv_field(name)},{kind},{i},"

@@ -219,32 +219,35 @@ class ModelParams:
             else:
                 setattr(self, name, view)
 
-    def _entries(self):
-        """(name, array, fan_in) of every named array, declaration order."""
-        for name, shape, fan_in in _layout(self.config):
-            if name != "branches":
-                yield name, getattr(self, name), fan_in
-                continue
-            for si, bi in np.ndindex(shape[:2]):
-                prefix = f"branch[{si}][{bi}]"
-                kernels = self.branch_kernels[si, bi]
-                yield prefix + ".kernel_top", kernels[0], fan_in
-                yield prefix + ".kernel_bottom", kernels[1], fan_in
-                yield prefix + ".bias", self.branch_bias[si, bi], None
-
     @classmethod
     def initialized(cls, config, rng):
-        """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
+        """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases:
+        one draw per weight entry of ``_layout``, in its order."""
         params = cls(config)
-        for _, value, fan_in in params._entries():
+        for name, _, fan_in in _layout(config):
             if fan_in is None:
                 continue
+            value = (params.branch_kernels if name == "branches"
+                     else getattr(params, name))
             bound = 1.0 / np.sqrt(fan_in)
             value[...] = rng.uniform(-bound, bound, size=value.shape)
         return params
 
     def named_arrays(self):
-        return [(name, value) for name, value, _ in self._entries()]
+        """(name, array) of every named array in declaration order, each
+        correlation branch as its kernel_top, kernel_bottom and bias."""
+        arrays = []
+        for name, shape, _ in _layout(self.config):
+            if name != "branches":
+                arrays.append((name, getattr(self, name)))
+                continue
+            for si, bi in np.ndindex(shape[:2]):
+                prefix = f"branch[{si}][{bi}]"
+                top, bottom = self.branch_kernels[si, bi]
+                arrays += [(prefix + ".kernel_top", top),
+                           (prefix + ".kernel_bottom", bottom),
+                           (prefix + ".bias", self.branch_bias[si, bi])]
+        return arrays
 
 
 @dataclass(frozen=True)
@@ -282,13 +285,13 @@ def check_fit(cohort, config):
     This is the one place that compares data with a model: ``prepare``,
     ``eval`` and ``inspect-attention`` all check through here.
     """
-    widths = (cohort.values.shape[1], cohort.static.shape[1])
-    if widths != (config.n_dynamic, config.n_static):
-        raise ConfigError(
-            f"dimension mismatch: model expects {config.n_dynamic} dynamic "
-            f"and {config.n_static} static features, data has {widths[0]} "
-            f"and {widths[1]}"
-        )
+    for kind, expected, width in (
+            ("dynamic", config.n_dynamic, cohort.values.shape[1]),
+            ("static", config.n_static, cohort.static.shape[1])):
+        if width != expected:
+            raise ConfigError(
+                f"dimension mismatch: model expects {expected} {kind} "
+                f"features, data has {width}")
     labels = cohort.labels
     if len(cohort) and (labels.min() < 0 or labels.max() >= config.n_classes):
         raise ConfigError(
@@ -392,12 +395,9 @@ def forward(batch, params):
     if flags.use_correlation:
         maps = correlation_forward(batch.lines, params.branch_kernels,
                                    params.branch_bias, config.dilations)
-    elif flags.use_trend and flags.use_variation:
-        maps = batch.lines
-    elif flags.use_trend:
-        maps = batch.lines[:, :, :1]
     else:
-        maps = batch.lines[:, :, 1:]
+        first = 0 if flags.use_trend else 1
+        maps = batch.lines[:, :, first:first + config.map_rows]
     fused, h_dynamic = fuse_dynamic(maps, params)
     h_static = embed_static(batch.static, params)
     probs = predict(h_static, h_dynamic, batch.h_variation, params)

@@ -821,19 +821,24 @@ def test_data_that_does_not_fit_the_model_is_refused_before_the_manifest(
     # A 2-class model of 3 dynamic and 3 static features, the widths of the
     # threeclass preset, and the workspace's model of 2 and 2.
     wide, narrow = tmp_path / "wide", workspace["train"] / "fold0.ckpt"
-    wide_data = ["--visits", wide / "visits.csv", "--static",
-                 wide / "static.csv", "--labels", wide / "labels.csv"]
-    assert cli.main(["synth", *SMALL_SYNTH, "--features", "3",
-                     "--static-features", "3", "--out", str(wide)]) == 0
+    statics = tmp_path / "statics"  # 2 dynamic and 3 static features
+    wide_data, static_data = ([
+        "--visits", root / "visits.csv", "--static", root / "static.csv",
+        "--labels", root / "labels.csv"] for root in (wide, statics))
+    for root, n_dynamic in ((wide, "3"), (statics, "2")):
+        assert cli.main(["synth", *SMALL_SYNTH, "--features", n_dynamic,
+                         "--static-features", "3", "--out", str(root)]) == 0
     assert cli.main([*map(str, ["train", *wide_data, *TRAIN_ARGS,
                                 "--out", wide / "train"])]) == 0
-    widths = "model expects 2 dynamic and 2 static features, data has 3 and "
+    dynamic = "model expects 2 dynamic features, data has 3"
     labels = "model predicts 2 classes, data labels span 0..2"
     for argv, message in (
-            (["eval", *wide_data, "--checkpoint", narrow], widths + "3"),
-            # The visits alone, with the checkpoint's static stand-in.
+            (["eval", *wide_data, "--checkpoint", narrow], dynamic),
+            (["eval", *static_data, "--checkpoint", narrow],
+             "model expects 2 static features, data has 3"),
+            # The visits alone: the checkpoint's static stand-in always fits.
             (["inspect-attention", "--visits", wide / "visits.csv",
-              "--checkpoint", narrow], widths + "2"),
+              "--checkpoint", narrow], dynamic),
             (["eval", "--synth", "threeclass",
               "--checkpoint", wide / "train" / "fold0.ckpt"], labels),
             (["inspect-attention", "--synth", "threeclass",

@@ -269,10 +269,12 @@ def test_params_of_a_copied_buffer_are_independent():
 def test_prepare_shape_checks():
     config = small_config()
     rng = np.random.default_rng(0)
-    with pytest.raises(ConfigError, match="data has 3 and 3"):
+    with pytest.raises(ConfigError, match="model expects 2 dynamic "
+                       "features, data has 3$"):
         prepare_arrays(rng.normal(size=(1, 8, 3)), np.zeros((1, 3)), [0],
                        config)
-    with pytest.raises(ConfigError, match="data has 2 and 4"):
+    with pytest.raises(ConfigError, match="model expects 3 static "
+                       "features, data has 4$"):
         prepare(cohort_of(rng.normal(size=(1, 8, 2)), np.zeros((1, 4))),
                 unit_stats(2, 3), config)
     with pytest.raises(ConfigError, match="labels"):
@@ -348,6 +350,12 @@ def test_forward_matches_numpy_oracle(preset):
         config = small_config(flags=flags, shared_branches=shared)
         rng = np.random.default_rng(11)
         params = ModelParams.initialized(config, rng)
+        # Initialization zeroes every bias: draw them, so the oracle sees
+        # each bias term.
+        for bias in (params.static_bias, params.branch_bias,
+                     params.mix_bias, params.out_bias):
+            if bias is not None:
+                bias[...] = rng.uniform(-1.0, 1.0, size=bias.shape)
         batch, visits, static = make_batch(config, rng, n=4)
         probs = forward(batch, params).probs
         for i in range(4):
