@@ -156,11 +156,8 @@ def _layout(config):
 
     The order is the declaration order: the checkpoint serialization order
     and the initialization draw order, so it depends on nothing but the
-    config.  Biases have fan_in None.  The correlation kernels of every set
-    and branch come as one ``branches`` entry of shape
-    (sets, 3, 4 * width + 2); each (set, branch) block is kernel_top (2, w)
-    | kernel_bottom (2, w) | bias (2,).  So the list has at most eight
-    entries whatever the config, and sizing an untrusted one is cheap.
+    config.  Biases have fan_in None.  The list has at most ten entries
+    whatever the config, so sizing an untrusted one is cheap.
     """
     d = config.n_classes
     layout = [("static_weight", (d, config.n_static), config.n_static),
@@ -168,8 +165,9 @@ def _layout(config):
     if config.flags.use_correlation:
         w = config.kernel_width
         sets = 1 if config.shared_branches else config.n_dynamic
-        layout.append(
-            ("branches", (sets, len(config.dilations), 4 * w + 2), 2 * w))
+        branches = len(config.dilations)
+        layout += [("branch_kernels", (sets, branches, 2, 2, w), 2 * w),
+                   ("branch_bias", (sets, branches, 2), None)]
     rows = config.map_rows
     layout += [("mix_weight", (rows,), rows),
                ("mix_bias", (), None),
@@ -209,15 +207,8 @@ class ModelParams:
         self.branch_kernels = self.branch_bias = self.out_diff = None
         offset = 0
         for (name, shape, _), size in zip(layout, sizes):
-            view = self.flat[offset:offset + size].reshape(shape)
+            setattr(self, name, self.flat[offset:offset + size].reshape(shape))
             offset += size
-            if name == "branches":
-                w = config.kernel_width
-                self.branch_kernels = view[..., :4 * w].reshape(
-                    shape[:2] + (2, 2, w))
-                self.branch_bias = view[..., 4 * w:]
-            else:
-                setattr(self, name, view)
 
     @classmethod
     def initialized(cls, config, rng):
@@ -225,29 +216,26 @@ class ModelParams:
         one draw per weight entry of ``_layout``, in its order."""
         params = cls(config)
         for name, _, fan_in in _layout(config):
-            if fan_in is None:
-                continue
-            value = (params.branch_kernels if name == "branches"
-                     else getattr(params, name))
-            bound = 1.0 / np.sqrt(fan_in)
-            value[...] = rng.uniform(-bound, bound, size=value.shape)
+            if fan_in is not None:
+                value = getattr(params, name)
+                bound = 1.0 / np.sqrt(fan_in)
+                value[...] = rng.uniform(-bound, bound, size=value.shape)
         return params
 
     def named_arrays(self):
-        """(name, array) of every named array in declaration order, each
-        correlation branch as its kernel_top, kernel_bottom and bias."""
-        arrays = []
-        for name, shape, _ in _layout(self.config):
-            if name != "branches":
-                arrays.append((name, getattr(self, name)))
-                continue
-            for si, bi in np.ndindex(shape[:2]):
-                prefix = f"branch[{si}][{bi}]"
-                top, bottom = self.branch_kernels[si, bi]
-                arrays += [(prefix + ".kernel_top", top),
-                           (prefix + ".kernel_bottom", bottom),
-                           (prefix + ".bias", self.branch_bias[si, bi])]
-        return arrays
+        """(name, array) of every entry of ``_layout``, in its order."""
+        return [(name, getattr(self, name))
+                for name, _, _ in _layout(self.config)]
+
+    def first_nonfinite(self):
+        """The first non-finite value in declaration order as
+        ``name[index]`` (a scalar as its bare name), or None."""
+        for name, value in self.named_arrays():
+            bad = np.argwhere(~np.isfinite(value))
+            if len(bad):
+                index = ", ".join(map(str, bad[0].tolist()))
+                return f"{name}[{index}]" if index else name
+        return None
 
 
 @dataclass(frozen=True)
@@ -476,7 +464,7 @@ def cross_entropy(probs, labels):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint serialization (version 3, little-endian).
+# Checkpoint serialization (version 4, little-endian).
 #
 # magic | u32 version | u32 x 9 config | u8 flag bits | float64 values
 #   | u32 CRC-32
@@ -486,12 +474,14 @@ def cross_entropy(probs, labels):
 # in declaration order from bit 0 (1 trend, 2 variation, 4 correlation,
 # 8 attention), then 16 for shared branches.  The values are the training
 # stats (dynamic mean, dynamic std, static mean, static std), then
-# ``params.flat``.  The config fixes every shape, so no array carries a
-# header and the config alone gives the file's exact length.  The CRC-32
-# (``zlib.crc32``) covers every byte before it.
+# ``params.flat``: the ``_layout`` entries in order, each in C order.  The
+# config fixes every shape, so no array carries a header and the config
+# alone gives the file's exact length.  The CRC-32 (``zlib.crc32``) covers
+# every byte before it.  A version-3 file has the same length but another
+# value order, so only its version field refuses it.
 
 CHECKPOINT_MAGIC = b"TVARCKPT"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _HEADER = struct.Struct("<8sI9IB")
 _CRC = struct.Struct("<I")
 
@@ -601,9 +591,6 @@ def load_checkpoint(path):
     params = ModelParams(config)
     params.flat[...] = values[n_stats:]
     if not np.isfinite(params.flat).all():
-        name = next(name for name, value in params.named_arrays()
-                    if not np.isfinite(value).all())
-        raise NumericError(
-            f"corrupt checkpoint {path}: non-finite values in {name}"
-        )
+        raise NumericError(f"corrupt checkpoint {path}: non-finite values "
+                           f"in {params.first_nonfinite()}")
     return CheckpointBundle(params, stats)

@@ -69,9 +69,8 @@ def adam_step(params, grads, state, learning_rate):
     """
     grad = grads.flat
     if not np.isfinite(grad).all():
-        name = next(name for name, value in grads.named_arrays()
-                    if not np.isfinite(value).all())
-        raise NumericError(f"non-finite gradient in {name}")
+        raise NumericError(
+            f"non-finite gradient in {grads.first_nonfinite()}")
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2

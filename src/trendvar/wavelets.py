@@ -218,16 +218,29 @@ def decompose_ragged(cohort, order):
 
     Yields ``(indices, lines)`` per distinct visit count, in order of first
     appearance: ``lines[k]`` is the (c, 2, m) split of the dynamic features
-    of patient ``indices[k]``.
+    of patient ``indices[k]``.  A group whose split fails is not yielded;
+    after the last group, the first failing patient in cohort order raises.
     """
     offsets = cohort.offsets
     lengths = np.diff(offsets)
     _, first = np.unique(lengths, return_index=True)
     columns = np.arange(cohort.n_dynamic)[:, None]
+    failed = []
     for t in lengths[np.sort(first)].tolist():
         indices = np.flatnonzero(lengths == t)
         # Gathered straight into (patients, c, t): one copy of the group.
         rows = offsets[indices, None, None] + np.arange(t)
-        yield indices, decompose_batch(
-            cohort.values[rows, columns], order, cohort.dynamic_names,
-            [cohort.ids[i] for i in indices.tolist()])
+        try:
+            lines = decompose_batch(
+                cohort.values[rows, columns], order, cohort.dynamic_names,
+                [cohort.ids[i] for i in indices.tolist()])
+        except NumericError:
+            failed += indices.tolist()
+            continue
+        yield indices, lines
+    # A group's error names its own first failure.  Each series splits alone
+    # as in its group, so splitting the failed groups' patients one by one,
+    # in cohort order, raises for the first failing one in the cohort.
+    for i in sorted(failed):
+        decompose_batch(cohort.values[offsets[i]:offsets[i + 1]].T[None],
+                        order, cohort.dynamic_names, [cohort.ids[i]])

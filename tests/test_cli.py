@@ -880,6 +880,32 @@ def test_checkpoint_with_misshaped_stats_is_a_config_error(tmp_path,
         assert "Traceback" not in proc.stderr
 
 
+def test_version_3_checkpoint_is_refused(tmp_path, workspace):
+    # The version-3 layout is version 4's with each (set, branch) of the
+    # correlation stored as kernel_top | kernel_bottom | bias: a file of
+    # the same length and a valid checksum, with the branches permuted.
+    path = workspace["train"] / "fold0.ckpt"
+    blob = path.read_bytes()
+    params = load_checkpoint(path).params
+    arrays = dict(params.named_arrays())
+    kernels = arrays.pop("branch_kernels")
+    arrays["branch_bias"] = np.concatenate(
+        [kernels.reshape(kernels.shape[:2] + (-1,)), arrays["branch_bias"]],
+        axis=-1)
+    weights = np.concatenate([a.ravel() for a in arrays.values()])
+    body = (blob[:8] + struct.pack("<I", 3)
+            + blob[12:len(blob) - 4 - 8 * weights.size]
+            + weights.astype("<f8").tobytes())
+    old = tmp_path / "v3.ckpt"
+    old.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    assert len(body) + 4 == len(blob)
+    proc = run_cli("eval", *data_flags(workspace), "--checkpoint", old,
+                   "--out", tmp_path / "o")
+    assert proc.returncode == 1, proc.stderr
+    assert "unsupported checkpoint version 3" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_version_2_checkpoint_is_refused(tmp_path, workspace):
     # The version-2 layout: magic, version, the config, the flag byte and
     # a has_stats byte, then the stats and the weights, with no checksum.
@@ -1189,6 +1215,22 @@ def test_correlate_names_the_patient_whose_split_overflows(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3, err
     assert "feature 'a' of patient 'p4'" in err, err
+
+
+@pytest.mark.parametrize("command", ["decompose", "correlate"])
+def test_the_first_patient_in_the_file_whose_split_overflows_is_named(
+        tmp_path, capsys, command):
+    # p1 and p2 both overflow.  p2 shares p0's group of 4 visits, which is
+    # split first; p1 comes first in the file.
+    (tmp_path / "v.csv").write_text("patient_id,visit_index,a\n" + "".join(
+        f"p{p},{v},{1.7e308 if p else v!r}\n"
+        for p, t in enumerate((4, 3, 4)) for v in range(t)))
+    code = cli.main([command, "--visits", str(tmp_path / "v.csv"),
+                     "--symlet", "2", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "of patient 'p1'" in err and "'p2'" not in err, err
+    assert sorted(os.listdir(tmp_path / "out")) == ["manifest.txt"]
 
 
 def _q_argv(tmp_path, command, dynamic_std, keep_q66=True):

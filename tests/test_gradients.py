@@ -202,7 +202,7 @@ def _random_case(op_id, rng):
     batch = small_batch(config, rng, n=int(rng.integers(2, 6)))
     names = [name for name, _ in params.named_arrays()]
     if which == "branches":
-        names = [name for name in names if name.startswith("branch[")]
+        names = [name for name in names if name.startswith("branch_")]
     elif which != "all":
         names = [name for name in names if name in which]
     assert names, op_id

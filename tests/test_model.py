@@ -24,6 +24,7 @@ from trendvar.model import (
     AblationFlags,
     ModelConfig,
     ModelParams,
+    _layout,
     ablation_from_name,
     backward,
     cross_entropy,
@@ -253,7 +254,7 @@ def test_branch_sets_follow_sharing_flag():
     no_corr = ModelParams(small_config(
         flags=AblationFlags(True, True, False, False)))
     assert no_corr.branch_kernels is None and no_corr.branch_bias is None
-    assert not any(name.startswith("branch[")
+    assert not any(name.startswith("branch_")
                    for name, _ in no_corr.named_arrays())
 
 
@@ -462,9 +463,10 @@ def test_shared_branch_gradients_match_finite_differences(preset):
     grads = dict(
         backward(batch, params, forward(batch, params)).named_arrays())
     names = [name for name, _ in params.named_arrays()
-             if name.startswith("branch[")]
-    assert names and all(name.startswith("branch[0]") for name in names)
+             if name.startswith("branch_")]
+    assert names == ["branch_kernels", "branch_bias"]
     arrays = dict(params.named_arrays())
+    assert arrays["branch_kernels"].shape[0] == 1
     err = finite_diff_check(
         loss_fn, [arrays[n] for n in names], [grads[n] for n in names],
         samples=100, step=1e-5, rng=np.random.default_rng(7))
@@ -583,7 +585,8 @@ def test_non_finite_parameters_are_named(tmp_path):
     path = tmp_path / "inf.ckpt"
     save_checkpoint(path, params, random_stats(config,
                                                np.random.default_rng(6)))
-    with pytest.raises(NumericError, match="non-finite values in out_dynamic"):
+    with pytest.raises(NumericError,
+                       match=r"non-finite values in out_dynamic\[1, 2\]$"):
         load_checkpoint(path)
 
 
@@ -614,24 +617,43 @@ def test_checkpoint_length_is_fixed_by_the_config(tmp_path, name, shared):
 
 @pytest.mark.parametrize("name", sorted(ABLATION_PRESETS))
 @pytest.mark.parametrize("shared", [False, True])
-def test_parameter_count_matches_the_allocated_arrays(name, shared):
+def test_parameter_count_matches_the_allocated_arrays(tmp_path, name,
+                                                      shared):
     config = small_config(flags=ABLATION_PRESETS[name], order=3, t_max=11,
                           dilations=(0, 2, 1), kernel_width=3,
                           shared_branches=shared)
     params = ModelParams(config)
     assert parameter_count(config) == params.flat.size
+    # The version-4 value order: every stage that is on, in this order.
+    off = set()
+    if not config.flags.use_correlation:
+        off |= {"branch_kernels", "branch_bias"}
+    if not config.flags.use_diff_attention:
+        off.add("out_diff")
+    names = [entry for entry, _ in params.named_arrays()]
+    assert names == [entry for entry, _, _ in _layout(config)]
+    assert names == [
+        entry for entry in ("static_weight", "static_bias", "branch_kernels",
+                            "branch_bias", "mix_weight", "mix_bias",
+                            "out_static", "out_dynamic", "out_diff",
+                            "out_bias")
+        if entry not in off]
     arrays = [a for _, a in params.named_arrays()]
     assert all(np.shares_memory(a, params.flat) for a in arrays)
     # With the buffer holding its own indices, the named arrays read back
     # 0, 1, 2, ... in declaration order: they tile it with no gap and no
-    # overlap.
+    # overlap.  A checkpoint stores them so after its stats.
     params.flat[...] = np.arange(params.flat.size)
     np.testing.assert_array_equal(
         np.concatenate([a.ravel() for a in arrays]),
         np.arange(params.flat.size))
-    if params.branch_kernels is not None:
-        assert np.shares_memory(params.branch_kernels, params.flat)
-        assert np.shares_memory(params.branch_bias, params.flat)
+    path = tmp_path / "arange.ckpt"
+    save_checkpoint(path, params,
+                    random_stats(config, np.random.default_rng(2)))
+    n_stats = 2 * (config.n_dynamic + config.n_static)
+    np.testing.assert_array_equal(
+        np.frombuffer(path.read_bytes()[49 + 8 * n_stats:-4], "<f8"),
+        np.arange(params.flat.size))
 
 
 def _fuzz_checkpoint():

@@ -92,12 +92,16 @@ def test_adam_rejects_nonfinite_gradient_by_name():
     state = AdamState(params.flat.size)
     grads = ModelParams(config)
     grads.mix_weight[1] = np.inf
-    with pytest.raises(NumericError, match="mix_weight"):
+    with pytest.raises(NumericError, match=r"gradient in mix_weight\[1\]$"):
         adam_step(params, grads, state, 0.1)
     grads = ModelParams(config)
     grads.branch_kernels[1, 2, 1, 0, 1] = np.nan
     with pytest.raises(NumericError,
-                       match=r"branch\[1\]\[2\]\.kernel_bottom"):
+                       match=r"branch_kernels\[1, 2, 1, 0, 1\]$"):
+        adam_step(params, grads, state, 0.1)
+    grads = ModelParams(config)
+    grads.mix_bias[...] = np.inf  # a scalar is named without an index
+    with pytest.raises(NumericError, match=r"gradient in mix_bias$"):
         adam_step(params, grads, state, 0.1)
     # the check runs before any update
     assert state.step_count == 0

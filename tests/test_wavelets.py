@@ -248,6 +248,19 @@ def test_ragged_errors_name_the_patient_not_its_place_in_a_group():
         list(decompose_ragged(cohort, 2))
 
 
+def test_ragged_errors_name_the_first_failing_patient_in_cohort_order():
+    # p2 shares p0's group of 4 visits, which is split first; p1 comes
+    # first in the cohort.
+    cohort = Cohort.stack(
+        ("p0", "p1", "p2"),
+        [np.arange(4.0)[:, None], np.full((3, 1), 1.7e308),
+         np.full((4, 1), 1.7e308)],
+        np.zeros((3, 0)), np.zeros(3), ("a",), (), 1)
+    groups = decompose_ragged(cohort, 2)
+    with pytest.raises(NumericError, match="of patient 'p1':"):
+        next(groups)
+
+
 def test_single_visit_is_representable():
     pair = decompose(np.array([2.5]), 14)
     assert pair.trend.size == coefficient_count(1, 14)
