@@ -14,6 +14,5 @@ from .errors import (  # noqa: F401
     ConfigError,
     DataError,
     NumericError,
-    ShapeMismatchError,
     TrendvarError,
 )

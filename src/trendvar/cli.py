@@ -34,7 +34,7 @@ from .data import (
     synth_generate,
     write_cohort,
 )
-from .errors import ConfigError, DataError, NumericError, TrendvarError
+from .errors import ConfigError, DataError, TrendvarError
 
 # The most bytes one array of a run may take.  The size options (--tmax,
 # --epochs and synth's sizes) and the model's parameter buffer are checked
@@ -836,18 +836,13 @@ def main(argv=None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.stderr.write("error: standard output was closed\n")
         return 1
-    except ConfigError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 1
-    except DataError as exc:
-        sys.stderr.write(f"data error: {exc}\n")
-        return 2
-    except NumericError as exc:
-        sys.stderr.write(f"numerical error: {exc}\n")
-        return 3
-    except TrendvarError as exc:
+    except OSError as exc:
+        # An output path the OS refuses, e.g. a directory where a file goes.
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except TrendvarError as exc:
+        sys.stderr.write(f"{exc.label}: {exc}\n")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

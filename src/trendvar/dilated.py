@@ -21,7 +21,7 @@ call, so they never cover more than the batch at hand.
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ConfigError
 
 DEFAULT_DILATIONS = (0, 1, 3)
 DEFAULT_KERNEL_WIDTH = 2
@@ -31,7 +31,7 @@ def branch_length(m, dilation, width):
     """Output columns of one branch on an m-column input; raises if none."""
     out_len = m - dilation * (width - 1)
     if out_len < 1:
-        raise ShapeMismatchError(
+        raise ConfigError(
             f"dilated conv: {m} coefficient columns cannot support width "
             f"{width} at dilation {dilation}; need at least "
             f"{dilation * (width - 1) + 1}"

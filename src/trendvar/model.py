@@ -125,11 +125,6 @@ class ModelConfig:
         if self.flags.use_correlation:
             # Raises if any branch would produce an empty map.
             combined_width(self.coeff_len, self.dilations, self.kernel_width)
-        if self.flags.use_diff_attention and self.coeff_len < 2:
-            raise ConfigError(
-                f"model config: difference attention needs at least 2 "
-                f"coefficients, got {self.coeff_len}"
-            )
 
     @property
     def coeff_len(self):

@@ -111,17 +111,12 @@ def train(batch, params, train_config):
                 loss_total += cross_entropy(acts.probs, part.labels) * len(part)
                 adam_step(params, backward(part, params, acts), state,
                           train_config.learning_rate)
-        mean_loss = loss_total / n
-        if not np.isfinite(mean_loss):
-            raise NumericError(
-                f"training diverged: non-finite mean loss at epoch {epoch}"
-            )
         # The loss saw the parameters before the epoch's last step.
         if not np.isfinite(params.flat).all():
             raise NumericError(
                 f"training diverged: non-finite parameters after epoch {epoch}"
             )
-        losses[epoch] = mean_loss
+        losses[epoch] = loss_total / n
     return losses, state
 
 

@@ -108,16 +108,16 @@ def coefficient_count(length, order):
 
 
 def decompose(x, order):
-    """Split one series into its trend and variation coefficient lines,
-    bit for bit as ``decompose_batch`` splits it in any stack."""
+    """Split one series into its trend and variation coefficient lines as a
+    stack of one in ``decompose_batch``, whose refusals of non-finite values
+    name it feature 'x' of patient 0."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ConfigError(
             f"decompose: expected a non-empty 1-D series, got shape {x.shape}"
         )
-    matrix = analysis_matrix(order, x.size)
-    return TrendVariationPair(*np.einsum("rt,kt->rk", x[None],
-                                         matrix).reshape(2, -1))
+    return TrendVariationPair(*decompose_batch(x[None, None], order,
+                                               ("x",), (0,))[0, 0])
 
 
 def reconstruct(pair, order, length):

@@ -237,8 +237,6 @@ def test_exit_codes(tmp_path, workspace):
     assert run_cli("train", "--synth", "default",
                    "--symlet", "99", "--epochs", "0",
                    "--out", tmp_path / "a").returncode == 1
-    assert run_cli("train", "--synth", "default", "--visits", "x.csv",
-                   "--out", tmp_path / "b").returncode == 1
     assert run_cli("train", "--synth", "default").returncode == 1  # no --out
     # The sweep sets every order itself: --symlet, flag or key, is unknown.
     assert run_cli("sweep-symlets", "--synth", "default", "--symlet", "5",
@@ -249,7 +247,6 @@ def test_exit_codes(tmp_path, workspace):
                    symlet_key, "--out", tmp_path / "h")
     assert proc.returncode == 1
     assert "unknown settings keys: symlet" in proc.stderr
-    assert run_cli().returncode == 1  # no command
     proc = run_cli("nosuchcommand")
     assert proc.returncode == 1
     for flags in (["--lr", "-1"], ["--lr", "nan"], ["--folds", "1"]):
@@ -264,6 +261,37 @@ def test_exit_codes(tmp_path, workspace):
     assert proc.returncode == 1
     assert f"{undecodable}:2: not UTF-8 text" in proc.stderr
     assert "Traceback" not in proc.stderr
+    settings_files = {}
+    for name, text in (("bool", "shared_branches = maybe\n"),
+                       ("no_equals", "seed 3\n"), ("empty_key", " = 3\n")):
+        settings_files[name] = tmp_path / f"{name}.conf"
+        settings_files[name].write_text(text)
+    synth_train = ["train", "--synth", "default"]
+    for argv, message in (
+            ([*synth_train, "--seed", "-1"], "expected a non-negative seed"),
+            ([*synth_train, "--lr", "abc"], "expected a number"),
+            ([*synth_train, "--settings", settings_files["bool"]],
+             "expected a boolean"),
+            ([*synth_train, "--dilations", "1,2"],
+             "expected three comma-separated dilation rates"),
+            (["synth", "--slopes", ","], "expected comma-separated numbers"),
+            ([*synth_train, "--settings", tmp_path / "missing.conf"],
+             "cannot read settings file"),
+            ([*synth_train, "--settings", settings_files["no_equals"]],
+             "expected 'key = value'"),
+            ([*synth_train, "--settings", settings_files["empty_key"]],
+             "empty key"),
+            ([*synth_train, "--visits", "x.csv"], "not both"),
+            (["train"], "or use --synth"),
+            (["eval", "--synth", "default"], "--checkpoint is required"),
+            ([*synth_train, "--tmax", "-1"], "--tmax must be >= 1"),
+            ([], "missing command")):
+        out = [] if not argv else ["--out", tmp_path / "refused"]
+        proc = run_cli(*argv, *out)
+        assert proc.returncode == 1, (argv, proc.stderr)
+        assert proc.stderr.startswith("configuration error: ")
+        assert message in proc.stderr, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
 
     # 2: data problems
     proc = run_cli("train", "--visits", tmp_path / "missing.csv",
@@ -338,6 +366,28 @@ def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
         os.close(write_end)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr == "error: standard output was closed\n"
+
+
+@pytest.mark.parametrize("command, blocked", [
+    ("synth", "manifest.txt"),
+    ("train", "summary.txt"),
+    ("decompose", "decomposition.csv"),
+])
+def test_unwritable_output_file_exits_1_naming_it(
+        tmp_path, workspace, command, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    argv = {"synth": ["synth", *SMALL_SYNTH],
+            "train": ["train", *data_flags(workspace), *TRAIN_ARGS],
+            "decompose": ["decompose", *data_flags(workspace)[:2],
+                          "--symlet", "2"]}[command]
+    proc = run_cli(*argv, "--out", out)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+    assert str(out / blocked) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(out.rglob("*.tmp*"))
 
 
 # Valid settings lines that keep a run cheap, if one ever got through.

@@ -87,6 +87,12 @@ def test_visit_table_error_coordinates(tmp_path):
     with pytest.raises(DataError, match=r"v\.csv:3: column hr: not a number"):
         load_visit_table(path)
 
+    # The numpy pass hands a row without an id to the row walk.
+    no_id = write(tmp_path / "v.csv",
+                  "patient_id,visit_index,hr\na,0,60.0\n,1,61.0\n")
+    with pytest.raises(DataError, match=r"v\.csv:3: empty patient id"):
+        load_visit_table(no_id)
+
     bad_header = write(tmp_path / "h.csv", "id,visit,hr\na,0,1\n")
     with pytest.raises(DataError, match=r"h\.csv:1: header"):
         load_visit_table(bad_header)
@@ -391,6 +397,12 @@ def test_bad_cells_skip_the_converter_pass(tmp_path, monkeypatch):
                  "patient_id,visit_index,hr\na,0,1.0\na,1,x\na,2,\n")
     with pytest.raises(DataError, match=r"v\.csv:3: column hr: not a number"):
         load_visit_table(path)
+
+    # The numpy pass hands a row without an id to the row walk.
+    no_id = write(tmp_path / "v.csv",
+                  "patient_id,visit_index,hr\na,0,60.0\n,1,61.0\n")
+    with pytest.raises(DataError, match=r"v\.csv:3: empty patient id"):
+        load_visit_table(no_id)
     assert calls == []
 
 
@@ -476,7 +488,8 @@ def cohort_files(tmp_path, visits=None, static=None, labels=None):
 
 
 def test_load_cohort_joins_in_label_order(tmp_path):
-    cohort = load_cohort(*cohort_files(tmp_path))
+    v, s, y = cohort_files(tmp_path)
+    cohort = load_cohort(v, s, y)
     assert cohort.ids == ("a", "b")
     assert cohort.dynamic_names == ("hr",)
     assert cohort.static_names == ("age",)
@@ -484,6 +497,15 @@ def test_load_cohort_joins_in_label_order(tmp_path):
     assert cohort.labels[0] == 0
     np.testing.assert_array_equal(cohort.static[1], [40.0])
     np.testing.assert_array_equal(cohort.offsets, [0, 2, 3])
+    # A blank line between patients of static.csv or labels.csv is skipped.
+    blank = load_cohort(
+        v, write(tmp_path / "blank_static.csv",
+                 "patient_id,age\na,30.0\n\nb,40.0\n"),
+        write(tmp_path / "blank_labels.csv",
+              "patient_id,label\na,0\n\nb,1\n"))
+    assert blank.ids == cohort.ids
+    np.testing.assert_array_equal(blank.static, cohort.static)
+    np.testing.assert_array_equal(blank.labels, cohort.labels)
 
 
 def test_load_cohort_reports_strays_by_name(tmp_path):
@@ -511,6 +533,22 @@ def test_label_table_validation(tmp_path):
     word = write(tmp_path / "word.csv", "patient_id,label\na,yes\nb,1\n")
     with pytest.raises(DataError, match="not an integer"):
         load_cohort(v, s, word)
+    header = write(tmp_path / "header.csv", "id,label\na,0\nb,1\n")
+    with pytest.raises(DataError,
+                       match=r"header\.csv:1: header must be patient_id,label"):
+        load_cohort(v, s, header)
+    no_rows = write(tmp_path / "no_rows.csv", "patient_id,label\n")
+    with pytest.raises(DataError, match=r"no_rows\.csv: no patients"):
+        load_cohort(v, s, no_rows)
+
+
+def test_static_table_needs_a_feature(tmp_path):
+    v, _, y = cohort_files(tmp_path)
+    ids_only = write(tmp_path / "ids.csv", "patient_id\na\nb\n")
+    with pytest.raises(DataError,
+                       match=r"ids\.csv:1: header must start with patient_id "
+                             r"and name at least one feature"):
+        load_cohort(v, ids_only, y)
 
 
 def test_write_then_load_round_trip(tmp_path):

@@ -9,7 +9,7 @@ from trendvar.dilated import (
     conv_branch,
     correlation_forward,
 )
-from trendvar.errors import ConfigError, ShapeMismatchError
+from trendvar.errors import ConfigError
 
 
 def _branch(kt, kb, bias, dilation):
@@ -140,7 +140,7 @@ def test_single_output_column_boundary():
 
 def test_too_short_input_reports_required_minimum():
     branch = _branch(np.ones((2, 3)), np.ones((2, 3)), np.zeros(2), 4)
-    with pytest.raises(ShapeMismatchError, match="at least 9"):
+    with pytest.raises(ConfigError, match="at least 9"):
         conv_branch(np.ones((2, 8)), *branch)
 
 

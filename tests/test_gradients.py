@@ -16,7 +16,7 @@ from cohorts import prepare_arrays
 from gradcheck import finite_diff_check
 from trendvar.diff_attention import softmax
 from trendvar.dilated import conv_branch
-from trendvar.errors import ConfigError, DataError, ShapeMismatchError
+from trendvar.errors import ConfigError, DataError
 from trendvar.model import (
     ABLATION_PRESETS,
     ModelConfig,
@@ -133,7 +133,7 @@ def test_misshaped_inputs_name_the_stage_and_shapes():
                        "2 dynamic features, data has 3"):
         prepare_arrays(np.zeros((1, 8, 3)), np.zeros((1, 2)), [0], config)
 
-    with pytest.raises(ShapeMismatchError, match="at least"):
+    with pytest.raises(ConfigError, match="at least"):
         conv_branch(np.ones((2, 3)), np.ones((2, 2, 2)), np.ones(2), 5)
 
 

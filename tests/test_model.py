@@ -37,6 +37,7 @@ from trendvar.model import (
     prepare,
     save_checkpoint,
 )
+from trendvar.wavelets import MAX_ORDER, MIN_ORDER, coefficient_count
 from wavelet_oracle import oracle_lines
 
 
@@ -212,6 +213,17 @@ def test_model_config_derived_sizes():
     plain = small_config(flags=AblationFlags(True, True, False, False))
     assert plain.map_rows == 2
     assert plain.map_cols == plain.coeff_len
+
+
+def test_every_history_gives_attention_two_coefficients():
+    # FTM's floor((t + 2K - 1) / 2) is at least 2 for t >= 1 and K >= 2, so
+    # difference attention always has a first-order difference to weigh.
+    assert coefficient_count(1, MIN_ORDER) == 2
+    for order in range(MIN_ORDER, MAX_ORDER + 1):
+        for t in range(1, 51):
+            assert coefficient_count(t, order) >= 2, (t, order)
+    config = small_config(t_max=1, flags=AblationFlags(True, True, False, True))
+    assert config.coeff_len == 2
 
 
 # -- parameters -------------------------------------------------------------

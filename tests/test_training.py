@@ -296,6 +296,28 @@ def test_train_rejects_parameters_its_last_step_overflows(monkeypatch):
     assert len(steps) == 1
 
 
+def test_nan_probabilities_stop_train_at_their_own_step(monkeypatch):
+    # A NaN loss needs a NaN probability, and the same step's gradient is
+    # NaN with it: Adam refuses the step before any epoch's mean loss.
+    config = toy_config()
+    samples = prepare_raw(toy_cohort(n=10), config)
+    params = ModelParams.initialized(config, np.random.default_rng(0))
+    real_forward = training.forward
+    calls = []
+
+    def nan_forward(batch, params):
+        acts = real_forward(batch, params)
+        calls.append(1)
+        if len(calls) == 2:
+            acts.probs[...] = np.nan
+        return acts
+
+    monkeypatch.setattr(training, "forward", nan_forward)
+    with pytest.raises(NumericError, match="non-finite gradient in"):
+        train(samples, params, TrainConfig(epochs=2, batch_size=4))
+    assert len(calls) == 2
+
+
 def test_predict_probs_rejects_an_overflowing_forward_pass():
     config = toy_config()
     cohort = toy_cohort(n=6)

@@ -270,6 +270,14 @@ def test_single_visit_is_representable():
         decompose([], 14)
 
 
+def test_decompose_refuses_what_decompose_batch_refuses():
+    # A NaN would smear across 2K coefficients; these values overflow them.
+    with pytest.raises(NumericError, match="non-finite value at visit 0"):
+        decompose(np.array([np.nan, 1.0, 2.0, 3.0]), 2)
+    with pytest.raises(NumericError, match="the values overflow the split"):
+        decompose(np.full(4, 1.7e308), 2)
+
+
 # Prints a hash of the split at every order and length 1..40, then a hash of
 # a dot product and a convolution, which move with the BLAS kernel.
 _HASHES = """
