@@ -403,11 +403,13 @@ def _model_config(opts, cohort, tmax):
     return config
 
 
-def _train_config(opts):
-    from .training import TrainConfig
+def _train_config(opts, n_patients):
+    from .training import TrainConfig, fold_assignment
 
     # The loss log of a fold holds one float per epoch.
     _check_size(f"--epochs {opts['epochs']}", 8 * opts["epochs"])
+    # Refuses a --folds the cohort cannot fill before any output is written.
+    fold_assignment(n_patients, opts["folds"], opts["seed"])
     return TrainConfig(
         learning_rate=opts["lr"],
         batch_size=opts["batch"],
@@ -493,7 +495,7 @@ def cmd_train(opts):
     cohort = _load_cohort(opts)
     tmax = _resolve_tmax(opts, cohort)
     config = _model_config(opts, cohort, tmax)
-    train_config = _train_config(opts)
+    train_config = _train_config(opts, len(cohort))
     effective = dict(opts)
     effective["tmax"] = tmax
     _write_manifest(opts["out"], "train", effective)
@@ -506,9 +508,9 @@ def cmd_sweep(opts):
 
     cohort = _load_cohort(opts)
     tmax = _resolve_tmax(opts, cohort)
-    train_config = _train_config(opts)
     configs = [_model_config(dict(opts, symlet=order), cohort, tmax)
                for order in range(MIN_ORDER, MAX_ORDER + 1)]
+    train_config = _train_config(opts, len(cohort))
     effective = dict(opts)
     effective["tmax"] = tmax
     effective["symlet"] = "2..20"
@@ -542,13 +544,14 @@ def cmd_eval(opts):
     check_fit(cohort, config)
     _write_manifest(out, "eval", opts)
     probs = predict_probs(cohort, bundle.stats, bundle.params)
+    # Scored first: a set no class can be scored on writes no scored.csv.
+    scores = macro_one_vs_rest(probs, cohort.labels)
     with open_output(os.path.join(out, "scored.csv")) as fh:
         header = ",".join(f"prob_{k}" for k in range(config.n_classes))
         fh.write(f"patient_id,label,{header}\n")
         for pid, label, row in zip(cohort.ids, cohort.labels.tolist(), probs):
             cells = ",".join(_fmt(v) for v in row)
             fh.write(f"{csv_field(pid)},{label},{cells}\n")
-    scores = macro_one_vs_rest(probs, cohort.labels)
     _write_metric_rows(os.path.join(out, "metrics.csv"),
                        _metric_rows_for(0, scores))
     with open_output(os.path.join(out, "summary.txt")) as fh:

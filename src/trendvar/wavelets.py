@@ -53,51 +53,20 @@ def _quadrature_mirror(lowpass):
     return flipped
 
 
-def _check_pair(order, lowpass, highpass):
-    total = lowpass.sum()
-    if abs(total - np.sqrt(2.0)) > 1e-12:
-        raise AssertionError(
-            f"order {order}: lowpass sum {total!r} is not sqrt(2)"
-        )
-    energy = np.dot(lowpass, lowpass)
-    if abs(energy - 1.0) > 1e-12:
-        raise AssertionError(
-            f"order {order}: lowpass energy {energy!r} is not 1"
-        )
-    length = lowpass.size
-    n = np.arange(length, dtype=np.float64)
-    for p in range(order):
-        moment = abs(np.dot(n ** p, highpass))
-        if moment > 1e-7 * length ** p:
-            raise AssertionError(
-                f"order {order}: highpass moment p={p} is {moment!r}"
-            )
-
-
-def _build_table():
-    table = {}
-    for order, coeffs in SYMLET_LOWPASS.items():
-        lowpass = np.array(coeffs, dtype=np.float64)
-        highpass = _quadrature_mirror(lowpass)
-        _check_pair(order, lowpass, highpass)
-        lowpass.flags.writeable = False
-        highpass.flags.writeable = False
-        table[order] = FilterPair(order, lowpass, highpass)
-    return table
-
-
-# Gate-checked once at import; a corrupted table refuses to load at all.
-_FILTERS = _build_table()
-
-
+@lru_cache(maxsize=None)
 def symlet_filters(order):
-    """Return the frozen ``FilterPair`` for ``order`` in 2..20."""
-    if order not in _FILTERS:
+    """Return the read-only ``FilterPair`` for ``order`` in 2..20, built on
+    the first call for that order and the same object on every later one."""
+    if order not in SYMLET_LOWPASS:
         raise ConfigError(
             f"unsupported symlet order {order}: supported range is "
             f"{MIN_ORDER}..{MAX_ORDER}"
         )
-    return _FILTERS[order]
+    lowpass = np.array(SYMLET_LOWPASS[order], dtype=np.float64)
+    highpass = _quadrature_mirror(lowpass)
+    lowpass.flags.writeable = False
+    highpass.flags.writeable = False
+    return FilterPair(order, lowpass, highpass)
 
 
 def coefficient_count(length, order):

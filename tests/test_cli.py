@@ -249,11 +249,22 @@ def test_exit_codes(tmp_path, workspace):
     assert "unknown settings keys: symlet" in proc.stderr
     proc = run_cli("nosuchcommand")
     assert proc.returncode == 1
-    for flags in (["--lr", "-1"], ["--lr", "nan"], ["--folds", "1"]):
-        proc = run_cli("train", *data_flags(workspace), *TRAIN_ARGS, *flags,
-                       "--out", tmp_path / "bad")
-        assert proc.returncode == 1, (flags, proc.stderr)
-        assert "configuration error" in proc.stderr
+    # Each refusal comes before the manifest: no --out directory is made.
+    # The workspace cohort holds 14 patients.
+    for command, flags, code, message in (
+            ("train", ["--lr", "-1"], 1, "configuration error"),
+            ("train", ["--lr", "nan"], 1, "configuration error"),
+            ("train", ["--folds", "1"], 1, "need k >= 2 folds, got 1"),
+            ("train", ["--folds", "500"], 2, "14 patients cannot fill 500"),
+            ("sweep-symlets", ["--folds", "1"], 1, "need k >= 2 folds"),
+            ("sweep-symlets", ["--folds", "500"], 2, "cannot fill 500")):
+        out = tmp_path / f"bad_{command}_{flags[0][2:]}_{flags[1]}"
+        args = TRAIN_ARGS if command == "train" else ["--tmax", "8"]
+        proc = run_cli(command, *data_flags(workspace), *args, *flags,
+                       "--out", out)
+        assert proc.returncode == code, (command, flags, proc.stderr)
+        assert message in proc.stderr, (command, flags, proc.stderr)
+        assert not out.exists(), (command, flags)
     undecodable = tmp_path / "latin1.conf"
     undecodable.write_bytes(b"seed = 1\n\xff\xfe = 2\n")
     proc = run_cli("train", *data_flags(workspace), "--settings", undecodable,
@@ -864,6 +875,24 @@ def test_eval_rejects_mismatched_data(tmp_path, workspace):
     assert proc.returncode == 1
     assert "dimension mismatch" in proc.stderr
     assert "4" in proc.stderr
+
+
+def test_eval_of_a_set_no_class_can_be_scored_on_writes_no_scores(
+        tmp_path, capsys, workspace):
+    d = workspace["data"]
+    labels = tmp_path / "labels.csv"
+    header, *rows = read(d / "labels.csv").splitlines()
+    labels.write_text("\n".join(
+        [header, *(row.rsplit(",", 1)[0] + ",0" for row in rows)]) + "\n")
+    out = tmp_path / "eval"
+    assert cli.main([*map(str, [
+        "eval", "--visits", d / "visits.csv", "--static", d / "static.csv",
+        "--labels", labels, "--checkpoint", workspace["train"] / "fold0.ckpt",
+        "--out", out])]) == 2
+    assert capsys.readouterr().err == (
+        "data error: macro metric: every class is degenerate in this "
+        "evaluation set\n")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.txt"]
 
 
 def test_data_that_does_not_fit_the_model_is_refused_before_the_manifest(

@@ -56,6 +56,22 @@ def test_unsupported_order_names_the_range():
             symlet_filters(bad)
 
 
+def test_filter_pairs_are_built_on_first_use_once_and_read_only():
+    source = os.path.dirname(os.path.dirname(wavelets.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import trendvar.wavelets as w; "
+         "print(w.symlet_filters.cache_info().currsize)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=source))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+    for order in ALL_ORDERS:
+        pair = symlet_filters(order)
+        assert pair is symlet_filters(order)
+        for line in (pair.lowpass, pair.highpass):
+            with pytest.raises(ValueError, match="read-only"):
+                line[0] = 0.0
+
+
 def test_constant_series_worked_example():
     pair = decompose(np.full(4, 4.0), 2)
     assert pair.trend == pytest.approx(np.full(3, 4.0 * np.sqrt(2)), abs=1e-12)
