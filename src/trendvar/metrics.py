@@ -153,9 +153,9 @@ def trend_variation_report(cohort, order):
 
     For every patient and feature, correlate the trend line with the
     variation line; report the mean |r| per feature, descending.  Patients
-    whose lines are constant (or too short) count as undefined rather than
-    poisoning the mean; a defined r that is not finite (values that
-    overflow) is a ``NumericError`` that names the patient and feature.
+    whose lines are constant count as undefined rather than poisoning the
+    mean; a defined r that is not finite (values that overflow) is a
+    ``NumericError`` that names the patient and feature.
     Patients are decomposed in groups of equal visit count; the sums over
     patients run in patient order.
     """
@@ -164,9 +164,8 @@ def trend_variation_report(cohort, order):
     r = np.zeros((n_patients, len(feature_names)))
     defined = np.zeros(r.shape, dtype=bool)
     for indices, lines in decompose_ragged(cohort, order):
-        if lines.shape[-1] >= 2:
-            r[indices], defined[indices] = _pearson_rows(
-                lines[..., 0, :], lines[..., 1, :])
+        r[indices], defined[indices] = _pearson_rows(
+            lines[..., 0, :], lines[..., 1, :])
     # A constant series has constant lines in exact arithmetic, but the
     # matrix product leaves them roundoff apart: test the series itself.
     starts = cohort.offsets[:-1]

@@ -294,11 +294,13 @@ def prepare(cohort, stats, config):
     """
     check_fit(cohort, config)
     cohort = normalize(cohort, stats)
-    finite = np.isfinite(cohort.static).all(axis=1)
-    if not finite.all():
+    bad = np.argwhere(~np.isfinite(cohort.static))
+    if bad.size:
+        patient, column = bad[0].tolist()
         raise NumericError(
-            f"prepare: non-finite static feature of patient "
-            f"{cohort.ids[np.argmin(finite)]!r}")
+            f"prepare: non-finite static feature "
+            f"{cohort.static_names[column]!r} of patient "
+            f"{cohort.ids[patient]!r}")
     visits = pad_to_length(cohort, config.t_max)
     lines = decompose_batch(np.swapaxes(visits, 1, 2), config.order,
                             cohort.dynamic_names, cohort.ids)

@@ -137,7 +137,7 @@ def predict_probs(cohort, stats, params):
     if bad.any():
         raise NumericError(
             f"non-finite class probabilities for patient "
-            f"{cohort.ids[int(np.argmax(bad))]}: the parameters overflow "
+            f"{cohort.ids[int(np.argmax(bad))]!r}: the parameters overflow "
             f"the forward pass"
         )
     return probs

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shlex
 import signal
 import struct
 import subprocess
@@ -129,6 +130,19 @@ def test_bare_synth_writes_the_default_preset(tmp_path, capsys):
             (tmp_path / "preset" / name).read_bytes()
 
 
+def test_synth_noise_and_trend_flags_set_their_spec_fields(tmp_path, capsys):
+    out = tmp_path / "flags"
+    assert cli.main(["synth", "--patients", "40", "--noise-features", "1",
+                     "--randomize-trend", "--seed", "0",
+                     "--out", str(out)]) == 0
+    write_cohort(synth_generate(replace(
+        cli.SYNTH_PRESETS["default"], n_patients=40, n_noise_features=1,
+        randomize_trend_direction=True, seed=0)), tmp_path / "spec")
+    for name in ("visits.csv", "static.csv", "labels.csv"):
+        assert (out / name).read_bytes() == \
+            (tmp_path / "spec" / name).read_bytes()
+
+
 def test_synth_presets_exist(tmp_path):
     out = tmp_path / "preset"
     proc = run_cli("train", "--synth", "nosuch", "--epochs", "0",
@@ -170,6 +184,25 @@ def test_train_produces_the_advertised_files(workspace):
     assert "epochs = 2" in manifest
     assert "tmax = 8" in manifest  # resolved value, not the 0 placeholder
     assert stdout.index(manifest.splitlines()[0]) == 0
+
+
+@pytest.mark.parametrize("flags, fields", [
+    (["--shared-branches"], {"shared_branches": True}),
+    # A width of 3 at dilation 4 needs 9 coefficient columns: --tmax 16.
+    (["--kernel-width", "3", "--dilations", "0,2,4", "--tmax", "16"],
+     {"kernel_width": 3, "dilations": (0, 2, 4)}),
+], ids=["shared-branches", "kernel-width-dilations"])
+def test_model_flags_reach_the_checkpoint_that_eval_scores_with(
+        tmp_path, capsys, workspace, flags, fields):
+    train_out = tmp_path / "train"
+    assert cli.main([*map(str, ["train", *data_flags(workspace), *TRAIN_ARGS,
+                                *flags, "--out", train_out])]) == 0
+    ckpt = train_out / "fold0.ckpt"
+    config = load_checkpoint(ckpt).params.config
+    assert {name: getattr(config, name) for name in fields} == fields
+    assert cli.main([*map(str, ["eval", *data_flags(workspace),
+                                "--checkpoint", ckpt,
+                                "--out", tmp_path / "eval"])]) == 0
 
 
 def test_metrics_csv_has_per_class_and_mean_rows(workspace):
@@ -1594,6 +1627,32 @@ def test_sweep_covers_every_order(tmp_path, workspace):
     assert "best order = " in proc.stdout
     manifest = read(out / "manifest.txt")
     assert "symlet = 2..20" in manifest
+
+
+# -- README ------------------------------------------------------------------------
+
+def _quick_start_commands():
+    """The argv of each ``trendvar`` line in the fenced blocks of README's
+    "Quick start", with its backslash continuations joined, in order."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text("utf-8").split("\n## Quick start\n")[1] \
+        .split("\n## ")[0]
+    blocks = "\n".join(section.split("```")[1::2]).replace("\\\n", " ")
+    return [shlex.split(line) for line in blocks.splitlines()
+            if line.startswith("trendvar ")]
+
+
+def test_readme_quick_start_runs_as_written(tmp_path):
+    commands = _quick_start_commands()
+    assert sorted({argv[1] for argv in commands}) == sorted(cli._COMMANDS)
+    source = os.path.dirname(os.path.dirname(cli.__file__))
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "trendvar.cli", *argv[1:]], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=source), capture_output=True,
+            text=True)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
 
 
 # -- imports ----------------------------------------------------------------------

@@ -293,9 +293,12 @@ def test_prepare_shape_checks():
     with pytest.raises(ConfigError, match="labels"):
         prepare_arrays(rng.normal(size=(1, 8, 2)), np.zeros((1, 3)), [2],
                        config)
-    with pytest.raises(NumericError, match="non-finite static"):
-        prepare_arrays(rng.normal(size=(1, 8, 2)),
-                       np.array([[0.0, np.nan, 1.0]]), [0], config)
+    with pytest.raises(NumericError) as error:
+        prepare_arrays(rng.normal(size=(2, 8, 2)),
+                       np.array([[0.0, 1.0, 1.0], [0.0, np.nan, np.inf]]),
+                       [0, 0], config)
+    assert str(error.value) == \
+        "prepare: non-finite static feature 's1' of patient 'p1'"
 
 
 # -- full forward pass ------------------------------------------------------

@@ -324,9 +324,11 @@ def test_predict_probs_rejects_an_overflowing_forward_pass():
     params = ModelParams.initialized(config, np.random.default_rng(2))
     params.flat[:] = np.copysign(1e308, params.flat)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericError,
-                          match="non-finite class probabilities for patient"):
+            pytest.raises(NumericError) as error:
         predict_probs(cohort, compute_stats(cohort), params)
+    assert str(error.value) == (
+        "non-finite class probabilities for patient 'p0': the parameters "
+        "overflow the forward pass")
 
 
 # -- fold assignment --------------------------------------------------------

@@ -294,16 +294,23 @@ def test_decompose_refuses_what_decompose_batch_refuses():
         decompose(np.full(4, 1.7e308), 2)
 
 
-# Prints a hash of the split at every order and length 1..40, then a hash of
-# a dot product and a convolution, which move with the BLAS kernel.
+# Prints a hash of the split matrix at every order and length 1..40 and of
+# the lines of a fixed stack of short histories (t < order, the histories
+# of ``synth --mean-visits 3``), then a hash of a dot product and a
+# convolution, which move with the BLAS kernel.
 _HASHES = """
 import hashlib
 import numpy as np
-from trendvar.wavelets import MAX_ORDER, MIN_ORDER, analysis_matrix
+from trendvar.wavelets import (MAX_ORDER, MIN_ORDER, analysis_matrix,
+                               decompose_batch)
 split = hashlib.sha256()
 for order in range(MIN_ORDER, MAX_ORDER + 1):
     for t in range(1, 41):
         split.update(analysis_matrix(order, t).tobytes())
+rng = np.random.default_rng(1)
+for t in range(1, 14):
+    split.update(decompose_batch(rng.normal(size=(70, 3, t)), 14,
+                                 ("a", "b", "c"), range(70)).tobytes())
 a, b = np.random.default_rng(0).normal(size=(2, 1000))
 blas = hashlib.sha256(np.dot(a, b).tobytes()
                       + np.convolve(a, b[:50]).tobytes())
