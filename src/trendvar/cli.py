@@ -380,6 +380,14 @@ def _resolve_tmax(opts, cohort):
     return tmax
 
 
+def _check_diagnostic_size(cohort):
+    """``decompose`` and ``correlate`` split each history at its own length
+    and pad none, so their largest array is the wavelet analysis matrix of
+    the longest history, about t x t."""
+    t = int(np.diff(cohort.offsets).max())
+    _check_size(f"a history of {t} visits", 8 * t * t)
+
+
 def _model_config(opts, cohort, tmax):
     from .model import ModelConfig, ablation_from_name, parameter_count
 
@@ -453,10 +461,18 @@ def cmd_synth(opts):
     )
 
 
-def _run_cv(opts, cohort, config, train_config, out):
+def cmd_train(opts):
     from .model import save_checkpoint
     from .training import cross_validate
 
+    cohort = _load_cohort(opts)
+    tmax = _resolve_tmax(opts, cohort)
+    config = _model_config(opts, cohort, tmax)
+    train_config = _train_config(opts, len(cohort))
+    effective = dict(opts)
+    effective["tmax"] = tmax
+    out = opts["out"]
+    _write_manifest(out, "train", effective)
     cv = cross_validate(cohort, opts["folds"], config, train_config)
     rows = []
     for fold in cv.folds:
@@ -488,18 +504,6 @@ def _run_cv(opts, cohort, config, train_config, out):
         f"mean macro auroc = {_fmt(cv.mean_auroc)}\n"
         f"mean macro auprc = {_fmt(cv.mean_auprc)}\n"
     )
-    return cv
-
-
-def cmd_train(opts):
-    cohort = _load_cohort(opts)
-    tmax = _resolve_tmax(opts, cohort)
-    config = _model_config(opts, cohort, tmax)
-    train_config = _train_config(opts, len(cohort))
-    effective = dict(opts)
-    effective["tmax"] = tmax
-    _write_manifest(opts["out"], "train", effective)
-    _run_cv(opts, cohort, config, train_config, opts["out"])
 
 
 def cmd_sweep(opts):
@@ -690,6 +694,7 @@ def cmd_decompose(opts):
     order = opts["symlet"]
     symlet_filters(order)  # an unknown order is a config error
     cohort = _load_cohort(opts, visits_only=True)
+    _check_diagnostic_size(cohort)
     names = cohort.dynamic_names
     chosen = _select_features(names, opts.get("feature"))
     _write_manifest(opts["out"], "decompose", opts)
@@ -730,6 +735,7 @@ def cmd_correlate(opts):
 
     symlet_filters(opts["symlet"])  # an unknown order is a config error
     cohort = _load_cohort(opts, visits_only=True)
+    _check_diagnostic_size(cohort)
     _write_manifest(opts["out"], "correlate", opts)
     rows = trend_variation_report(cohort, opts["symlet"])
     with open_output(os.path.join(opts["out"], "correlation.csv")) as fh:

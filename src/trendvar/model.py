@@ -317,43 +317,6 @@ def prepare(cohort, stats, config):
 HEAD_PRODUCT = "...k,dk->...d"
 
 
-def embed_static(static, params):
-    """Affine map of the static vectors followed by tanh."""
-    return np.tanh(np.einsum(HEAD_PRODUCT, static, params.static_weight)
-                   + params.static_bias)
-
-
-def fuse_dynamic(maps, params):
-    """Concatenate per-feature maps column-wise and mix rows into a vector.
-
-    ``maps`` is (N, c, rows, Q), one map per patient and feature.  Returns
-    the fused (N, rows, c*Q) map, feature blocks in feature order, and its
-    mixed, activated (N, c*Q) vector.
-    """
-    n, c, rows, q = maps.shape
-    fused = maps.swapaxes(1, 2).reshape(n, rows, c * q)
-    return fused, np.tanh(params.mix_weight @ fused + params.mix_bias)
-
-
-def predict(h_static, h_dynamic, h_variation, params):
-    """Combine embeddings into class probabilities.
-
-    ``h_variation`` is None when difference attention is off; the term is
-    simply absent rather than zeroed.
-    """
-    logits = (np.einsum(HEAD_PRODUCT, h_static, params.out_static)
-              + np.einsum(HEAD_PRODUCT, h_dynamic, params.out_dynamic))
-    if h_variation is not None:
-        if params.out_diff is None:
-            raise ConfigError(
-                "predict: attention embedding given but this model was built "
-                "without the attention head"
-            )
-        logits = logits + np.einsum(HEAD_PRODUCT, h_variation,
-                                    params.out_diff)
-    return softmax(logits + params.out_bias)
-
-
 @dataclass
 class Activations:
     """What one forward pass keeps for the backward pass.
@@ -370,7 +333,12 @@ class Activations:
 
 
 def forward(batch, params):
-    """Class probabilities (and activations) for a prepared batch."""
+    """Class probabilities (and activations) for a prepared batch.
+
+    One closed-form pass over the whole batch, stage by stage in the order
+    ``backward`` undoes them: maps, fused map and row mix, static
+    embedding, logits, softmax.
+    """
     config = params.config
     if batch.config != config:
         raise ConfigError(
@@ -383,9 +351,18 @@ def forward(batch, params):
     else:
         first = 0 if flags.use_trend else 1
         maps = batch.lines[:, :, first:first + config.map_rows]
-    fused, h_dynamic = fuse_dynamic(maps, params)
-    h_static = embed_static(batch.static, params)
-    probs = predict(h_static, h_dynamic, batch.h_variation, params)
+    # Feature blocks side by side, in feature order, then the row mix.
+    n, c, rows, q = maps.shape
+    fused = maps.swapaxes(1, 2).reshape(n, rows, c * q)
+    h_dynamic = np.tanh(params.mix_weight @ fused + params.mix_bias)
+    h_static = np.tanh(np.einsum(HEAD_PRODUCT, batch.static,
+                                 params.static_weight) + params.static_bias)
+    logits = (np.einsum(HEAD_PRODUCT, h_static, params.out_static)
+              + np.einsum(HEAD_PRODUCT, h_dynamic, params.out_dynamic))
+    if batch.h_variation is not None:
+        logits = logits + np.einsum(HEAD_PRODUCT, batch.h_variation,
+                                    params.out_diff)
+    probs = softmax(logits + params.out_bias)
     return Activations(maps, fused, h_static, h_dynamic, probs)
 
 

@@ -547,10 +547,14 @@ def test_uncreatable_out_is_a_config_error(tmp_path):
      "--epochs 100000000000000"),
     (["sweep-symlets", "--synth", "default", "--epochs", "100000000000000"],
      "--epochs 100000000000000"),
+    # Each history is split at its own length: 8 * 24000^2 bytes > 4 GiB.
+    (["decompose", "--visits", "long.csv"], "a history of 24000 visits"),
+    (["correlate", "--visits", "long.csv"], "a history of 24000 visits"),
 ], ids=["train-tmax", "sweep-tmax", "settings-tmax", "synth-features",
         "synth-patients", "synth-static-features", "synth-mean-visits",
         "synth-mean-visits-inf", "train-label", "train-kernel-width",
-        "train-epochs", "sweep-epochs"])
+        "train-epochs", "sweep-epochs", "decompose-history",
+        "correlate-history"])
 def test_oversized_sizes_are_config_errors_before_allocating(
         tmp_path, monkeypatch, capsys, argv, named):
     monkeypatch.chdir(tmp_path)
@@ -560,6 +564,8 @@ def test_oversized_sizes_are_config_errors_before_allocating(
         "patient_id,visit_index,x\na,0,1.0\na,1,2.0\nb,0,3.0\nb,1,4.0\n")
     (tmp_path / "s.csv").write_text("patient_id,s\na,1.0\nb,0.0\n")
     (tmp_path / "y.csv").write_text("patient_id,label\na,0\nb,1000000\n")
+    (tmp_path / "long.csv").write_text("patient_id,visit_index,x\n" + "".join(
+        f"a,{v},{v % 7}.0\n" for v in range(24000)))
     tracemalloc.start()
     try:
         code = cli.main([*argv, "--out", str(tmp_path / "out")])

@@ -24,16 +24,14 @@ from trendvar.model import (
     AblationFlags,
     ModelConfig,
     ModelParams,
+    PreparedBatch,
     _layout,
     ablation_from_name,
     backward,
     cross_entropy,
-    embed_static,
     forward,
-    fuse_dynamic,
     load_checkpoint,
     parameter_count,
-    predict,
     prepare,
     save_checkpoint,
 )
@@ -55,65 +53,75 @@ def make_batch(config, rng, n=1, labels=None):
     return prepare_arrays(visits, static, labels, config), visits, static
 
 
-# -- head pieces ------------------------------------------------------------
+# -- head stages, through forward ------------------------------------------
+#
+# An A4 model's maps are its trend and variation lines as they are, so a
+# batch built by hand from ``lines`` (N, c, 2, m) feeds those lines to the
+# head unchanged.
 
-def test_embed_static_matches_numpy():
-    config = small_config()
+HEAD_FLAGS = ABLATION_PRESETS["A4"]
+
+
+def head_batch(config, lines, static=None):
+    n = len(lines)
+    if static is None:
+        static = np.zeros((n, config.n_static))
+    return PreparedBatch(config, lines, static, np.zeros(n, dtype=np.int64),
+                         None)
+
+
+def test_forward_static_embedding_is_tanh_of_an_affine_map():
+    config = small_config(flags=HEAD_FLAGS)
     rng = np.random.default_rng(0)
     params = ModelParams.initialized(config, rng)
-    static = rng.normal(size=3)
-    h = embed_static(static, params)
-    expected = np.tanh(params.static_weight @ static + params.static_bias)
-    np.testing.assert_allclose(h, expected, atol=1e-15)
+    static = rng.normal(size=(1, 3))
+    lines = rng.normal(size=(1, 2, 2, config.coeff_len))
+    h = forward(head_batch(config, lines, static), params).h_static
+    expected = np.tanh(params.static_weight @ static[0] + params.static_bias)
+    np.testing.assert_allclose(h[0], expected, atol=1e-15)
 
 
-def test_fuse_dynamic_row_selection():
-    # mix weight [1, 0] picks the top row of the concatenated map exactly
-    config = small_config()
+def test_forward_mix_weight_selects_the_top_rows():
+    # mix weight [1, 0] passes the top row of the concatenated map exactly
+    config = small_config(flags=HEAD_FLAGS)
     params = ModelParams(config)
     params.mix_weight[...] = [1.0, 0.0]
-    top = np.arange(6.0)
-    bottom = np.full(6, 100.0)
-    _, h = fuse_dynamic(np.vstack([top, bottom])[None, None], params)
-    np.testing.assert_allclose(h[0], np.tanh(top), atol=1e-15)
+    m = config.coeff_len
+    top = np.arange(2.0 * m).reshape(2, m)
+    lines = np.stack([top, np.full((2, m), 100.0)], axis=1)[None]
+    h = forward(head_batch(config, lines), params).h_dynamic
+    np.testing.assert_allclose(h[0], np.tanh(top.ravel()), atol=1e-15)
 
 
-def test_fuse_dynamic_concatenates_in_feature_order():
-    config = small_config()
+def test_forward_concatenates_maps_in_feature_order():
+    config = small_config(flags=HEAD_FLAGS)
     params = ModelParams(config)
     params.mix_weight[...] = [1.0, 0.0]
-    a = np.vstack([np.array([1.0, 2.0]), np.zeros(2)])
-    b = np.vstack([np.array([3.0, 4.0]), np.zeros(2)])
-    fused, h = fuse_dynamic(np.stack([a, b])[None], params)
-    np.testing.assert_array_equal(fused[0], np.hstack([a, b]))
-    np.testing.assert_allclose(h[0], np.tanh([1.0, 2.0, 3.0, 4.0]),
-                               atol=1e-15)
+    lines = np.random.default_rng(1).normal(size=(3, 2, 2, config.coeff_len))
+    acts = forward(head_batch(config, lines), params)
+    for i in range(3):
+        np.testing.assert_array_equal(acts.fused[i], np.hstack(list(lines[i])))
+        np.testing.assert_allclose(acts.h_dynamic[i],
+                                   np.tanh(lines[i, :, 0].ravel()),
+                                   atol=1e-15)
 
 
-def test_predict_zero_weights_yield_uniform():
-    config = small_config(n_classes=4)
+def test_forward_zero_weights_yield_uniform():
+    config = small_config(n_classes=4, flags=HEAD_FLAGS)
     params = ModelParams(config)  # all zeros
-    probs = predict(np.ones(4), np.ones(config.fused_len), None, params)
-    np.testing.assert_allclose(probs, np.full(4, 0.25), atol=1e-15)
+    lines = np.ones((1, 2, 2, config.coeff_len))
+    probs = forward(head_batch(config, lines, np.ones((1, 3))), params).probs
+    np.testing.assert_allclose(probs[0], np.full(4, 0.25), atol=1e-15)
 
 
-def test_predict_bias_only_logits():
+def test_forward_bias_only_logits():
     # logits [ln 2, 0, 0] -> probabilities [1/2, 1/4, 1/4]
-    config = small_config(n_classes=3)
+    config = small_config(n_classes=3, flags=HEAD_FLAGS)
     params = ModelParams(config)
     params.out_bias[...] = [math.log(2.0), 0.0, 0.0]
-    probs = predict(np.zeros(3), np.zeros(config.fused_len), None, params)
-    np.testing.assert_allclose(probs, [0.5, 0.25, 0.25], atol=1e-12)
-
-
-def test_predict_rejects_attention_term_without_head():
-    config = small_config(
-        flags=AblationFlags(True, True, True, False))
-    params = ModelParams(config)
-    assert params.out_diff is None
-    with pytest.raises(ConfigError, match="without the attention head"):
-        predict(np.zeros(2), np.zeros(config.fused_len),
-                np.zeros(config.coeff_len - 1), params)
+    lines = np.zeros((1, 2, 2, config.coeff_len))
+    probs = forward(head_batch(config, lines), params).probs
+    np.testing.assert_allclose(probs[0], [0.5, 0.25, 0.25], atol=1e-12)
 
 
 # -- loss -------------------------------------------------------------------
@@ -419,6 +427,18 @@ def test_forward_rejects_a_batch_prepared_for_another_config():
     batch, _, _ = make_batch(other, np.random.default_rng(0))
     with pytest.raises(ConfigError, match="different model config"):
         forward(batch, ModelParams(config))
+
+
+def test_predict_rejects_attention_term_without_head():
+    # A batch prepared for A7 carries an attention vector; params without
+    # the attention head refuse it.
+    batch, _, _ = make_batch(small_config(flags=ABLATION_PRESETS["A7"]),
+                             np.random.default_rng(0))
+    assert batch.h_variation is not None
+    params = ModelParams(small_config(flags=ABLATION_PRESETS["A6"]))
+    assert params.out_diff is None
+    with pytest.raises(ConfigError, match="different model config"):
+        forward(batch, params)
 
 
 def test_trend_only_sees_level_but_variation_only_does_not():
